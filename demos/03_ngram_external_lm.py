@@ -2,9 +2,11 @@
 Training and querying the external n-gram LM
 ============================================
 
-The external LM is an interpolated add-k n-gram fit on text-only data.
-Here we build a corpus with a strong bigram regularity, train on it, and
-watch the model assign most of its probability to the expected follower.
+The external LM is an add-k smoothed n-gram fit on text-only data: every
+context gets its own smoothed distribution over the vocabulary, with no
+interpolation and no back-off to shorter contexts. Here we build a corpus
+with a strong bigram regularity, train on it, and watch the model assign
+most of its probability to the expected follower.
 """
 
 import numpy as np
@@ -24,23 +26,33 @@ for _ in range(400):
 
 model = lm.train_ngram(corpus, order=2, smoothing=0.1, vocab=list(range(7)))
 
+
+def next_dist(prefix):
+    """P(w | prefix) over the vocabulary, via the incremental interface."""
+    state = lm.initial_state(model)
+    for tok in prefix:
+        state, _ = lm.advance_state(model, state, tok)
+    return np.exp(lm.next_token_logprobs(model, state))
+
+
 # next-token distribution after the trigger word
-dist = np.exp([lm.next_logprob(model, [5], w) for w in range(7)])
+dist = next_dist([5])
 print("P(w | 5):", np.round(dist, 4))
 print("mass on the expected follower:", round(float(dist[6]), 4))
 
 # scoring a whole sequence returns per-token log-probs
 scores = lm.score_tokens(model, [5, 6, 2])
-print("per-token log-probs for [5, 6, 2]:", np.round(scores, 3))
+print("per-token log-probs for [5, 6, 2]:", np.round(scores.per_token, 3))
 
-# unseen contexts back off toward the unigram distribution
-tail = np.exp([lm.next_logprob(model, [6], w) for w in range(7)])
-print("P(w | 6) backs off smoothly:", np.round(tail, 4))
+# word 6 is always preceded by 5, so its own context has seen only the
+# ordinary words 0..4 follow it; add-k gives 5 and 6 small but nonzero mass
+tail = next_dist([6])
+print("P(w | 6):", np.round(tail, 4))
 print("rows sum to one:", float(dist.sum()), float(tail.sum()))
 
 # persistence round-trips exactly
-lm.save_lm(model, "/tmp/demo.lm")
-back = lm.load_lm("/tmp/demo.lm")
+lm.save_lm(model, "demo.lm")
+back = lm.load_lm("demo.lm")
 print("round-trip identical:",
-      np.array_equal(lm.score_tokens(model, [1, 5, 6]),
-                     lm.score_tokens(back, [1, 5, 6])))
+      np.array_equal(lm.score_tokens(model, [1, 5, 6]).per_token,
+                     lm.score_tokens(back, [1, 5, 6]).per_token))

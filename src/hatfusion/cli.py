@@ -24,12 +24,10 @@ import numpy as np
 
 from . import data as data_mod
 from .data import TaskConfig, generate_task, load_task, save_task, wer
-from .decode import (BeamConfig, attach_elm_scores, attach_ilm_scores,
-                     beam_search, beam_search_plain, load_nbest,
-                     rescore_components, save_nbest)
+from .decode import BeamConfig, beam_search, beam_search_plain, load_nbest, save_nbest
 from .hat import HatConfig, load_checkpoint, save_checkpoint
-from .lfm import (LfmConfig, load_lfm, rescore_scalar, rescore_with_lfm,
-                  save_lfm)
+from .lfm import (LfmConfig, load_lfm, prepare_rescoring, rescore_scalar,
+                  rescore_with_lfm, save_lfm)
 from .lm import load_lm, save_lm, train_ngram
 from .sweep import SweepSpec, load_sweep, run_sweep, save_sweep
 from .training import TrainConfig, train_lfm, train_mle, train_mwer
@@ -366,12 +364,7 @@ def cmd_decode(args) -> int:
         model, parent = _load_hat(exp, args.init)
         corpus = _split(task, args.split)
         beam_cfg = _beam_config(cfg, lam, gam)
-        try:
-            elm = _load_elm(exp)
-        except CliError:
-            elm = None
-        if gam > 0 and elm is None:
-            raise CliError("missing-artifact", "no external LM artifact; run gen-data")
+        elm = _load_elm(exp)
         fused = lam > 0 or gam > 0
         lists = []
         for utt in corpus:
@@ -380,10 +373,7 @@ def cmd_decode(args) -> int:
             else:
                 nb = beam_search_plain(utt, model, beam_cfg)
             # persist full components so every later stage is a pure re-rank
-            nb = rescore_components(nb, model, utt)
-            nb = attach_ilm_scores(nb, model)
-            if elm is not None:
-                nb = attach_elm_scores(nb, elm)
+            nb = prepare_rescoring(utt, nb, model, elm)
             if args.k is not None:
                 nb.hyps = nb.hyps[: args.k]
             lists.append(nb)

@@ -14,12 +14,16 @@ finite; an unsmoothed n-gram can emit -inf and poison the ranking.
 
 ``beam_search_plain`` is the fusion-free twin: it never touches LM
 machinery, and with lam = gam = 0 the fused search is bit-identical to it.
+
+``rescore_components`` only adds the exact full sum. The per-token ILM and
+ELM scores of a list are attached once, by ``lfm.prepare_rescoring``; every
+later stage reads them off the hypotheses.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -264,65 +268,8 @@ def rescore_components(nbest: NBestList, model: HatModel, utterance: Utterance) 
         raise ValueError("cannot rescore an empty hypothesis list")
     enc = model.encode(utterance.acoustics)
     full = model.full_sum_log_probs(enc, nbest.token_lists()).data
-    hyps = []
-    for h, fs in zip(nbest.hyps, full):
-        hyps.append(
-            Hypothesis(
-                tokens=h.tokens,
-                e2e_search=h.e2e_search,
-                ilm_scores=h.ilm_scores,
-                elm_scores=h.elm_scores,
-                elm_eos=h.elm_eos,
-                combined=h.combined,
-                truncated=h.truncated,
-                e2e_fullsum=float(fs),
-            )
-        )
+    hyps = [replace(h, e2e_fullsum=float(fs)) for h, fs in zip(nbest.hyps, full)]
     return NBestList(nbest.uid, list(nbest.reference), hyps, nbest.ilm_weight, nbest.elm_weight)
-
-
-def attach_ilm_scores(nbest: NBestList, model: HatModel) -> NBestList:
-    """Fill per-token internal-LM scores on lists decoded without fusion."""
-    hyps = []
-    for h in nbest.hyps:
-        sc = model.internal_lm_log_prob(list(h.tokens))
-        hyps.append(
-            Hypothesis(
-                tokens=h.tokens,
-                e2e_search=h.e2e_search,
-                ilm_scores=sc.per_token,
-                elm_scores=h.elm_scores,
-                elm_eos=h.elm_eos,
-                combined=h.combined,
-                truncated=h.truncated,
-                e2e_fullsum=h.e2e_fullsum,
-            )
-        )
-    return NBestList(nbest.uid, list(nbest.reference), hyps, nbest.ilm_weight, nbest.elm_weight)
-
-
-def attach_elm_scores(nbest: NBestList, elm) -> NBestList:
-    """Fill per-token ELM scores on lists decoded without an ELM."""
-    hyps = []
-    for h in nbest.hyps:
-        sc = score_tokens(elm, list(h.tokens))
-        hyps.append(
-            Hypothesis(
-                tokens=h.tokens,
-                e2e_search=h.e2e_search,
-                ilm_scores=h.ilm_scores,
-                elm_scores=sc.per_token,
-                elm_eos=sc.eos,
-                combined=h.combined,
-                truncated=h.truncated,
-                e2e_fullsum=h.e2e_fullsum,
-            )
-        )
-    return NBestList(nbest.uid, list(nbest.reference), hyps, nbest.ilm_weight, nbest.elm_weight)
-
-
-def decode_corpus(utterances, model: HatModel, elm, config: BeamConfig) -> list:
-    return [beam_search(u, model, elm, config) for u in utterances]
 
 
 # -- persistence: one record per utterance ----------------------------------

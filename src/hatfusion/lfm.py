@@ -13,19 +13,23 @@ reproduces scalar rescoring exactly, not just up to rounding.
 The transformer is pre-norm: each sublayer adds its output to the residual
 stream after layer normalization. Encoder states enter as constants; only
 LFM parameters ever receive gradients here.
+
+``prepare_rescoring`` is the one place that attaches the exact full sum and
+the per-token ILM and ELM scores to a list. Rescoring and fusion-module
+training read those scores off the hypotheses and never recompute them, so
+their lists must come from ``prepare_rescoring`` or ``hatfusion decode``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import tensor as T
-from .decode import (NBestList, Hypothesis, attach_elm_scores, attach_ilm_scores,
-                     rescore_components)
+from .decode import NBestList, rescore_components
 from .hat import HatModel, Utterance
 from .lm import score_tokens
 from .mwer import MwerConfig, nwe, renormalized_expectation
@@ -52,12 +56,6 @@ class LfmConfig:
             )
         if min(self.vocab_size, self.enc_dim, self.model_dim, self.num_layers) < 1:
             raise ValueError("all size fields must be positive")
-
-
-@dataclass
-class FusionWeights:
-    mu: np.ndarray
-    nu: np.ndarray
 
 
 @dataclass
@@ -179,11 +177,6 @@ def _init_params(cfg: LfmConfig, seed: int) -> T.ParamSet:
     return ps
 
 
-def lfm_forward(enc_states: np.ndarray, tokens, lfm: LfmModel) -> FusionWeights:
-    w = lfm.forward(enc_states, tokens).data
-    return FusionWeights(mu=w[:, 0].copy(), nu=w[:, 1].copy())
-
-
 def weighted_contribution(weights, scores) -> float:
     w = np.asarray(weights, dtype=float)
     s = np.asarray(scores, dtype=float)
@@ -196,20 +189,8 @@ def _weighted_score(e2e: float, mu_vec, s, nu_vec, r) -> float:
     return (e2e - weighted_contribution(mu_vec, s)) + weighted_contribution(nu_vec, r)
 
 
-def _reranked(nbest: NBestList, scored: list) -> NBestList:
-    hyps = [
-        Hypothesis(
-            tokens=h.tokens,
-            e2e_search=h.e2e_search,
-            ilm_scores=s,
-            elm_scores=r,
-            elm_eos=h.elm_eos,
-            combined=score,
-            truncated=h.truncated,
-            e2e_fullsum=h.e2e_fullsum,
-        )
-        for h, s, r, score in scored
-    ]
+def _reranked(nbest: NBestList, scores: list) -> NBestList:
+    hyps = [replace(h, combined=score) for h, score in zip(nbest.hyps, scores)]
     hyps.sort(key=lambda h: (-h.combined, h.tokens))
     return NBestList(nbest.uid, list(nbest.reference), hyps, nbest.ilm_weight, nbest.elm_weight)
 
@@ -225,54 +206,57 @@ def _require_lm_free(nbest: NBestList) -> None:
 def prepare_rescoring(utterance: Utterance, nbest: NBestList, hat: HatModel, elm) -> NBestList:
     """Attach full-sum, ILM, and ELM scores once; sweeps then only re-rank."""
     out = rescore_components(nbest, hat, utterance)
-    out = attach_ilm_scores(out, hat)
-    return attach_elm_scores(out, elm)
+    hyps = []
+    for h in out.hyps:
+        toks = list(h.tokens)
+        sc = score_tokens(elm, toks)
+        hyps.append(replace(h, ilm_scores=hat.internal_lm_log_prob(toks).per_token,
+                            elm_scores=sc.per_token, elm_eos=sc.eos))
+    return replace(out, hyps=hyps)
 
 
 def rescore_scalar(nbest: NBestList, mu: float, nu: float) -> NBestList:
     """Re-rank by constant fusion weights using the attached per-token scores."""
     _require_lm_free(nbest)
-    scored = []
+    scores = []
     for h in nbest.hyps:
         n = len(h.tokens)
-        score = _weighted_score(h.e2e_fullsum, np.full(n, float(mu)), h.ilm_scores,
-                                np.full(n, float(nu)), h.elm_scores)
-        scored.append((h, h.ilm_scores, h.elm_scores, score))
-    return _reranked(nbest, scored)
+        scores.append(_weighted_score(h.e2e_fullsum, np.full(n, float(mu)), h.ilm_scores,
+                                      np.full(n, float(nu)), h.elm_scores))
+    return _reranked(nbest, scores)
 
 
 def rescore_with_lfm(utterance: Utterance, nbest: NBestList, hat: HatModel, elm,
                      lfm: LfmModel) -> NBestList:
-    """Re-rank with per-token weights from the fusion module."""
+    """Re-rank with per-token weights from the fusion module.
+
+    The per-token scores are read off the prepared list; ``hat`` only
+    encodes the utterance, and ``elm`` is unused.
+    """
     _require_lm_free(nbest)
     enc = hat.encode_np(utterance.acoustics)
-    scored = []
+    scores = []
     for h in nbest.hyps:
-        toks = list(h.tokens)
-        s = hat.internal_lm_log_prob(toks).per_token
-        r = score_tokens(elm, toks).per_token
-        w = lfm.forward(enc, toks).data
-        scored.append((h, s, r, _weighted_score(h.e2e_fullsum, w[:, 0], s, w[:, 1], r)))
-    return _reranked(nbest, scored)
+        w = lfm.forward(enc, h.tokens).data
+        scores.append(_weighted_score(h.e2e_fullsum, w[:, 0], h.ilm_scores,
+                                      w[:, 1], h.elm_scores))
+    return _reranked(nbest, scores)
 
 
-def _freeze_batch(batch: list, hat: HatModel, elm) -> list:
+def _freeze_batch(batch: list, hat: HatModel) -> list:
     """Frozen-model scores are plain numbers; gather them before taping."""
     prepared = []
     for utterance, nbest in batch:
         _require_lm_free(nbest)
         if not nbest.hyps:
             continue
-        enc = hat.encode_np(utterance.acoustics)
         reference = list(utterance.reference)
         prepared.append(
             (
-                enc,
+                hat.encode_np(utterance.acoustics),
                 [nwe(h.tokens, reference) for h in nbest.hyps],
                 np.array([h.e2e_fullsum for h in nbest.hyps]),
-                [list(h.tokens) for h in nbest.hyps],
-                [hat.internal_lm_log_prob(list(h.tokens)).per_token for h in nbest.hyps],
-                [score_tokens(elm, list(h.tokens)).per_token for h in nbest.hyps],
+                nbest.hyps,
             )
         )
     return prepared
@@ -282,22 +266,23 @@ def lfm_loss(batch: list, hat: HatModel, elm, lfm: LfmModel) -> T.Tensor:
     """Mean expected word errors over the batch, with per-token weights.
 
     Raw score per hypothesis: e2e_fullsum - Σ mu_l s_l + Σ nu_l r_l. Only
-    the weights are tensor-valued; everything from HAT and the ELM enters
-    as constants.
+    the weights are tensor-valued; the scores are read off the prepared
+    lists as constants. ``hat`` only encodes the utterances, and ``elm`` is
+    unused.
     """
     if not batch:
         raise ValueError("lfm loss: empty batch")
-    prepared = _freeze_batch(batch, hat, elm)
+    prepared = _freeze_batch(batch, hat)
     if not prepared:
         raise ValueError("lfm loss: every list in the batch was empty")
     per_utt = []
-    for enc, errors, e2e, token_lists, s_lists, r_lists in prepared:
+    for enc, errors, e2e, hyps in prepared:
         parts = []
-        for toks, s, r in zip(token_lists, s_lists, r_lists):
-            w = lfm.forward(enc, toks)
+        for h in hyps:
+            w = lfm.forward(enc, h.tokens)
             contrib = T.add(
-                T.scale(T.dot(w[:, 0], T.constant(s)), -1.0),
-                T.dot(w[:, 1], T.constant(r)),
+                T.scale(T.dot(w[:, 0], T.constant(h.ilm_scores)), -1.0),
+                T.dot(w[:, 1], T.constant(h.elm_scores)),
             )
             parts.append(contrib[None])
         raw = T.add(T.constant(e2e), T.concat(parts, axis=0))
@@ -309,11 +294,12 @@ def train_lfm_step(batch: list, hat: HatModel, elm, lfm: LfmModel,
                    config: MwerConfig, optimizer) -> float:
     """One expected-word-error step on LFM parameters only.
 
-    ``batch`` holds (utterance, nbest) pairs decoded LM-free with full-sum
-    scores attached. HAT and ELM stay frozen: their scores enter as
+    ``batch`` holds (utterance, nbest) pairs decoded LM-free and prepared
+    by ``prepare_rescoring``. HAT stays frozen: its scores enter as
     constants, and any gradient that somehow lands on a HAT parameter
-    aborts the step. The MLE anchor is omitted because it targets E2E
-    parameters, which are frozen here.
+    aborts the step. ``elm`` is unused; its scores ride on the lists. The
+    MLE anchor is omitted because it targets E2E parameters, which are
+    frozen here.
     """
     hat.params.clear_grads()
     lfm.params.zero_grads()

@@ -13,8 +13,6 @@ break toward the smaller (ilm, elm) pair, compared lexicographically.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,16 +30,6 @@ def sweep_eval_count() -> int:
     """Total grid points evaluated in this process; paths that claim to need
     no weight search are checked against it."""
     return _COUNTERS["points"]
-
-
-def worker_count() -> int:
-    """Thread cap from HATFUSION_WORKERS; 1 (sequential) when unset."""
-    raw = os.environ.get("HATFUSION_WORKERS", "1")
-    try:
-        n = int(raw)
-    except ValueError as e:
-        raise ValueError(f"HATFUSION_WORKERS must be an integer, got {raw!r}") from e
-    return max(1, n)
 
 
 @dataclass
@@ -148,12 +136,7 @@ def run_sweep(spec: SweepSpec, model: HatModel, elm, dev_sets: tuple,
 
     points = spec.points()
     _COUNTERS["points"] += len(points)
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one_point, points))
-    else:
-        rows = [one_point(pt) for pt in points]
+    rows = [one_point(pt) for pt in points]
     best = _argmin(rows)
     return SweepResult(mode=spec.mode, rows=rows, best_ilm=best["ilm"],
                        best_elm=best["elm"], best_average=best["average"])

@@ -1,7 +1,8 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-The differentiable surface is a fixed primitive whitelist (see ``OP_KINDS``),
-kept deliberately small so every backward rule can be audited by hand.
+The differentiable surface is a fixed whitelist of primitives (the functions
+under "Primitives" below), kept deliberately small so every backward rule
+can be audited by hand.
 Recording happens only while a ``Tape`` is active; outside of one, every
 operation is a plain numpy evaluation and its result is a constant leaf.
 
@@ -11,6 +12,7 @@ Gradients accumulate into ``Tensor.grad`` slots.  Trainable leaves live in a
 
 from __future__ import annotations
 
+import math
 import struct
 import threading
 from typing import Callable, Iterator, Sequence
@@ -498,34 +500,6 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False) 
     return _record(out, (q, k, v), bw)
 
 
-OP_KINDS = {
-    "add": add,
-    "multiply": multiply,
-    "matmul": matmul,
-    "embedding-lookup": embedding_lookup,
-    "sigmoid": sigmoid,
-    "softplus": softplus,
-    "tanh": tanh,
-    "exp": exp,
-    "log-softmax": log_softmax,
-    "logsumexp-over-axis": logsumexp,
-    "concat": concat,
-    "slice": slice_,
-    "scale": scale,
-    "layer-normalize": layer_normalize,
-    "scaled-dot-attention": scaled_dot_attention,
-}
-
-
-def apply_primitive(op_kind: str, *args, **kwargs) -> Tensor:
-    """Dispatch a whitelisted primitive by name."""
-    try:
-        op = OP_KINDS[op_kind]
-    except KeyError:
-        raise ValueError(f"unknown primitive {op_kind!r}") from None
-    return op(*args, **kwargs)
-
-
 # ---------------------------------------------------------------------------
 # Compositions used throughout the models (whitelist-pure)
 # ---------------------------------------------------------------------------
@@ -636,27 +610,35 @@ class ParamSet:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "ParamSet":
+        """Parse a container; truncated or trailing bytes raise ValueError."""
         if blob[: len(cls.MAGIC)] != cls.MAGIC:
             raise ValueError("not a parameter container (bad magic)")
         off = len(cls.MAGIC)
-        version, count = struct.unpack_from("<II", blob, off)
-        off += 8
+
+        def take(size: int) -> int:
+            """Offset of the next ``size`` bytes, which must all be present."""
+            nonlocal off
+            if off + size > len(blob):
+                raise ValueError(f"truncated parameter container: {size} bytes needed "
+                                 f"at offset {off}, {len(blob) - off} left")
+            off += size
+            return off - size
+
+        version, count = struct.unpack_from("<II", blob, take(8))
         if version != cls.VERSION:
             raise ValueError(f"unsupported container version {version}")
         ps = cls()
         for _ in range(count):
-            (nlen,) = struct.unpack_from("<I", blob, off)
-            off += 4
-            name = blob[off : off + nlen].decode("utf-8")
-            off += nlen
-            (ndim,) = struct.unpack_from("<I", blob, off)
-            off += 4
-            shape = struct.unpack_from(f"<{ndim}I", blob, off)
-            off += 4 * ndim
-            n = int(np.prod(shape)) if ndim else 1
-            data = np.frombuffer(blob, dtype="<f8", count=n, offset=off).reshape(shape)
-            off += 8 * n
-            ps.add(name, Tensor(data.astype(np.float64), trainable=True))
+            (nlen,) = struct.unpack_from("<I", blob, take(4))
+            start = take(nlen)
+            name = blob[start : start + nlen].decode("utf-8")
+            (ndim,) = struct.unpack_from("<I", blob, take(4))
+            shape = struct.unpack_from(f"<{ndim}I", blob, take(4 * ndim))
+            n = math.prod(shape)
+            data = np.frombuffer(blob, dtype="<f8", count=n, offset=take(8 * n))
+            ps.add(name, Tensor(data.reshape(shape).astype(np.float64), trainable=True))
+        if off != len(blob):
+            raise ValueError(f"{len(blob) - off} trailing bytes after the last tensor")
         return ps
 
     def save(self, path) -> None:
@@ -666,7 +648,11 @@ class ParamSet:
     @classmethod
     def load(cls, path) -> "ParamSet":
         with open(path, "rb") as f:
-            return cls.from_bytes(f.read())
+            blob = f.read()
+        try:
+            return cls.from_bytes(blob)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +711,3 @@ def make_optimizer(kind: str, lr: float):
         return Adam(lr)
     raise ValueError(f"unknown optimizer kind {kind!r}")
 
-
-def optimizer_step(params: ParamSet, lr: float, kind: str = "sgd") -> None:
-    """One-shot update; for stateful runs keep an optimizer object instead."""
-    make_optimizer(kind, lr).step(params)

@@ -133,11 +133,19 @@ class _Snapshot:
 
 def _run_steps(config: TrainConfig, params: T.ParamSet, step_fn, log: RunLog,
                extra_log=None) -> None:
-    """Shared driver: step, divergence guard, snapshots, logging."""
+    """Shared driver: step, divergence guard, snapshots, logging.
+
+    ``step_fn`` returns the step's loss, or None when its batch came back
+    empty; such a step logs an ``empty_batch`` event, records no loss and
+    takes no snapshot.
+    """
     optimizer = T.make_optimizer("adam", config.lr)
     snap = _Snapshot(params, config.checkpoint_every)
     for step in range(1, config.steps + 1):
         loss = step_fn(step, optimizer)
+        if loss is None:
+            log.append(event="empty_batch", step=step)
+            continue
         if not np.isfinite(loss):
             restored = snap.restore()
             log.append(event="diverged", step=step, restored_step=restored)
@@ -222,8 +230,7 @@ def train_mwer(config: TrainConfig, train_data: list, model: HatModel, elm=None,
                 continue
             pairs.append((utt, nb))
         if not pairs:
-            log.append(event="empty_batch", step=step)
-            return 0.0
+            return None
         model.params.zero_grads()
         with T.Tape() as tape:
             parts = [composite_loss(u, nb, model, mwer_cfg, lm_aware=lm_path)[None]
@@ -275,45 +282,20 @@ def train_lfm(config: TrainConfig, train_data: list, hat: HatModel, elm,
         return pairs
 
     fixed_pairs = decode_pairs(stats_data) if stats_data else None
-    optimizer = T.make_optimizer("adam", config.lr)
-    snap = _Snapshot(lfm.params, config.checkpoint_every)
-    for step in range(1, config.steps + 1):
+    batch_pairs: list = []
+
+    def step_fn(step, optimizer):
+        nonlocal batch_pairs
         batch_pairs = decode_pairs(_sample(rng, train_data, config.batch_size))
         if not batch_pairs:
-            log.append(event="empty_batch", step=step)
-            continue
-        loss = train_lfm_step(batch_pairs, hat, elm, lfm, mwer_cfg, optimizer)
-        if not np.isfinite(loss):
-            restored = snap.restore()
-            log.append(event="diverged", step=step, restored_step=restored)
-            warnings.warn(
-                f"non-finite loss at step {step}; restored step-{restored} snapshot"
-            )
-            break
-        if step % config.log_every == 0 or step == config.steps:
-            record = {"step": step, "loss": float(loss),
-                      "train_stats": asdict(weight_stats(batch_pairs, lfm, hat))}
-            if fixed_pairs:
-                record["dev_stats"] = asdict(weight_stats(fixed_pairs, lfm, hat))
-            log.append(**record)
-        snap.update(step)
+            return None
+        return train_lfm_step(batch_pairs, hat, elm, lfm, mwer_cfg, optimizer)
+
+    def extra_log(step):
+        record = {"train_stats": asdict(weight_stats(batch_pairs, lfm, hat))}
+        if fixed_pairs:
+            record["dev_stats"] = asdict(weight_stats(fixed_pairs, lfm, hat))
+        return record
+
+    _run_steps(config, lfm.params, step_fn, log, extra_log=extra_log)
     return lfm, log
-
-
-def corpus_wer(model: HatModel, corpus: list, elm=None,
-               beam_cfg: BeamConfig | None = None) -> float:
-    """Decode every utterance and score the top hypotheses as one corpus."""
-    from .data import wer
-
-    cfg = beam_cfg or BeamConfig()
-    if cfg.elm_weight > 0 and elm is None:
-        raise ValueError("nonzero ELM weight needs an external LM")
-    hyps, refs = [], []
-    for utt in corpus:
-        if elm is not None:
-            nb = beam_search(utt, model, elm, cfg)
-        else:
-            nb = beam_search_plain(utt, model, cfg)
-        hyps.append(list(nb.hyps[0].tokens) if nb.hyps else [])
-        refs.append(list(utt.reference))
-    return wer(hyps, refs)

@@ -1,6 +1,7 @@
 """End-to-end command-line pipeline against a throwaway experiment dir."""
 
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +90,17 @@ class TestMissingArtifacts:
     def test_missing_checkpoint(self, pipeline):
         assert main(["decode", *pipeline["args"], "--split", "train",
                      "--init", "mle-deadbeef-s9"]) == 3
+
+    def test_decode_needs_elm(self, pipeline, tmp_path):
+        # decoded lists carry ELM scores; zeros in their place would be
+        # ranked as real scores by rescore
+        exp = tmp_path / "exp"
+        shutil.copytree(pipeline["exp"], exp)
+        for elm in exp.glob("models/elm-*.lm"):
+            elm.unlink()
+        assert main(["decode", "--config", str(pipeline["config"]), "--exp-dir", str(exp),
+                     "--split", "dev-common", "--init", pipeline["mle"]]) == 3
+        assert not list(exp.glob("nbest/dev-common-*"))
 
 
 class TestAppendOnly:

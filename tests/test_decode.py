@@ -3,6 +3,7 @@ import pytest
 
 from hatfusion import decode as D
 from hatfusion import hat as H
+from hatfusion import lfm as F
 from hatfusion import lm as L
 from hatfusion import tensor as T
 
@@ -233,7 +234,7 @@ class TestRescoring:
         elm = tiny_elm(rng)
         utt = random_utt(rng, t=4)
         nb = D.beam_search_plain(utt, model, D.BeamConfig(beam_size=4, max_tokens=3))
-        out = D.attach_elm_scores(nb, elm)
+        out = F.prepare_rescoring(utt, nb, model, elm)
         for a, b in zip(out.hyps, nb.hyps):
             sc = L.score_tokens(elm, list(a.tokens))
             np.testing.assert_array_equal(a.elm_scores, sc.per_token)
@@ -269,11 +270,3 @@ class TestNBestIO:
                 np.testing.assert_array_equal(ha.ilm_scores, hb.ilm_scores)
                 np.testing.assert_array_equal(ha.elm_scores, hb.elm_scores)
                 assert ha.truncated == hb.truncated
-
-    def test_decode_corpus_order(self):
-        rng = np.random.default_rng(20)
-        model = tiny_model(6)
-        elm = tiny_elm(rng)
-        utts = [random_utt(rng, uid=f"c{i}") for i in range(3)]
-        lists = D.decode_corpus(utts, model, elm, D.BeamConfig(beam_size=2))
-        assert [nb.uid for nb in lists] == ["c0", "c1", "c2"]

@@ -44,10 +44,10 @@ class TestForward:
         rng = np.random.default_rng(0)
         lfm = tiny_lfm(1)
         enc = rng.normal(size=(5, HID))
-        w = F.lfm_forward(enc, [0, 1, 2, 1, 0], lfm)
-        assert w.mu.shape == (5,) and w.nu.shape == (5,)
-        empty = F.lfm_forward(enc, [], lfm)
-        assert empty.mu.shape == (0,) and empty.nu.shape == (0,)
+        w = lfm.forward(enc, [0, 1, 2, 1, 0]).data
+        assert w.shape == (5, 2)
+        empty = lfm.forward(enc, []).data
+        assert empty.shape == (0, 2)
 
     def test_nonnegative_outputs(self):
         rng = np.random.default_rng(1)
@@ -221,10 +221,10 @@ class TestTraining:
             raw, errors = [], []
             for h in nb.hyps:
                 toks = list(h.tokens)
-                w = F.lfm_forward(enc, toks, lfm)
+                w = lfm.forward(enc, toks).data
                 s = hat.internal_lm_log_prob(toks).per_token
                 r = L.score_tokens(elm, toks).per_token
-                raw.append((h.e2e_fullsum - np.dot(w.mu, s)) + np.dot(w.nu, r))
+                raw.append((h.e2e_fullsum - np.dot(w[:, 0], s)) + np.dot(w[:, 1], r))
                 errors.append(M.nwe(h.tokens, utt.reference))
             raw = np.array(raw)
             p = np.exp(raw - np.max(raw))
@@ -277,6 +277,26 @@ class TestTraining:
         with pytest.raises(ValueError):
             F.lfm_loss([], hat, elm, tiny_lfm(24))
 
+    def test_reads_attached_scores_without_recomputing(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        hat = tiny_hat(34)
+        elm = tiny_elm(rng)
+        lfm = tiny_lfm(35)
+        batch = self.build_batch(rng, hat, elm)
+
+        def recomputed(*args, **kwargs):
+            raise AssertionError("a prepared list's scores were recomputed")
+
+        monkeypatch.setattr(H.HatModel, "internal_lm_log_prob", recomputed)
+        monkeypatch.setattr(F, "score_tokens", recomputed)
+        loss = float(F.lfm_loss(batch, hat, elm, lfm).data)
+        assert np.isfinite(loss)
+        assert np.isfinite(F.train_lfm_step(batch, hat, elm, lfm, M.MwerConfig(),
+                                            T.Adam(1e-4)))
+        for utt, nb in batch:
+            ranked = F.rescore_with_lfm(utt, nb, hat, elm, lfm)
+            assert sorted(h.tokens for h in ranked.hyps) == sorted(h.tokens for h in nb.hyps)
+
 
 class TestWeightStats:
     def test_aggregates_all_tokens(self):
@@ -291,9 +311,9 @@ class TestWeightStats:
             enc = hat.encode_np(utt.acoustics)
             for h in nb.hyps:
                 if h.tokens:
-                    w = F.lfm_forward(enc, list(h.tokens), lfm)
-                    mus.append(w.mu)
-                    nus.append(w.nu)
+                    w = lfm.forward(enc, list(h.tokens)).data
+                    mus.append(w[:, 0])
+                    nus.append(w[:, 1])
         mu, nu = np.concatenate(mus), np.concatenate(nus)
         assert stats.token_count == mu.size
         assert abs(stats.mean_mu - np.mean(mu)) < 1e-12
@@ -318,12 +338,12 @@ class TestWeightStats:
         lfm = tiny_lfm(30)
         utt = make_utt(rng)
         enc = hat.encode_np(utt.acoustics)
-        w = F.lfm_forward(enc, [1], lfm)
+        w = lfm.forward(enc, [1]).data
         hyp = D.Hypothesis(tokens=(1,), e2e_search=-1.0, ilm_scores=np.zeros(1),
                            elm_scores=np.zeros(1), elm_eos=0.0, combined=-1.0,
                            e2e_fullsum=-1.0)
         stats = F.weight_stats([(utt, D.NBestList("u", [1], [hyp]))], lfm, hat)
-        assert stats.mean_mu == w.mu[0] and stats.std_mu == 0.0
+        assert stats.mean_mu == w[0, 0] and stats.std_mu == 0.0
         assert stats.token_count == 1
 
     def test_empty_dataset_rejected(self):

@@ -5,6 +5,7 @@ import pytest
 
 from hatfusion import decode as D
 from hatfusion import hat as H
+from hatfusion import lfm as F
 from hatfusion import lm as L
 from hatfusion import mwer as M
 from hatfusion import tensor as T
@@ -214,13 +215,10 @@ class TestMwerLossScores:
         assert abs(float(a.data) - float(b.data)) < 1e-12
 
 
-def decode_and_rescore(model, utt, elm=None, k=3):
+def decode_and_rescore(model, utt, elm, k=3):
     cfg = D.BeamConfig(beam_size=k, max_tokens=3, frame_cap=2)
     nb = D.beam_search_plain(utt, model, cfg)
-    nb = D.rescore_components(nb, model, utt)
-    if elm is not None:
-        nb = D.attach_elm_scores(nb, elm)
-    return nb
+    return F.prepare_rescoring(utt, nb, model, elm)
 
 
 class TestCompositeLoss:

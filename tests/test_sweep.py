@@ -8,8 +8,7 @@ from hatfusion.data import TaskConfig, generate_task
 from hatfusion.decode import BeamConfig
 from hatfusion.hat import HatConfig, HatModel
 from hatfusion.lm import train_ngram
-from hatfusion.sweep import (SweepSpec, load_sweep, run_sweep, save_sweep,
-                             sweep_eval_count, worker_count)
+from hatfusion.sweep import SweepSpec, load_sweep, run_sweep, save_sweep, sweep_eval_count
 from hatfusion.training import TrainConfig, train_mle
 
 
@@ -138,27 +137,3 @@ class TestPersistence:
         p.write_text('{"kind": "config"}\n{"kind": "other"}\n')
         with pytest.raises(ValueError):
             load_sweep(p)
-
-
-class TestWorkers:
-    def test_default_is_sequential(self, monkeypatch):
-        monkeypatch.delenv("HATFUSION_WORKERS", raising=False)
-        assert worker_count() == 1
-
-    def test_env_cap_honored(self, monkeypatch):
-        monkeypatch.setenv("HATFUSION_WORKERS", "3")
-        assert worker_count() == 3
-        monkeypatch.setenv("HATFUSION_WORKERS", "junk")
-        with pytest.raises(ValueError):
-            worker_count()
-
-    def test_threaded_sweep_matches_sequential(self, setup, monkeypatch):
-        task, model, elm = setup
-        spec = SweepSpec(ilm_grid=[0.0, 0.2], elm_grid=[0.0, 0.3],
-                         mode="rescoring")
-        dev = (task.dev_common[:3], task.dev_rare[:3])
-        monkeypatch.delenv("HATFUSION_WORKERS", raising=False)
-        seq = run_sweep(spec, model, elm, dev, BeamConfig(beam_size=4))
-        monkeypatch.setenv("HATFUSION_WORKERS", "4")
-        par = run_sweep(spec, model, elm, dev, BeamConfig(beam_size=4))
-        assert seq == par

@@ -64,12 +64,6 @@ class TestPrimitiveValues:
         with pytest.raises(ValueError, match="out of range"):
             T.embedding_lookup(T.constant(np.zeros((3, 2))), [0, 3])
 
-    def test_apply_primitive_dispatch(self):
-        out = T.apply_primitive("sigmoid", T.constant(0.0))
-        assert out.item() == 0.5
-        with pytest.raises(ValueError, match="unknown primitive"):
-            T.apply_primitive("reshape", T.constant(0.0))
-
     def test_attention_causal_ignores_future(self):
         rng = np.random.default_rng(1)
         q = T.constant(rng.normal(size=(4, 3)))
@@ -318,6 +312,22 @@ class TestParamSet:
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError, match="magic"):
             T.ParamSet.from_bytes(b"NOTAPARM" + b"\x00" * 16)
+
+    def test_trailing_byte_rejected(self, tmp_path):
+        blob = self._make().to_bytes()
+        with pytest.raises(ValueError, match="trailing"):
+            T.ParamSet.from_bytes(blob + b"\x00")
+        path = tmp_path / "p.params"
+        path.write_bytes(blob + b"\x00")
+        with pytest.raises(ValueError, match="p.params"):
+            T.ParamSet.load(path)
+
+    def test_truncation_rejected_everywhere(self):
+        blob = self._make().to_bytes()
+        # every cut from inside the version/count header to one byte short
+        for cut in range(len(T.ParamSet.MAGIC) + 1, len(blob)):
+            with pytest.raises(ValueError):
+                T.ParamSet.from_bytes(blob[:cut])
 
     def test_zero_grads(self):
         ps = self._make()
