@@ -28,7 +28,7 @@ from .decode import BeamConfig, beam_search, beam_search_plain, load_nbest, save
 from .hat import HatConfig, load_checkpoint, save_checkpoint
 from .lfm import (LfmConfig, load_lfm, prepare_rescoring, rescore_scalar,
                   rescore_with_lfm, save_lfm)
-from .lm import load_lm, save_lm, train_ngram
+from .lm import load_lm, require_smoothing, save_lm, train_ngram
 from .sweep import SweepSpec, load_sweep, run_sweep, save_sweep
 from .training import TrainConfig, train_lfm, train_mle, train_mwer
 
@@ -174,10 +174,18 @@ class _Lock:
 # -- shared loading ------------------------------------------------------------
 
 
+def _read(loader, path):
+    """Run an artifact loader; a corrupt file counts as a missing artifact."""
+    try:
+        return loader(path)
+    except ValueError as e:
+        raise CliError("missing-artifact", f"corrupt artifact {path}: {e}")
+
+
 def _load_task(exp: ExpDir) -> data_mod.SynthTask:
     if not (exp.root / "data" / "manifest.json").exists():
         raise CliError("missing-artifact", "no data/ in this experiment; run gen-data")
-    return load_task(exp.root / "data")
+    return _read(load_task, exp.root / "data")
 
 
 def _split(task, name: str) -> list:
@@ -201,12 +209,11 @@ def _load_hat(exp: ExpDir, init: str | None) -> tuple:
         base = newest.parent / newest.stem
     else:
         base = _resolve_base(exp, init, "checkpoint")
-    return load_checkpoint(str(base)), base.name
+    return _read(load_checkpoint, str(base)), base.name
 
 
 def _load_elm(exp: ExpDir):
-    path = exp.latest("models/elm-*.lm", "external LM")
-    return load_lm(path)
+    return _read(load_lm, exp.latest("models/elm-*.lm", "external LM"))
 
 
 def _beam_config(cfg: dict, lam: float, gam: float) -> BeamConfig:
@@ -232,6 +239,10 @@ def _check_converged(log, what: str) -> None:
 def cmd_gen_data(args) -> int:
     cfg = _load_config(args.config)
     _override(cfg, "", "seed", args.seed)
+    try:
+        require_smoothing(cfg["elm"]["smoothing"])
+    except (TypeError, ValueError) as e:
+        raise CliError("usage", f"bad elm config: {e}")
     exp = ExpDir(args.exp_dir, create=True)
     with _Lock(exp, "gen-data"):
         if (exp.root / "data" / "manifest.json").exists():
@@ -247,11 +258,11 @@ def cmd_gen_data(args) -> int:
         elm = train_ngram(task.text_only, vocab=list(range(task_cfg.vocab_size)),
                           **cfg["elm"])
         h = _stage_hash("gen-data", cfg, ["task", "elm"], task_cfg.seed)
-        elm_path = exp.fresh(f"models/elm-{h}-s{task_cfg.seed}.lm")
-        save_lm(elm, elm_path)
+        elm_file = exp.fresh(f"models/elm-{h}-s{task_cfg.seed}.lm")
+        save_lm(elm, elm_file)
         counts = data_mod.rare_train_counts(task)
         print(f"data: {len(task.train)} train utts, rare counts "
-              f"{min(counts.values())}..{max(counts.values())}, elm {elm_path.name}")
+              f"{min(counts.values())}..{max(counts.values())}, elm {elm_file.name}")
     return 0
 
 
@@ -401,15 +412,15 @@ def cmd_rescore(args) -> int:
     exp = ExpDir(args.exp_dir)
     with _Lock(exp, "rescore"):
         src = _find_nbest(exp, args.nbest)
-        lists = load_nbest(src)
+        lists = _read(load_nbest, src)
         if args.lfm is not None:
             task = _load_task(exp)
             hat, _ = _load_hat(exp, args.init)
-            elm = _load_elm(exp)
-            lfm = load_lfm(str(_resolve_base(exp, args.lfm, "fusion model")))
+            lfm = _read(load_lfm, str(_resolve_base(exp, args.lfm, "fusion model")))
             by_uid = {u.uid: u for split in _SPLITS
                       for u in _split(task, split)}
-            ranked = [rescore_with_lfm(by_uid[nb.uid], nb, hat, elm, lfm)
+            # the ELM scores ride on the list; rescore_with_lfm reads no ELM
+            ranked = [rescore_with_lfm(by_uid[nb.uid], nb, hat, None, lfm)
                       for nb in lists]
             tag = f"{src.stem}-lfm"
         else:
@@ -462,7 +473,7 @@ def cmd_eval(args) -> int:
     exp = ExpDir(args.exp_dir)
     with _Lock(exp, "eval"):
         src = _find_nbest(exp, args.nbest)
-        lists = load_nbest(src)
+        lists = _read(load_nbest, src)
         if not lists:
             raise CliError("missing-artifact", f"{src} holds no hypothesis lists")
         value = _nbest_wer(lists)
@@ -496,7 +507,7 @@ def cmd_report(args) -> int:
     with _Lock(exp, "report"):
         rows = []
         for nb_path in sorted(exp.root.glob("nbest/*.jsonl")):
-            lists = load_nbest(nb_path)
+            lists = _read(load_nbest, nb_path)
             if not lists:
                 continue
             rows.append({"nbest": nb_path.name, "utterances": len(lists),
@@ -505,7 +516,7 @@ def cmd_report(args) -> int:
             raise CliError("missing-artifact", "no N-best files to report on")
         sweeps = []
         for sw_path in sorted(exp.root.glob("sweeps/*.jsonl")):
-            res = load_sweep(sw_path)
+            res = _read(load_sweep, sw_path)
             sweeps.append({"table": sw_path.name, "mode": res.mode,
                            "best_ilm": res.best_ilm, "best_elm": res.best_elm,
                            "best_average": res.best_average})

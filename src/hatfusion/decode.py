@@ -10,7 +10,9 @@ actually visited. Fusion follows
 
 with the internal-LM view read straight off the model's own decoder
 (zeroed encoder contribution), never a detached copy. LM scores must be
-finite; an unsmoothed n-gram can emit -inf and poison the ranking.
+finite, so ``beam_search``, ``exhaustive_search`` and
+``lfm.prepare_rescoring`` refuse an n-gram without smoothing: it scores an
+unseen token -inf, and a zero weight times -inf is NaN.
 
 ``beam_search_plain`` is the fusion-free twin: it never touches LM
 machinery, and with lam = gam = 0 the fused search is bit-identical to it.
@@ -29,7 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from .hat import HatModel, Utterance
-from .lm import advance_state, eos_logprob, initial_state, next_token_logprobs, score_tokens
+from .lm import (advance_state, eos_logprob, initial_state, next_token_logprobs,
+                 require_smoothing, score_tokens)
 
 _COUNTERS = {"beam_search": 0}
 
@@ -110,6 +113,7 @@ class _SearchHyp:
 
 
 def _require_aligned_vocab(model: HatModel, elm) -> None:
+    require_smoothing(elm.smoothing)
     v = model.config.vocab_size
     if len(elm.vocab) != v or any(elm.vocab[i] != i for i in range(v)):
         raise ValueError("external LM vocabulary must be the label ids 0..V-1 in order")

@@ -31,8 +31,8 @@ import numpy as np
 from . import tensor as T
 from .decode import NBestList, rescore_components
 from .hat import HatModel, Utterance
-from .lm import score_tokens
-from .mwer import MwerConfig, nwe, renormalized_expectation
+from .lm import require_smoothing, score_tokens
+from .mwer import nwe, renormalized_expectation
 
 # softplus(x) underflows to exactly 0.0 near -7e2; this preimage makes a
 # "zero output" head genuinely zero rather than merely small
@@ -205,6 +205,7 @@ def _require_lm_free(nbest: NBestList) -> None:
 
 def prepare_rescoring(utterance: Utterance, nbest: NBestList, hat: HatModel, elm) -> NBestList:
     """Attach full-sum, ILM, and ELM scores once; sweeps then only re-rank."""
+    require_smoothing(elm.smoothing)
     out = rescore_components(nbest, hat, utterance)
     hyps = []
     for h in out.hyps:
@@ -262,13 +263,12 @@ def _freeze_batch(batch: list, hat: HatModel) -> list:
     return prepared
 
 
-def lfm_loss(batch: list, hat: HatModel, elm, lfm: LfmModel) -> T.Tensor:
+def lfm_loss(batch: list, hat: HatModel, lfm: LfmModel) -> T.Tensor:
     """Mean expected word errors over the batch, with per-token weights.
 
     Raw score per hypothesis: e2e_fullsum - Σ mu_l s_l + Σ nu_l r_l. Only
     the weights are tensor-valued; the scores are read off the prepared
-    lists as constants. ``hat`` only encodes the utterances, and ``elm`` is
-    unused.
+    lists as constants. ``hat`` only encodes the utterances.
     """
     if not batch:
         raise ValueError("lfm loss: empty batch")
@@ -290,21 +290,19 @@ def lfm_loss(batch: list, hat: HatModel, elm, lfm: LfmModel) -> T.Tensor:
     return T.mean_vec(T.concat(per_utt, axis=0))
 
 
-def train_lfm_step(batch: list, hat: HatModel, elm, lfm: LfmModel,
-                   config: MwerConfig, optimizer) -> float:
+def train_lfm_step(batch: list, hat: HatModel, lfm: LfmModel, optimizer) -> float:
     """One expected-word-error step on LFM parameters only.
 
     ``batch`` holds (utterance, nbest) pairs decoded LM-free and prepared
     by ``prepare_rescoring``. HAT stays frozen: its scores enter as
     constants, and any gradient that somehow lands on a HAT parameter
-    aborts the step. ``elm`` is unused; its scores ride on the lists. The
-    MLE anchor is omitted because it targets E2E parameters, which are
-    frozen here.
+    aborts the step. The MLE anchor is omitted because it targets E2E
+    parameters, which are frozen here.
     """
     hat.params.clear_grads()
     lfm.params.zero_grads()
     with T.Tape() as tape:
-        loss = lfm_loss(batch, hat, elm, lfm)
+        loss = lfm_loss(batch, hat, lfm)
         tape.backward(loss)
     for name, p in hat.params.items():
         if p.grad is not None and np.any(p.grad):

@@ -1,10 +1,12 @@
-"""External language models: add-k n-gram and a tiny recurrent neural LM.
+"""External language model: an add-k smoothed n-gram.
 
-Both expose the same incremental interface (initial_state / advance_state /
-next_token_logprobs) so fusion code never cares which one it holds. The
-n-gram next-token distribution normalizes over the vocabulary alone;
-sentence end is modeled as a separate stop event so the optional EOS term
-does not disturb per-token normalization.
+Fusion and rescoring read it through one incremental interface
+(initial_state / advance_state / next_token_logprobs, and score_tokens for
+whole sequences). The next-token distribution normalizes over the
+vocabulary alone; sentence end is modeled as a separate stop event so the
+optional EOS term does not disturb per-token normalization. Fusion needs
+smoothing > 0: without it an unseen token scores -inf, and a zero fusion
+weight times -inf is NaN.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-
-from . import tensor as T
 
 BOS = "<s>"
 UNK = "<unk>"
@@ -89,70 +89,28 @@ class NGramLm:
             return float(np.log(stop + k) - np.log(denom))
 
 
-class NeuralLm:
-    """Single-layer tanh recurrence with an output head over V plus EOS."""
-
-    def __init__(self, vocab: list, embed_dim: int = 8, hidden_dim: int = 16, seed: int = 0):
-        self.vocab = list(vocab)
-        self.embed_dim = embed_dim
-        self.hidden_dim = hidden_dim
-        self._index = {tok: i for i, tok in enumerate(self.vocab)}
-        rng = np.random.default_rng(seed)
-        v, e, h = len(self.vocab), embed_dim, hidden_dim
-        ps = T.ParamSet()
-        ps.add("emb", rng.normal(size=(v + 1, e)))
-        ps.add("wx", rng.normal(size=(e, h)) * e**-0.5)
-        ps.add("wh", rng.normal(size=(h, h)) * h**-0.5)
-        ps.add("b", np.zeros(h))
-        ps.add("head_w", rng.normal(size=(h, v + 1)) * h**-0.5)
-        ps.add("head_b", np.zeros(v + 1))
-        self.params = ps
-
-    @property
-    def vocab_size(self) -> int:
-        return len(self.vocab)
-
-    @property
-    def has_unk(self) -> bool:
-        return UNK in self._index
-
-    def token_index(self, token) -> int:
-        idx = self._index.get(token)
-        if idx is None:
-            if not self.has_unk:
-                raise ValueError(f"token {token!r} not in vocabulary and no {UNK!r} entry")
-            idx = self._index[UNK]
-        return idx
-
-    def start_hidden(self) -> np.ndarray:
-        emb = self.params["emb"].data
-        return np.tanh(emb[self.vocab_size] @ self.params["wx"].data + self.params["b"].data)
-
-    def step_hidden(self, h: np.ndarray, idx: int) -> np.ndarray:
-        emb = self.params["emb"].data
-        pre = emb[idx] @ self.params["wx"].data + self.params["b"].data
-        return np.tanh(pre + h @ self.params["wh"].data)
-
-    def output_logprobs(self, h: np.ndarray) -> np.ndarray:
-        logits = h @ self.params["head_w"].data + self.params["head_b"].data
-        return T.log_softmax_np(logits)
-
-
 @dataclass
 class LmState:
-    """Opaque incremental scoring state for either model kind."""
+    """Incremental scoring state: the last order - 1 tokens."""
 
     context: tuple = ()
-    hidden: np.ndarray | None = None
 
 
 def _as_tokens(sentence):
     return sentence.split() if isinstance(sentence, str) else list(sentence)
 
 
+def require_smoothing(smoothing: float) -> None:
+    """Fusion and rescoring need finite log-probs, so add-k needs k > 0."""
+    if not smoothing > 0:
+        raise ValueError(f"external LM needs smoothing > 0 for finite scores, got {smoothing}")
+
+
 def train_ngram(corpus, order: int, smoothing: float = 0.1, vocab=None) -> NGramLm:
     if order < 1:
         raise ValueError(f"n-gram order must be >= 1, got {order}")
+    if smoothing < 0:
+        raise ValueError(f"smoothing must be >= 0, got {smoothing}")
     sentences = [_as_tokens(s) for s in corpus]
     if not sentences:
         raise ValueError("empty corpus")
@@ -196,36 +154,28 @@ def train_ngram(corpus, order: int, smoothing: float = 0.1, vocab=None) -> NGram
     )
 
 
-def initial_state(lm) -> LmState:
-    if isinstance(lm, NGramLm):
-        return LmState(context=(BOS,) * (lm.order - 1))
-    return LmState(hidden=lm.start_hidden())
+def initial_state(lm: NGramLm) -> LmState:
+    return LmState(context=(BOS,) * (lm.order - 1))
 
 
-def next_token_logprobs(lm, state: LmState) -> np.ndarray:
+def next_token_logprobs(lm: NGramLm, state: LmState) -> np.ndarray:
     """Log-probs over lm.vocab for the next token (EOS mass excluded)."""
-    if isinstance(lm, NGramLm):
-        return lm.context_dist(state.context)
-    return lm.output_logprobs(state.hidden)[: lm.vocab_size]
+    return lm.context_dist(state.context)
 
 
-def eos_logprob(lm, state: LmState) -> float:
-    if isinstance(lm, NGramLm):
-        return lm.stop_logprob(state.context)
-    return float(lm.output_logprobs(state.hidden)[lm.vocab_size])
+def eos_logprob(lm: NGramLm, state: LmState) -> float:
+    return lm.stop_logprob(state.context)
 
 
-def advance_state(lm, state: LmState, token) -> tuple[LmState, float]:
+def advance_state(lm: NGramLm, state: LmState, token) -> tuple[LmState, float]:
     idx = lm.token_index(token)
     logp = float(next_token_logprobs(lm, state)[idx])
-    if isinstance(lm, NGramLm):
-        tok = lm.vocab[idx]
-        new = LmState(context=(state.context + (tok,))[-(lm.order - 1):] if lm.order > 1 else ())
-        return new, logp
-    return LmState(hidden=lm.step_hidden(state.hidden, idx)), logp
+    tok = lm.vocab[idx]
+    new = LmState(context=(state.context + (tok,))[-(lm.order - 1):] if lm.order > 1 else ())
+    return new, logp
 
 
-def score_tokens(lm, tokens, with_eos: bool = False) -> LmScore:
+def score_tokens(lm: NGramLm, tokens, with_eos: bool = False) -> LmScore:
     """Per-token log-probs r_l plus the optional sentence-end term."""
     state = initial_state(lm)
     toks = _as_tokens(tokens)
@@ -237,124 +187,56 @@ def score_tokens(lm, tokens, with_eos: bool = False) -> LmScore:
     return LmScore(per_token=per, eos=eos, total=total)
 
 
-def train_neural_lm(
-    corpus,
-    vocab,
-    embed_dim: int = 8,
-    hidden_dim: int = 16,
-    steps: int = 300,
-    lr: float = 1e-2,
-    batch_size: int = 8,
-    seed: int = 0,
-) -> NeuralLm:
-    """Next-token cross-entropy training (EOS included as a target)."""
-    lm = NeuralLm(vocab, embed_dim, hidden_dim, seed=seed)
-    sentences = [[lm.token_index(t) for t in _as_tokens(s)] for s in corpus]
-    if not sentences:
-        raise ValueError("empty corpus")
-    rng = np.random.default_rng(seed + 1)
-    opt = T.Adam(lr)
-    v = lm.vocab_size
-    for _ in range(steps):
-        picks = rng.integers(0, len(sentences), size=batch_size)
-        with T.Tape() as tape:
-            parts = []
-            for p in picks:
-                ids = sentences[p]
-                terms = []
-                h = T.tanh(
-                    T.add(
-                        T.matmul(T.embedding_lookup(lm.params["emb"], [v]), lm.params["wx"]),
-                        lm.params["b"],
-                    )
-                )
-                for tgt in ids + [v]:
-                    logits = T.add(T.matmul(h, lm.params["head_w"]), lm.params["head_b"])
-                    lp = T.log_softmax(logits, axis=-1)
-                    terms.append(lp[:, tgt])
-                    if tgt != v:
-                        pre = T.add(
-                            T.matmul(T.embedding_lookup(lm.params["emb"], [tgt]), lm.params["wx"]),
-                            lm.params["b"],
-                        )
-                        h = T.tanh(T.add(pre, T.matmul(h, lm.params["wh"])))
-                parts.append(T.concat(terms, axis=0))
-            flat = T.concat(parts, axis=0)
-            loss = T.matmul(flat, T.constant(np.full(flat.shape[0], -1.0 / flat.shape[0])))
-        tape.backward(loss)
-        opt.step(lm.params)
-    return lm
-
-
 # -- persistence ------------------------------------------------------------
 
 
-def save_lm(lm, path) -> None:
-    path = Path(path)
-    if isinstance(lm, NGramLm):
-        lines = ["ngram-lm v1"]
-        lines.append(
-            json.dumps(
-                {
-                    "order": lm.order,
-                    "smoothing": lm.smoothing,
-                    "vocab": lm.vocab,
-                    "has_unk": lm.has_unk,
-                }
-            )
+def save_lm(lm: NGramLm, path) -> None:
+    lines = ["ngram-lm v1"]
+    lines.append(
+        json.dumps(
+            {
+                "order": lm.order,
+                "smoothing": lm.smoothing,
+                "vocab": lm.vocab,
+                "has_unk": lm.has_unk,
+            }
         )
-        for ctx in sorted(lm.counts, key=repr):
-            for tok in sorted(lm.counts[ctx], key=repr):
-                lines.append(json.dumps([list(ctx), tok, lm.counts[ctx][tok]]))
-        for ctx in sorted(lm.eos_counts, key=repr):
-            lines.append(json.dumps([list(ctx), None, lm.eos_counts[ctx]]))
-        path.write_text("\n".join(lines) + "\n")
-        return
-    header = {
-        "kind": "neural-lm",
-        "vocab": lm.vocab,
-        "embed_dim": lm.embed_dim,
-        "hidden_dim": lm.hidden_dim,
-    }
-    (path.parent / (path.name + ".json")).write_text(json.dumps(header) + "\n")
-    lm.params.save(path.parent / (path.name + ".params"))
+    )
+    for ctx in sorted(lm.counts, key=repr):
+        for tok in sorted(lm.counts[ctx], key=repr):
+            lines.append(json.dumps([list(ctx), tok, lm.counts[ctx][tok]]))
+    for ctx in sorted(lm.eos_counts, key=repr):
+        lines.append(json.dumps([list(ctx), None, lm.eos_counts[ctx]]))
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_lm(path):
+def load_lm(path) -> NGramLm:
     path = Path(path)
-    if path.exists():
-        lines = path.read_text().splitlines()
-        if not lines or lines[0] != "ngram-lm v1":
-            raise ValueError(f"unrecognized LM file {path}")
-        meta = json.loads(lines[1])
-        counts: dict = {}
-        eos_counts: dict = {}
-        totals: dict = {}
-        for line in lines[2:]:
-            if not line.strip():
-                continue
-            ctx_l, tok, c = json.loads(line)
-            ctx = tuple(ctx_l)
-            if tok is None:
-                eos_counts[ctx] = c
-            else:
-                counts.setdefault(ctx, {})[tok] = c
-                totals[ctx] = totals.get(ctx, 0) + c
-        return NGramLm(
-            order=meta["order"],
-            smoothing=meta["smoothing"],
-            vocab=meta["vocab"],
-            counts=counts,
-            eos_counts=eos_counts,
-            context_totals=totals,
-            has_unk=meta["has_unk"],
-        )
-    header_path = path.parent / (path.name + ".json")
-    if not header_path.exists():
+    if not path.exists():
         raise FileNotFoundError(f"no LM at {path}")
-    header = json.loads(header_path.read_text())
-    if header.get("kind") != "neural-lm":
-        raise ValueError(f"unrecognized LM header {header_path}")
-    lm = NeuralLm(header["vocab"], header["embed_dim"], header["hidden_dim"])
-    lm.params.set_values(T.ParamSet.load(path.parent / (path.name + ".params")).copy_values())
-    return lm
+    lines = path.read_text().splitlines()
+    if not lines or lines[0] != "ngram-lm v1":
+        raise ValueError(f"unrecognized LM file {path}")
+    meta = json.loads(lines[1])
+    counts: dict = {}
+    eos_counts: dict = {}
+    totals: dict = {}
+    for line in lines[2:]:
+        if not line.strip():
+            continue
+        ctx_l, tok, c = json.loads(line)
+        ctx = tuple(ctx_l)
+        if tok is None:
+            eos_counts[ctx] = c
+        else:
+            counts.setdefault(ctx, {})[tok] = c
+            totals[ctx] = totals.get(ctx, 0) + c
+    return NGramLm(
+        order=meta["order"],
+        smoothing=meta["smoothing"],
+        vocab=meta["vocab"],
+        counts=counts,
+        eos_counts=eos_counts,
+        context_totals=totals,
+        has_unk=meta["has_unk"],
+    )

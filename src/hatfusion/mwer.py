@@ -27,14 +27,10 @@ class MwerConfig:
     mu: float = 0.0
     nu: float = 0.0
     theta: float = 0.005
-    k: int = 8
-    stop_ilm_gradient: bool = False
 
     def __post_init__(self):
         if self.mu < 0 or self.nu < 0 or self.theta < 0:
             raise ValueError("mwer weights must be nonnegative")
-        if self.k < 1:
-            raise ValueError(f"top-K size must be >= 1, got {self.k}")
 
 
 @dataclass
@@ -106,18 +102,14 @@ def renormalized_expectation(raw: T.Tensor, errors) -> T.Tensor:
 
 
 def mwer_loss_scores(e2e: T.Tensor, errors, ilm: T.Tensor | None = None,
-                     elm_totals=None, mu: float = 0.0, nu: float = 0.0,
-                     stop_ilm_gradient: bool = False) -> T.Tensor:
+                     elm_totals=None, mu: float = 0.0, nu: float = 0.0) -> T.Tensor:
     """Σ p_k · NWE_k from score vectors; omit ilm/elm for the plain objective.
 
     ``e2e`` and ``ilm`` are (K,) tensors on tape; ``elm_totals`` is a constant
-    vector. With ``stop_ilm_gradient`` the ILM term still shifts the posterior
-    but contributes no gradient to the shared decoder weights.
+    vector.
     """
     raw = e2e
     if ilm is not None:
-        if stop_ilm_gradient:
-            ilm = ilm.detach()
         raw = T.add(raw, T.scale(ilm, -float(mu)))
     if elm_totals is not None:
         raw = T.add(raw, T.constant(float(nu) * np.asarray(elm_totals, dtype=float)))
@@ -141,8 +133,7 @@ def composite_loss(utterance: Utterance, nbest: NBestList, model: HatModel,
     if lm_aware:
         full, ilm = model.score_sequences(enc, seqs)
         elm_totals = np.array([float(np.sum(h.elm_scores)) for h in nbest.hyps])
-        term = mwer_loss_scores(full[:k], errors, ilm[:k], elm_totals,
-                                config.mu, config.nu, config.stop_ilm_gradient)
+        term = mwer_loss_scores(full[:k], errors, ilm[:k], elm_totals, config.mu, config.nu)
     else:
         full = model.full_sum_log_probs(enc, seqs)
         term = mwer_loss_scores(full[:k], errors)

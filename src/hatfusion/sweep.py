@@ -13,7 +13,7 @@ break toward the smaller (ilm, elm) pair, compared lexicographically.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .data import wer
@@ -75,9 +75,7 @@ def _argmin(rows: list) -> dict:
 
 def _shallow_eval(point, model, elm, dev_sets, base: BeamConfig):
     lam, gam = point
-    cfg = BeamConfig(beam_size=base.beam_size, ilm_weight=lam, elm_weight=gam,
-                     max_tokens=base.max_tokens, frame_cap=base.frame_cap,
-                     elm_eos=base.elm_eos)
+    cfg = replace(base, ilm_weight=lam, elm_weight=gam)
     wers = []
     for corpus in dev_sets:
         hyps, refs = [], []
@@ -91,10 +89,7 @@ def _shallow_eval(point, model, elm, dev_sets, base: BeamConfig):
 
 def prepare_corpus(model: HatModel, elm, corpus: list, base: BeamConfig) -> list:
     """LM-free decode plus score attachment; the one-off cost of rescoring."""
-    plain = BeamConfig(beam_size=base.beam_size, max_tokens=base.max_tokens,
-                       frame_cap=base.frame_cap)
-    return [(utt, prepare_rescoring(utt, beam_search_plain(utt, model, plain),
-                                    model, elm))
+    return [(utt, prepare_rescoring(utt, beam_search_plain(utt, model, base), model, elm))
             for utt in corpus]
 
 

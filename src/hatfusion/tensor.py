@@ -153,10 +153,6 @@ class Tape:
                 inp.grad += g
 
 
-def backward(loss: Tensor, tape: Tape) -> None:
-    tape.backward(loss)
-
-
 def _record(out: Tensor, inputs: tuple[Tensor, ...], bw: Callable) -> Tensor:
     tape = _active_tape()
     if tape is not None:
@@ -570,9 +566,6 @@ class ParamSet:
 
     def tensors(self) -> Iterator[Tensor]:
         return iter(self._params.values())
-
-    def num_values(self) -> int:
-        return sum(t.size for t in self._params.values())
 
     def zero_grads(self) -> None:
         for t in self._params.values():

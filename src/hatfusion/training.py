@@ -190,27 +190,23 @@ def train_mle(config: TrainConfig, train_data: list, hat_config: HatConfig | Non
     return model, log
 
 
-def train_mwer(config: TrainConfig, train_data: list, model: HatModel, elm=None,
-               lm_path: bool | None = None) -> tuple[HatModel, RunLog]:
+def train_mwer(config: TrainConfig, train_data: list, model: HatModel,
+               elm=None) -> tuple[HatModel, RunLog]:
     """Minimize expected word errors over freshly decoded hypothesis lists.
 
-    ``lm_path`` selects the LM-aware machinery explicitly; by default it is
-    on whenever an external LM or any nonzero weight is configured. A batch
+    The LM-aware machinery runs whenever an external LM or any nonzero
+    weight is given; otherwise search and loss never touch an LM. A batch
     whose every list comes back empty is skipped and counted, not fatal.
     """
     if config.regime != "mwer":
         raise ValueError(f"train_mwer got a {config.regime!r} config")
     if not train_data:
         raise ValueError("empty training set")
-    if lm_path is None:
-        lm_path = elm is not None or any((config.lam, config.gam, config.mu, config.nu))
+    lm_aware = elm is not None or any((config.lam, config.gam, config.mu, config.nu))
     if config.gam > 0 and elm is None:
         raise ValueError("gamma > 0 needs an external LM")
     beam_cfg = config.beam_config()
-    plain_cfg = BeamConfig(beam_size=config.beam_size, max_tokens=config.max_tokens,
-                           frame_cap=config.frame_cap)
-    mwer_cfg = MwerConfig(mu=config.mu, nu=config.nu, theta=config.theta,
-                          k=config.beam_size)
+    mwer_cfg = MwerConfig(mu=config.mu, nu=config.nu, theta=config.theta)
     log = RunLog(config)
     rng = _batch_rng(config)
     skipped = 0
@@ -220,10 +216,10 @@ def train_mwer(config: TrainConfig, train_data: list, model: HatModel, elm=None,
         batch = _sample(rng, train_data, config.batch_size)
         pairs = []
         for utt in batch:
-            if lm_path:
+            if lm_aware:
                 nb = beam_search(utt, model, elm, beam_cfg)
             else:
-                nb = beam_search_plain(utt, model, plain_cfg)
+                nb = beam_search_plain(utt, model, beam_cfg)
             if not nb.hyps:
                 skipped += 1
                 warnings.warn(f"empty hypothesis list for {utt.uid}; skipped")
@@ -233,7 +229,7 @@ def train_mwer(config: TrainConfig, train_data: list, model: HatModel, elm=None,
             return None
         model.params.zero_grads()
         with T.Tape() as tape:
-            parts = [composite_loss(u, nb, model, mwer_cfg, lm_aware=lm_path)[None]
+            parts = [composite_loss(u, nb, model, mwer_cfg, lm_aware=lm_aware)[None]
                      for u, nb in pairs]
             loss = T.mean_vec(T.concat(parts, axis=0))
             tape.backward(loss)
@@ -266,17 +262,14 @@ def train_lfm(config: TrainConfig, train_data: list, hat: HatModel, elm,
             lfm_config = LfmConfig(vocab_size=hat.config.vocab_size,
                                    enc_dim=hat.config.hidden_dim)
         lfm = LfmModel(lfm_config, seed=config.seed)
-    plain_cfg = BeamConfig(beam_size=config.beam_size, max_tokens=config.max_tokens,
-                           frame_cap=config.frame_cap)
-    mwer_cfg = MwerConfig(mu=config.mu, nu=config.nu, theta=config.theta,
-                          k=config.beam_size)
+    beam_cfg = config.beam_config()
     log = RunLog(config)
     rng = _batch_rng(config)
 
     def decode_pairs(utts):
         pairs = []
         for utt in utts:
-            nb = beam_search_plain(utt, hat, plain_cfg)
+            nb = beam_search_plain(utt, hat, beam_cfg)
             if nb.hyps:
                 pairs.append((utt, prepare_rescoring(utt, nb, hat, elm)))
         return pairs
@@ -289,7 +282,7 @@ def train_lfm(config: TrainConfig, train_data: list, hat: HatModel, elm,
         batch_pairs = decode_pairs(_sample(rng, train_data, config.batch_size))
         if not batch_pairs:
             return None
-        return train_lfm_step(batch_pairs, hat, elm, lfm, mwer_cfg, optimizer)
+        return train_lfm_step(batch_pairs, hat, lfm, optimizer)
 
     def extra_log(step):
         record = {"train_stats": asdict(weight_stats(batch_pairs, lfm, hat))}

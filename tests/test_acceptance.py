@@ -279,7 +279,7 @@ def test_criterion_03_gradient_suites():
                              ref=[int(x) for x in rng.integers(0, 3, 2)])
             nb = beam_search(utt, model, elm,
                              BeamConfig(beam_size=3, max_tokens=2, frame_cap=2))
-            cfg = MwerConfig(mu=0.3, nu=0.2, theta=0.01, k=len(nb.hyps))
+            cfg = MwerConfig(mu=0.3, nu=0.2, theta=0.01)
             check_gradients(lambda: composite_loss(utt, nb, model, cfg),
                             model.params, step=1e-4, rtol=1e-4)
 
@@ -305,9 +305,9 @@ def test_criterion_03_gradient_suites():
                 utt.reference = list(nb.hyps[0].tokens)
             batch = [(utt, prepare_rescoring(utt, nb, hat, elm))]
             probe = _GradProbe()
-            train_lfm_step(batch, hat, elm, lfm, MwerConfig(k=2), probe)
+            train_lfm_step(batch, hat, lfm, probe)
             numeric = fd_gradients(
-                lambda: float(lfm_loss(batch, hat, elm, lfm).data),
+                lambda: float(lfm_loss(batch, hat, lfm).data),
                 list(lfm.params.tensors()), step=1e-4)
             err = relative_grad_error(probe.grads, numeric)
             assert err <= 1e-4, f"lfm step: relative gradient error {err:.2e}"
@@ -392,8 +392,8 @@ def test_criterion_06_regular_mwer_reduction():
         b = bench(0)
         hat_cfg = HatConfig(**BENCH_HAT)
         arms = {}
-        for name, kwargs in (("lm-path", dict(elm=b.elm, lm_path=True)),
-                             ("plain", dict(lm_path=False))):
+        for name, kwargs in (("lm-path", dict(elm=b.elm)),
+                             ("plain", dict())):
             model = HatModel(hat_cfg, seed=0)
             model.params.set_values(b.warm)
             cfg = TrainConfig(regime="mwer", steps=100, batch_size=4, seed=0,
@@ -425,7 +425,7 @@ def test_criterion_07_fusion_gain():
             reg.params.set_values(b.warm)
             train_mwer(TrainConfig(regime="mwer", steps=150, batch_size=4,
                                    seed=seed, beam_size=8, max_tokens=8),
-                       b.task.train, reg, lm_path=False)
+                       b.task.train, reg)
 
             fus = HatModel(hat_cfg, seed=seed)
             fus.params.set_values(b.warm)

@@ -72,6 +72,13 @@ class TestParsing:
         assert main(["gen-data", "--config", str(cfg),
                      "--exp-dir", str(tmp_path / "e"), "--seed", "7"]) == 2
 
+    def test_unsmoothed_elm_rejected_before_writing(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**TINY, "elm": {"smoothing": 0.0}}))
+        assert main(["gen-data", "--config", str(cfg),
+                     "--exp-dir", str(tmp_path / "e")]) == 2
+        assert not (tmp_path / "e").exists()
+
 
 class TestMissingArtifacts:
     def test_missing_exp_dir(self, tmp_path):
@@ -101,6 +108,35 @@ class TestMissingArtifacts:
         assert main(["decode", "--config", str(pipeline["config"]), "--exp-dir", str(exp),
                      "--split", "dev-common", "--init", pipeline["mle"]]) == 3
         assert not list(exp.glob("nbest/dev-common-*"))
+
+    def test_rescore_lfm_needs_no_elm(self, pipeline, tmp_path):
+        # the list carries its ELM scores, so re-ranking reads no ELM file
+        exp = tmp_path / "exp"
+        shutil.copytree(pipeline["exp"], exp)
+        args = ["--config", str(pipeline["config"]), "--exp-dir", str(exp), "--seed", "5"]
+        assert main(["train-lfm", *args, "--init", pipeline["mle"]]) == 0
+        for stale in [*exp.glob("models/elm-*.lm"), *exp.glob("nbest/*-lfm.jsonl")]:
+            stale.unlink()
+        lfm = next(exp.glob("models/lfm-*-s5.json")).stem
+        assert main(["rescore", "--exp-dir", str(exp), "--nbest", pipeline["nbest"],
+                     "--lfm", lfm, "--init", pipeline["mle"]]) == 0
+
+    def test_corrupt_checkpoint_exits_3(self, pipeline, tmp_path, capsys):
+        exp = tmp_path / "exp"
+        shutil.copytree(pipeline["exp"], exp)
+        params = exp / "models" / (pipeline["mle"] + ".params")
+        params.write_bytes(params.read_bytes()[:10])
+        assert main(["decode", "--config", str(pipeline["config"]), "--exp-dir", str(exp),
+                     "--split", "dev-common", "--init", pipeline["mle"]]) == 3
+        assert params.name in capsys.readouterr().err
+
+    def test_corrupt_nbest_exits_3(self, pipeline, tmp_path, capsys):
+        exp = tmp_path / "exp"
+        shutil.copytree(pipeline["exp"], exp)
+        nbest = exp / "nbest" / (pipeline["nbest"] + ".jsonl")
+        nbest.write_text(nbest.read_text()[:25])
+        assert main(["eval", "--exp-dir", str(exp), "--nbest", pipeline["nbest"]]) == 3
+        assert nbest.name in capsys.readouterr().err
 
 
 class TestAppendOnly:

@@ -95,6 +95,26 @@ class TestBeamBasics:
         assert D.beam_call_count() == before + 3
 
 
+class TestUnsmoothedElm:
+    def test_fusion_and_rescoring_refuse_it(self):
+        # add-k with k = 0 scores an unseen token -inf, and a zero fusion
+        # weight times -inf is NaN: a lambda = gamma = 0 search would rank
+        # NaN hypotheses and part from the plain search
+        elm = L.train_ngram([[0, 1], [1, 0], [0, 0, 1]], order=2, smoothing=0.0,
+                            vocab=[0, 1, 2])
+        assert np.isneginf(L.score_tokens(elm, [2]).per_token[0])
+        rng = np.random.default_rng(41)
+        model = tiny_model(42)
+        utt = random_utt(rng)
+        with pytest.raises(ValueError, match="smoothing"):
+            D.beam_search(utt, model, elm, D.BeamConfig())
+        with pytest.raises(ValueError, match="smoothing"):
+            D.exhaustive_search(utt, model, elm, 0.0, 0.0, max_len=2)
+        nb = D.beam_search_plain(utt, model, D.BeamConfig())
+        with pytest.raises(ValueError, match="smoothing"):
+            F.prepare_rescoring(utt, nb, model, elm)
+
+
 class TestCombinedScore:
     def test_hand_example(self):
         h = D.Hypothesis(tokens=(1, 2), e2e_search=-2.0, ilm_scores=np.array([-0.4, -0.6]),

@@ -214,7 +214,7 @@ class TestTraining:
         elm = tiny_elm(rng)
         lfm = tiny_lfm(16)
         batch = self.build_batch(rng, hat, elm)
-        loss = float(F.lfm_loss(batch, hat, elm, lfm).data)
+        loss = float(F.lfm_loss(batch, hat, lfm).data)
         per_utt = []
         for utt, nb in batch:
             enc = hat.encode_np(utt.acoustics)
@@ -240,7 +240,7 @@ class TestTraining:
         batch = self.build_batch(rng, hat, elm)
         hat_before = hat.params.to_bytes()
         lfm_before = lfm.params.to_bytes()
-        loss = F.train_lfm_step(batch, hat, elm, lfm, M.MwerConfig(), T.Adam(1e-4))
+        loss = F.train_lfm_step(batch, hat, lfm, T.Adam(1e-4))
         assert np.isfinite(loss)
         assert hat.params.to_bytes() == hat_before
         assert lfm.params.to_bytes() != lfm_before
@@ -254,7 +254,7 @@ class TestTraining:
         subset = [lfm.params[n] for n in
                   ("head_w", "head_b", "emb", "enc_in", "l0_sq", "l1_cq",
                    "l0_ffn_w1", "ln_f_g", "l1_ln2_b")]
-        check_gradients(lambda: F.lfm_loss(batch, hat, elm, lfm), subset)
+        check_gradients(lambda: F.lfm_loss(batch, hat, lfm), subset)
 
     def test_constant_head_loss_equals_scalar_composite(self):
         rng = np.random.default_rng(16)
@@ -263,7 +263,7 @@ class TestTraining:
         lfm = tiny_lfm(22)
         c_mu, c_nu = lfm.set_constant_head(0.3, 0.2)
         batch = self.build_batch(rng, hat, elm)
-        got = float(F.lfm_loss(batch, hat, elm, lfm).data)
+        got = float(F.lfm_loss(batch, hat, lfm).data)
         cfg = M.MwerConfig(mu=c_mu, nu=c_nu, theta=0.0)
         want = np.mean([
             float(M.composite_loss(utt, nb, hat, cfg).data) for utt, nb in batch
@@ -275,7 +275,7 @@ class TestTraining:
         hat = tiny_hat(23)
         elm = tiny_elm(rng)
         with pytest.raises(ValueError):
-            F.lfm_loss([], hat, elm, tiny_lfm(24))
+            F.lfm_loss([], hat, tiny_lfm(24))
 
     def test_reads_attached_scores_without_recomputing(self, monkeypatch):
         rng = np.random.default_rng(22)
@@ -289,9 +289,9 @@ class TestTraining:
 
         monkeypatch.setattr(H.HatModel, "internal_lm_log_prob", recomputed)
         monkeypatch.setattr(F, "score_tokens", recomputed)
-        loss = float(F.lfm_loss(batch, hat, elm, lfm).data)
+        loss = float(F.lfm_loss(batch, hat, lfm).data)
         assert np.isfinite(loss)
-        assert np.isfinite(F.train_lfm_step(batch, hat, elm, lfm, M.MwerConfig(),
+        assert np.isfinite(F.train_lfm_step(batch, hat, lfm,
                                             T.Adam(1e-4)))
         for utt, nb in batch:
             ranked = F.rescore_with_lfm(utt, nb, hat, elm, lfm)

@@ -144,9 +144,9 @@ class TestMwer:
         elm = tiny_elm(task)
         cfg = TrainConfig(regime="mwer", steps=6, batch_size=3, seed=7, beam_size=4)
         a = self.clone(warm, task)
-        _, log_a = train_mwer(cfg, task.train, a, elm=elm, lm_path=True)
+        _, log_a = train_mwer(cfg, task.train, a, elm=elm)
         b = self.clone(warm, task)
-        _, log_b = train_mwer(cfg, task.train, b, lm_path=False)
+        _, log_b = train_mwer(cfg, task.train, b)
         assert log_a.losses() == log_b.losses()
         va, vb = a.params.copy_values(), b.params.copy_values()
         for name in va:
@@ -219,11 +219,11 @@ class TestLfm:
                                        hat_model, elm))
                  for u in task.dev_rare[:6]]
         lfm = LfmModel(self.lfm_cfg(task, frozen), seed=4)
-        before = float(lfm_loss(pairs, hat_model, elm, lfm).data)
+        before = float(lfm_loss(pairs, hat_model, lfm).data)
         cfg = TrainConfig(regime="lfm", steps=40, batch_size=3, seed=4, beam_size=4,
                           lr=3e-3)
         train_lfm(cfg, task.train, hat_model, elm, lfm=lfm)
-        after = float(lfm_loss(pairs, hat_model, elm, lfm).data)
+        after = float(lfm_loss(pairs, hat_model, lfm).data)
         assert after < before
 
     def test_deterministic(self, task, frozen):
