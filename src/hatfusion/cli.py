@@ -178,7 +178,9 @@ def _read(loader, path):
     """Run an artifact loader; a corrupt file counts as a missing artifact."""
     try:
         return loader(path)
-    except ValueError as e:
+    except KeyError as e:
+        raise CliError("missing-artifact", f"corrupt artifact {path}: no key {e}")
+    except (IndexError, TypeError, ValueError) as e:
         raise CliError("missing-artifact", f"corrupt artifact {path}: {e}")
 
 

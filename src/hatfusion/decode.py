@@ -6,13 +6,14 @@ are merged by logsumexp of their path scores, so the search score of a
 finished hypothesis estimates its full-sum probability from the paths
 actually visited. Fusion follows
 
-    combined = e2e - lam * sum(s_l) + gam * (sum(r_l) [+ eos]),
+    combined = e2e - lam * sum(s_l) + gam * sum(r_l),
 
 with the internal-LM view read straight off the model's own decoder
 (zeroed encoder contribution), never a detached copy. LM scores must be
 finite, so ``beam_search``, ``exhaustive_search`` and
 ``lfm.prepare_rescoring`` refuse an n-gram without smoothing: it scores an
-unseen token -inf, and a zero weight times -inf is NaN.
+unseen token -inf, and a zero weight times -inf is NaN. The two searches
+also refuse an n-gram over a different number of labels than the model's.
 
 ``beam_search_plain`` is the fusion-free twin: it never touches LM
 machinery, and with lam = gam = 0 the fused search is bit-identical to it.
@@ -31,8 +32,8 @@ from pathlib import Path
 import numpy as np
 
 from .hat import HatModel, Utterance
-from .lm import (advance_state, eos_logprob, initial_state, next_token_logprobs,
-                 require_smoothing, score_tokens)
+from .lm import (advance_state, initial_state, next_token_logprobs, require_smoothing,
+                 score_tokens)
 
 _COUNTERS = {"beam_search": 0}
 
@@ -50,7 +51,6 @@ class BeamConfig:
     elm_weight: float = 0.0
     max_tokens: int = 24
     frame_cap: int = 4
-    elm_eos: bool = False
 
     def __post_init__(self):
         if self.beam_size < 1:
@@ -67,14 +67,13 @@ class Hypothesis:
     e2e_search: float
     ilm_scores: np.ndarray
     elm_scores: np.ndarray
-    elm_eos: float
     combined: float
     truncated: bool = False
     e2e_fullsum: float | None = None
 
     def recombined(self, lam: float, gam: float) -> float:
         """Combined score recomputed from stored components (bit-equal)."""
-        return _combine(self.e2e_search, lam, self.ilm_scores, gam, self.elm_scores, self.elm_eos)
+        return _combine(self.e2e_search, lam, self.ilm_scores, gam, self.elm_scores)
 
 
 @dataclass
@@ -89,8 +88,8 @@ class NBestList:
         return [list(h.tokens) for h in self.hyps]
 
 
-def _combine(e2e, lam, ilm_arr, gam, elm_arr, eos=0.0) -> float:
-    return (e2e - lam * float(np.sum(ilm_arr))) + gam * (float(np.sum(elm_arr)) + eos)
+def _combine(e2e, lam, ilm_arr, gam, elm_arr) -> float:
+    return (e2e - lam * float(np.sum(ilm_arr))) + gam * float(np.sum(elm_arr))
 
 
 class _SearchHyp:
@@ -114,9 +113,9 @@ class _SearchHyp:
 
 def _require_aligned_vocab(model: HatModel, elm) -> None:
     require_smoothing(elm.smoothing)
-    v = model.config.vocab_size
-    if len(elm.vocab) != v or any(elm.vocab[i] != i for i in range(v)):
-        raise ValueError("external LM vocabulary must be the label ids 0..V-1 in order")
+    if elm.vocab_size != model.config.vocab_size:
+        raise ValueError(f"external LM has {elm.vocab_size} labels, the model "
+                         f"{model.config.vocab_size}")
 
 
 def _search(utterance: Utterance, model: HatModel, elm, lam: float, gam: float,
@@ -198,9 +197,6 @@ def _search(utterance: Utterance, model: HatModel, elm, lam: float, gam: float,
 
     out = []
     for h in beam:
-        eos_used = 0.0
-        if with_lm and elm is not None and cfg.elm_eos:
-            eos_used = eos_logprob(elm, h.elm_state)
         ilm_arr = h.ilm if with_lm else np.zeros(len(h.tokens))
         elm_arr = h.elm if with_lm else np.zeros(len(h.tokens))
         out.append(
@@ -209,8 +205,7 @@ def _search(utterance: Utterance, model: HatModel, elm, lam: float, gam: float,
                 e2e_search=float(h.e2e),
                 ilm_scores=ilm_arr,
                 elm_scores=elm_arr,
-                elm_eos=eos_used,
-                combined=_combine(h.e2e, lam, ilm_arr, gam, elm_arr, eos_used),
+                combined=_combine(h.e2e, lam, ilm_arr, gam, elm_arr),
                 truncated=len(h.tokens) >= cfg.max_tokens,
             )
         )
@@ -234,7 +229,7 @@ def beam_search_plain(utterance: Utterance, model: HatModel, config: BeamConfig)
 
 
 def exhaustive_search(utterance: Utterance, model: HatModel, elm, lam: float, gam: float,
-                      max_len: int, elm_eos: bool = False) -> list:
+                      max_len: int) -> list:
     """Argmax of the fused score over every label sequence up to max_len.
 
     Scores use the exact full-sum, so this is the reference the beam is
@@ -253,12 +248,8 @@ def exhaustive_search(utterance: Utterance, model: HatModel, elm, lam: float, ga
         seqs = [[]] if n == 0 else [list(s) for s in np.ndindex(*([v] * n))]
         full, ilm_tot = model.score_sequences(enc, seqs)
         for seq, fs, si in zip(seqs, full.data, ilm_tot.data):
-            if elm is not None:
-                sc = score_tokens(elm, seq, with_eos=elm_eos)
-                sr, eos = float(np.sum(sc.per_token)), (sc.eos if elm_eos else 0.0)
-            else:
-                sr, eos = 0.0, 0.0
-            score = (fs - lam * si) + gam * (sr + eos)
+            sr = float(np.sum(score_tokens(elm, seq).per_token)) if elm is not None else 0.0
+            score = (fs - lam * si) + gam * sr
             key = (-score, tuple(seq))
             if best_key is None or key < best_key:
                 best_key = key
@@ -294,7 +285,6 @@ def save_nbest(lists, path) -> None:
                         "e2e_fullsum": h.e2e_fullsum,
                         "ilm": h.ilm_scores.tolist(),
                         "elm": h.elm_scores.tolist(),
-                        "elm_eos": h.elm_eos,
                         "combined": h.combined,
                         "truncated": h.truncated,
                     }
@@ -316,7 +306,6 @@ def load_nbest(path) -> list:
                 e2e_search=h["e2e_search"],
                 ilm_scores=np.array(h["ilm"]),
                 elm_scores=np.array(h["elm"]),
-                elm_eos=h["elm_eos"],
                 combined=h["combined"],
                 truncated=h["truncated"],
                 e2e_fullsum=h["e2e_fullsum"],

@@ -15,9 +15,11 @@ stream after layer normalization. Encoder states enter as constants; only
 LFM parameters ever receive gradients here.
 
 ``prepare_rescoring`` is the one place that attaches the exact full sum and
-the per-token ILM and ELM scores to a list. Rescoring and fusion-module
-training read those scores off the hypotheses and never recompute them, so
-their lists must come from ``prepare_rescoring`` or ``hatfusion decode``.
+the per-token ILM and ELM scores to a list; it leaves the search scores
+alone, so a fused list still recombines to its stored ``combined``.
+Rescoring and fusion-module training read those scores off the hypotheses
+and never recompute them, so their lists must come from
+``prepare_rescoring`` or ``hatfusion decode``.
 """
 
 from __future__ import annotations
@@ -210,9 +212,8 @@ def prepare_rescoring(utterance: Utterance, nbest: NBestList, hat: HatModel, elm
     hyps = []
     for h in out.hyps:
         toks = list(h.tokens)
-        sc = score_tokens(elm, toks)
         hyps.append(replace(h, ilm_scores=hat.internal_lm_log_prob(toks).per_token,
-                            elm_scores=sc.per_token, elm_eos=sc.eos))
+                            elm_scores=score_tokens(elm, toks).per_token))
     return replace(out, hyps=hyps)
 
 

@@ -45,10 +45,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        """A constant leaf sharing this tensor's values; cuts gradient flow."""
-        return Tensor(self.data.copy(), trainable=False, name=self.name)
-
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}{tag})"

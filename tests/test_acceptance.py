@@ -126,7 +126,7 @@ def fake_nbest(rng, k, uid="u", ref=(0, 1)):
             e2e_search=score,
             ilm_scores=rng.normal(-1.0, 0.5, size=n),
             elm_scores=rng.normal(-1.2, 0.5, size=n),
-            elm_eos=0.0, combined=score, e2e_fullsum=score))
+            combined=score, e2e_fullsum=score))
     return NBestList(uid=uid, reference=list(ref), hyps=hyps)
 
 

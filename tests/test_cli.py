@@ -138,6 +138,36 @@ class TestMissingArtifacts:
         assert main(["eval", "--exp-dir", str(exp), "--nbest", pipeline["nbest"]]) == 3
         assert nbest.name in capsys.readouterr().err
 
+    def test_nbest_without_hyps_exits_3(self, pipeline, tmp_path, capsys):
+        exp = tmp_path / "exp"
+        shutil.copytree(pipeline["exp"], exp)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"uid": "x"}\n')
+        assert main(["eval", "--exp-dir", str(exp), "--nbest", str(bad)]) == 3
+        assert bad.name in capsys.readouterr().err
+
+    def test_sweep_summary_without_best_ilm_exits_3(self, pipeline, tmp_path, capsys):
+        exp = tmp_path / "exp"
+        shutil.copytree(pipeline["exp"], exp)
+        table = exp / "sweeps" / "sweep-rescoring-0-s3.jsonl"
+        table.parent.mkdir(exist_ok=True)
+        table.write_text('{"kind": "sweep", "mode": "rescoring"}\n'
+                         '{"kind": "summary", "best_elm": 0.1, "best_average": 20.0}\n')
+        assert main(["report", "--exp-dir", str(exp)]) == 3
+        assert table.name in capsys.readouterr().err
+
+    def test_lm_header_without_order_exits_3(self, pipeline, tmp_path, capsys):
+        exp = tmp_path / "exp"
+        shutil.copytree(pipeline["exp"], exp)
+        [elm] = exp.glob("models/elm-*.lm")
+        lines = elm.read_text().splitlines()
+        header = json.loads(lines[1])
+        del header["order"]
+        elm.write_text("\n".join([lines[0], json.dumps(header), *lines[2:]]) + "\n")
+        assert main(["decode", "--config", str(pipeline["config"]), "--exp-dir", str(exp),
+                     "--split", "dev-common", "--init", pipeline["mle"]]) == 3
+        assert elm.name in capsys.readouterr().err
+
 
 class TestAppendOnly:
     def test_gen_data_refuses_second_run(self, pipeline):

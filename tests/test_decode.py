@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -82,7 +84,11 @@ class TestBeamBasics:
 
     def test_elm_vocab_must_match_label_ids(self):
         rng = np.random.default_rng(5)
-        elm = L.train_ngram([["a", "b"]], order=1, vocab=["a", "b", "c"])
+        with pytest.raises(ValueError):
+            L.train_ngram([[0, 1]], order=1, vocab=[1, 0, 2])
+        with pytest.raises(ValueError):
+            L.train_ngram([[0, 3]], order=1, vocab=[0, 1, 2])
+        elm = L.train_ngram([[0, 1]], order=1, vocab=[0, 1])
         with pytest.raises(ValueError):
             D.beam_search(random_utt(rng), tiny_model(1), elm, D.BeamConfig(elm_weight=0.3))
 
@@ -118,30 +124,20 @@ class TestUnsmoothedElm:
 class TestCombinedScore:
     def test_hand_example(self):
         h = D.Hypothesis(tokens=(1, 2), e2e_search=-2.0, ilm_scores=np.array([-0.4, -0.6]),
-                         elm_scores=np.array([-0.5]), elm_eos=0.0, combined=0.0)
+                         elm_scores=np.array([-0.5]), combined=0.0)
         assert abs(h.recombined(0.2, 0.3) - (-1.95)) < 1e-12
 
     def test_stored_combined_is_recomputable(self):
         rng = np.random.default_rng(7)
         model = tiny_model(9)
         elm = tiny_elm(rng)
-        for lam, gam, eos in [(0.0, 0.0, False), (0.3, 0.0, False), (0.2, 0.5, True)]:
-            cfg = D.BeamConfig(beam_size=5, ilm_weight=lam, elm_weight=gam, elm_eos=eos)
+        for lam, gam in [(0.0, 0.0), (0.3, 0.0), (0.2, 0.5)]:
+            cfg = D.BeamConfig(beam_size=5, ilm_weight=lam, elm_weight=gam)
             nb = D.beam_search(random_utt(rng), model, elm, cfg)
             for h in nb.hyps:
                 assert h.combined == h.recombined(lam, gam)
                 assert len(h.ilm_scores) == len(h.tokens)
                 assert len(h.elm_scores) == len(h.tokens)
-
-    def test_eos_term_only_when_enabled(self):
-        rng = np.random.default_rng(8)
-        model = tiny_model(13)
-        elm = tiny_elm(rng)
-        utt = random_utt(rng)
-        on = D.beam_search(utt, model, elm, D.BeamConfig(elm_weight=0.4, elm_eos=True))
-        off = D.beam_search(utt, model, elm, D.BeamConfig(elm_weight=0.4, elm_eos=False))
-        assert any(h.elm_eos < 0 for h in on.hyps)
-        assert all(h.elm_eos == 0.0 for h in off.hyps)
 
 
 class TestFusionFreeEquivalence:
@@ -258,7 +254,6 @@ class TestRescoring:
         for a, b in zip(out.hyps, nb.hyps):
             sc = L.score_tokens(elm, list(a.tokens))
             np.testing.assert_array_equal(a.elm_scores, sc.per_token)
-            assert a.elm_eos == sc.eos
             assert a.combined == b.combined
 
 
@@ -267,7 +262,7 @@ class TestNBestIO:
         rng = np.random.default_rng(19)
         model = tiny_model(77)
         elm = tiny_elm(rng)
-        cfg = D.BeamConfig(beam_size=3, ilm_weight=0.1, elm_weight=0.3, elm_eos=True)
+        cfg = D.BeamConfig(beam_size=3, ilm_weight=0.1, elm_weight=0.3)
         lists = []
         for i in range(2):
             utt = random_utt(rng, t=3, uid=f"io{i}")
@@ -286,7 +281,21 @@ class TestNBestIO:
                 assert ha.tokens == hb.tokens
                 assert ha.e2e_search == hb.e2e_search
                 assert ha.e2e_fullsum == hb.e2e_fullsum
-                assert ha.combined == hb.combined and ha.elm_eos == hb.elm_eos
+                assert ha.combined == hb.combined
                 np.testing.assert_array_equal(ha.ilm_scores, hb.ilm_scores)
                 np.testing.assert_array_equal(ha.elm_scores, hb.elm_scores)
                 assert ha.truncated == hb.truncated
+
+    def test_record_with_sentence_end_score_loads(self, tmp_path):
+        # lists written before the sentence-end term was removed carry an
+        # "elm_eos" entry per hypothesis; it is ignored
+        hyp = {"tokens": [1], "e2e_search": -1.0, "e2e_fullsum": -0.9, "ilm": [-0.5],
+               "elm": [-0.7], "elm_eos": -1.2, "combined": -1.0, "truncated": False}
+        rec = {"uid": "u", "reference": [1], "ilm_weight": 0.0, "elm_weight": 0.0,
+               "hyps": [hyp]}
+        path = tmp_path / "old.jsonl"
+        path.write_text(json.dumps(rec) + "\n")
+        [nb] = D.load_nbest(path)
+        [h] = nb.hyps
+        assert h.tokens == (1,) and h.e2e_fullsum == -0.9 and h.combined == -1.0
+        np.testing.assert_array_equal(h.elm_scores, [-0.7])

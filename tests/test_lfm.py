@@ -139,6 +139,20 @@ class TestRescoring:
                 h.elm_scores, L.score_tokens(elm, list(h.tokens)).per_token
             )
 
+    def test_prepared_fused_list_keeps_its_combined_score(self):
+        # attaching scores to a fused list must not change what its stored
+        # combined score is made of
+        rng = np.random.default_rng(31)
+        hat = tiny_hat(32)
+        elm = tiny_elm(rng)
+        lam, gam = 0.2, 0.3
+        utt = make_utt(rng)
+        cfg = D.BeamConfig(beam_size=4, ilm_weight=lam, elm_weight=gam, max_tokens=3)
+        nb = F.prepare_rescoring(utt, D.beam_search(utt, hat, elm, cfg), hat, elm)
+        assert nb.hyps
+        for h in nb.hyps:
+            assert h.recombined(lam, gam) == h.combined
+
     def test_zero_weights_rank_by_full_sum(self):
         rng = np.random.default_rng(9)
         hat = tiny_hat(11)
@@ -178,10 +192,10 @@ class TestRescoring:
     def test_elm_preference_flips_ranking_past_threshold(self):
         hyps = [
             D.Hypothesis(tokens=(0,), e2e_search=-1.0, ilm_scores=np.zeros(1),
-                         elm_scores=np.array([-3.0]), elm_eos=0.0, combined=-1.0,
+                         elm_scores=np.array([-3.0]), combined=-1.0,
                          e2e_fullsum=-1.0),
             D.Hypothesis(tokens=(1,), e2e_search=-1.5, ilm_scores=np.zeros(1),
-                         elm_scores=np.array([-0.1]), elm_eos=0.0, combined=-1.5,
+                         elm_scores=np.array([-0.1]), combined=-1.5,
                          e2e_fullsum=-1.5),
         ]
         nb = D.NBestList("u", [1], hyps)
@@ -340,7 +354,7 @@ class TestWeightStats:
         enc = hat.encode_np(utt.acoustics)
         w = lfm.forward(enc, [1]).data
         hyp = D.Hypothesis(tokens=(1,), e2e_search=-1.0, ilm_scores=np.zeros(1),
-                           elm_scores=np.zeros(1), elm_eos=0.0, combined=-1.0,
+                           elm_scores=np.zeros(1), combined=-1.0,
                            e2e_fullsum=-1.0)
         stats = F.weight_stats([(utt, D.NBestList("u", [1], [hyp]))], lfm, hat)
         assert stats.mean_mu == w[0, 0] and stats.std_mu == 0.0

@@ -42,7 +42,6 @@ def fake_nbest(e2e, ilm=None, elm=None, tokens=None, uid="u", ref=(0,)):
                 e2e_search=e2e[i],
                 ilm_scores=np.array(ilm[i]) if ilm else np.zeros(n),
                 elm_scores=np.array(elm[i]) if elm else np.zeros(n),
-                elm_eos=0.0,
                 combined=e2e[i],
                 e2e_fullsum=e2e[i],
             )

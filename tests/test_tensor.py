@@ -123,15 +123,6 @@ class TestBackward:
         tape.backward(loss)
         np.testing.assert_array_equal(x.grad, first)
 
-    def test_detach_blocks_gradient(self):
-        x = T.Tensor([2.0], trainable=True)
-        with T.Tape() as tape:
-            y = T.scale(x, 3.0)
-            loss = T.sum_vec(T.multiply(y.detach(), x))
-        tape.backward(loss)
-        # only the direct x path contributes: d/dx (6 * x) = 6
-        np.testing.assert_allclose(x.grad, [6.0])
-
     def test_no_tape_means_no_recording(self):
         x = T.Tensor([1.0], trainable=True)
         y = T.scale(x, 2.0)
