@@ -30,7 +30,7 @@ from .lfm import (LfmConfig, load_lfm, prepare_rescoring, rescore_scalar,
                   rescore_with_lfm, save_lfm)
 from .lm import load_lm, require_smoothing, save_lm, train_ngram
 from .sweep import SweepSpec, load_sweep, run_sweep, save_sweep
-from .training import TrainConfig, train_lfm, train_mle, train_mwer
+from .training import RunLog, TrainConfig, train_lfm, train_mle, train_mwer
 
 _CODES = {"usage": 2, "missing-artifact": 3, "numerical": 4}
 
@@ -278,7 +278,8 @@ def _hat_config(cfg: dict, task) -> HatConfig:
 
 def _train_config(cfg: dict, regime: str) -> TrainConfig:
     section = dict(cfg[f"train_{regime}"])
-    section.setdefault("beam_size", cfg["decode"]["beam_size"])
+    if regime != "mle":  # mle reads no beam field
+        section.setdefault("beam_size", cfg["decode"]["beam_size"])
     try:
         return TrainConfig(regime=regime, seed=cfg["seed"], **section)
     except (TypeError, ValueError) as e:
@@ -319,8 +320,8 @@ def cmd_train_mwer(args) -> int:
         task = _load_task(exp)
         model, parent = _load_hat(exp, args.init)
         train_cfg = _train_config(cfg, "mwer")
-        lm_aware = any((train_cfg.lam, train_cfg.gam, train_cfg.mu, train_cfg.nu))
-        elm = _load_elm(exp) if lm_aware else None
+        uses_lm = any((train_cfg.lam, train_cfg.gam, train_cfg.mu, train_cfg.nu))
+        elm = _load_elm(exp) if uses_lm else None
         h = _stage_hash("train-mwer", cfg, ["task", "hat", "train_mwer"],
                         cfg["seed"], parent=parent)
         ckpt = exp.fresh(f"models/mwer-{h}-s{cfg['seed']}.json")
@@ -328,7 +329,7 @@ def cmd_train_mwer(args) -> int:
         save_checkpoint(model, str(ckpt.parent / ckpt.stem))
         log.save(exp.subdir("logs") / f"mwer-{h}-s{cfg['seed']}.jsonl")
         _check_converged(log, "MWER training")
-        kind = "lm-aware" if lm_aware else "regular"
+        kind = "lm-aware" if uses_lm else "regular"
         print(f"mwer ({kind}): {train_cfg.steps} steps from {parent}, "
               f"saved {ckpt.stem}")
     return 0
@@ -488,20 +489,23 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _lfm_stats_rows(log_path: Path) -> list:
+    rows = []
+    for rec in RunLog.load(log_path).records:
+        if "train_stats" in rec:
+            row = {"log": log_path.name, "step": rec["step"]}
+            for side in ("train", "dev"):
+                stats = rec.get(f"{side}_stats")
+                if stats:
+                    for k, v in stats.items():
+                        row[f"{side}_{k}"] = v
+            rows.append(row)
+    return rows
+
+
 def _lfm_stats_series(exp: ExpDir) -> list:
-    series = []
-    for log_path in sorted(exp.root.glob("logs/lfm-*.jsonl")):
-        for line in log_path.read_text().splitlines():
-            rec = json.loads(line)
-            if "train_stats" in rec:
-                row = {"log": log_path.name, "step": rec["step"]}
-                for side in ("train", "dev"):
-                    stats = rec.get(f"{side}_stats")
-                    if stats:
-                        for k, v in stats.items():
-                            row[f"{side}_{k}"] = v
-                series.append(row)
-    return series
+    return [row for log_path in sorted(exp.root.glob("logs/lfm-*.jsonl"))
+            for row in _read(_lfm_stats_rows, log_path)]
 
 
 def cmd_report(args) -> int:

@@ -17,6 +17,8 @@ also refuse an n-gram over a different number of labels than the model's.
 
 ``beam_search_plain`` is the fusion-free twin: it never touches LM
 machinery, and with lam = gam = 0 the fused search is bit-identical to it.
+Its hypotheses carry empty ILM and ELM score arrays, not per-token zeros,
+so a plain list cannot pass for one whose LM scores are attached.
 
 ``rescore_components`` only adds the exact full sum. The per-token ILM and
 ELM scores of a list are attached once, by ``lfm.prepare_rescoring``; every
@@ -197,15 +199,13 @@ def _search(utterance: Utterance, model: HatModel, elm, lam: float, gam: float,
 
     out = []
     for h in beam:
-        ilm_arr = h.ilm if with_lm else np.zeros(len(h.tokens))
-        elm_arr = h.elm if with_lm else np.zeros(len(h.tokens))
         out.append(
             Hypothesis(
                 tokens=h.tokens,
                 e2e_search=float(h.e2e),
-                ilm_scores=ilm_arr,
-                elm_scores=elm_arr,
-                combined=_combine(h.e2e, lam, ilm_arr, gam, elm_arr),
+                ilm_scores=h.ilm,
+                elm_scores=h.elm,
+                combined=_combine(h.e2e, lam, h.ilm, gam, h.elm),
                 truncated=len(h.tokens) >= cfg.max_tokens,
             )
         )

@@ -44,7 +44,6 @@ class HatConfig:
     embed_dim: int = 16
     hidden_dim: int = 32
     joint_dim: int = 32
-    recurrent_encoder: bool = True
 
 
 @dataclass
@@ -89,8 +88,6 @@ class HatModel:
             raise ValueError("encode: empty acoustic sequence")
         x = T.embedding_lookup(self._p("aemb"), ids)
         wx, wh, b = self._p("enc_wx"), self._p("enc_wh"), self._p("enc_b")
-        if not self.config.recurrent_encoder:
-            return T.tanh(T.add(T.matmul(x, wx), b))
         rows = []
         h = None
         for t in range(ids.size):
@@ -107,8 +104,6 @@ class HatModel:
             raise ValueError("encode: empty acoustic sequence")
         x = self._p("aemb").data[ids]
         wx, wh, b = self._p("enc_wx").data, self._p("enc_wh").data, self._p("enc_b").data
-        if not self.config.recurrent_encoder:
-            return np.tanh(x @ wx + b)
         rows = np.empty((ids.size, self.config.hidden_dim))
         h = None
         for t in range(ids.size):
@@ -377,9 +372,14 @@ def save_checkpoint(model: HatModel, base) -> None:
 
 def load_checkpoint(base) -> HatModel:
     base = Path(base)
-    header = json.loads((base.parent / (base.name + ".json")).read_text())
+    path = base.parent / (base.name + ".json")
+    header = json.loads(path.read_text())
     if header.get("kind") != "hat":
         raise ValueError(f"not a transducer checkpoint: {base}")
-    model = HatModel(HatConfig(**header["config"]))
+    config = dict(header["config"])
+    # older headers record the encoder kind; only the recurrent one exists now
+    if not config.pop("recurrent_encoder", True):
+        raise ValueError(f"{path}: feed-forward encoder checkpoints are no longer supported")
+    model = HatModel(HatConfig(**config))
     model.params.set_values(T.ParamSet.load(base.parent / (base.name + ".params")).copy_values())
     return model

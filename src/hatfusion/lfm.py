@@ -19,7 +19,8 @@ the per-token ILM and ELM scores to a list; it leaves the search scores
 alone, so a fused list still recombines to its stored ``combined``.
 Rescoring and fusion-module training read those scores off the hypotheses
 and never recompute them, so their lists must come from
-``prepare_rescoring`` or ``hatfusion decode``.
+``prepare_rescoring`` or ``hatfusion decode``; a list without one ILM and
+one ELM score per token is refused.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ class LfmConfig:
     num_heads: int = 2
     num_layers: int = 2
     ffn_dim: int = 32
-    nonnegative: bool = True
 
     def __post_init__(self):
         if self.model_dim % self.num_heads != 0:
@@ -132,7 +132,7 @@ class LfmModel:
             y = T.tanh(T.add(T.matmul(y, self._p(p + "ffn_w1")), self._p(p + "ffn_b1")))
             x = T.add(x, T.add(T.matmul(y, self._p(p + "ffn_w2")), self._p(p + "ffn_b2")))
         out = T.add(T.matmul(self._ln(x, "ln_f"), self._p("head_w")), self._p("head_b"))
-        return T.softplus(out) if self.config.nonnegative else out
+        return T.softplus(out)
 
     def set_constant_head(self, c_mu: float, c_nu: float) -> tuple:
         """Zero the head so every token gets the same weight pair.
@@ -141,12 +141,9 @@ class LfmModel:
         by one rounding step through the nonnegativity map.
         """
         self._p("head_w").data[...] = 0.0
-        if self.config.nonnegative:
-            self._p("head_b").data[...] = [_inv_softplus(c_mu), _inv_softplus(c_nu)]
-            achieved = np.logaddexp(0.0, self._p("head_b").data)
-            return float(achieved[0]), float(achieved[1])
-        self._p("head_b").data[...] = [c_mu, c_nu]
-        return float(c_mu), float(c_nu)
+        self._p("head_b").data[...] = [_inv_softplus(c_mu), _inv_softplus(c_nu)]
+        achieved = np.logaddexp(0.0, self._p("head_b").data)
+        return float(achieved[0]), float(achieved[1])
 
 
 def _init_params(cfg: LfmConfig, seed: int) -> T.ParamSet:
@@ -203,6 +200,9 @@ def _require_lm_free(nbest: NBestList) -> None:
     for h in nbest.hyps:
         if h.e2e_fullsum is None:
             raise ValueError("rescoring needs exact full-sum scores; rescore first")
+        if len(h.ilm_scores) != len(h.tokens) or len(h.elm_scores) != len(h.tokens):
+            raise ValueError("rescoring needs one ILM and one ELM score per token; "
+                             "run prepare_rescoring first")
 
 
 def prepare_rescoring(utterance: Utterance, nbest: NBestList, hat: HatModel, elm) -> NBestList:
@@ -347,9 +347,14 @@ def save_lfm(lfm: LfmModel, base) -> None:
 
 def load_lfm(base) -> LfmModel:
     base = Path(base)
-    meta = json.loads((base.parent / (base.name + ".json")).read_text())
+    path = base.parent / (base.name + ".json")
+    meta = json.loads(path.read_text())
     if meta.get("kind") != "lfm":
         raise ValueError(f"not a fusion-module checkpoint: {meta.get('kind')!r}")
-    lfm = LfmModel(LfmConfig(**meta["config"]))
+    config = dict(meta["config"])
+    # older headers record the head kind; only the softplus head exists now
+    if not config.pop("nonnegative", True):
+        raise ValueError(f"{path}: signed-head fusion checkpoints are no longer supported")
+    lfm = LfmModel(LfmConfig(**config))
     lfm.params.set_values(T.ParamSet.load(base.parent / (base.name + ".params")).copy_values())
     return lfm

@@ -9,6 +9,10 @@ and minimizes sum_k p_k * NWE(Y_k, Y*) plus a small MLE anchor on the
 reference. Word-error counts come from a unit-cost Levenshtein distance.
 The tensor path recomputes e2e and ILM scores on tape so gradients reach
 model parameters; ELM scores enter as constants (the external LM is frozen).
+
+There is one objective. Regular MWER (Prabhavalkar et al., 2018) is its
+mu = nu = 0 case: both LM terms are then exact zeros, so loss and gradients
+equal those built from the e2e scores alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -117,11 +121,12 @@ def mwer_loss_scores(e2e: T.Tensor, errors, ilm: T.Tensor | None = None,
 
 
 def composite_loss(utterance: Utterance, nbest: NBestList, model: HatModel,
-                   config: MwerConfig, lm_aware: bool = True) -> T.Tensor:
+                   config: MwerConfig) -> T.Tensor:
     """MWER term plus -theta * log P(Y*|X), scored in one lattice sweep.
 
-    With ``lm_aware`` off the raw scores are the e2e full-sums alone and no
-    LM machinery is touched; that is the regular-MWER special case.
+    The sweep yields the e2e and ILM totals together; the ELM totals are
+    read off the hypotheses (empty arrays, as a plain search leaves them,
+    sum to zero).
     """
     if not nbest.hyps:
         raise ValueError("composite_loss: empty hypothesis list")
@@ -130,11 +135,7 @@ def composite_loss(utterance: Utterance, nbest: NBestList, model: HatModel,
     k = len(nbest.hyps)
     errors = np.array([nwe(h.tokens, reference) for h in nbest.hyps], dtype=float)
     enc = model.encode(utterance.acoustics)
-    if lm_aware:
-        full, ilm = model.score_sequences(enc, seqs)
-        elm_totals = np.array([float(np.sum(h.elm_scores)) for h in nbest.hyps])
-        term = mwer_loss_scores(full[:k], errors, ilm[:k], elm_totals, config.mu, config.nu)
-    else:
-        full = model.full_sum_log_probs(enc, seqs)
-        term = mwer_loss_scores(full[:k], errors)
+    full, ilm = model.score_sequences(enc, seqs)
+    elm_totals = np.array([float(np.sum(h.elm_scores)) for h in nbest.hyps])
+    term = mwer_loss_scores(full[:k], errors, ilm[:k], elm_totals, config.mu, config.nu)
     return T.add(term, T.scale(full[k], -float(config.theta)))

@@ -2,7 +2,8 @@
 
 The differentiable surface is a fixed whitelist of primitives (the functions
 under "Primitives" below), kept deliberately small so every backward rule
-can be audited by hand.
+can be audited by hand. Each is called by name; the only operator sugar on
+``Tensor`` is indexing, ``x[key]``, which is ``slice_``.
 Recording happens only while a ``Tape`` is active; outside of one, every
 operation is a plain numpy evaluation and its result is a constant leaf.
 
@@ -48,22 +49,6 @@ class Tensor:
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}{tag})"
-
-    # Operator sugar; all dispatch to whitelist primitives below.
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return add(self, scale(other, -1.0))
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return multiply(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def __neg__(self) -> "Tensor":
-        return scale(self, -1.0)
 
     def __getitem__(self, key) -> "Tensor":
         return slice_(self, key)
@@ -265,16 +250,6 @@ def _sigmoid_np(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    out = Tensor(_sigmoid_np(a.data))
-    s = out.data
-
-    def bw(g):
-        return (g * s * (1.0 - s),)
-
-    return _record(out, (a,), bw)
-
-
 def softplus(a: Tensor) -> Tensor:
     out = Tensor(np.logaddexp(0.0, a.data))
     d = _sigmoid_np(a.data)
@@ -324,31 +299,27 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _record(out, (a,), bw)
 
 
-def _logsumexp_np(x: np.ndarray, axis: int, keepdims: bool = False) -> np.ndarray:
+def _logsumexp_np(x: np.ndarray, axis: int) -> np.ndarray:
     if x.shape[axis] == 0:
         shape = list(x.shape)
-        if keepdims:
-            shape[axis] = 1
-        else:
-            del shape[axis]
+        del shape[axis]
         return np.full(shape, -np.inf)
     m = np.max(x, axis=axis, keepdims=True)
     safe_m = np.where(np.isfinite(m), m, 0.0)
     with np.errstate(divide="ignore"):
         out = safe_m + np.log(np.sum(np.exp(x - safe_m), axis=axis, keepdims=True))
-    if not keepdims:
-        out = np.squeeze(out, axis=axis)
-    return out
+    return np.squeeze(out, axis=axis)
 
 
-def logsumexp(a: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
-    """Stable log-sum-exp along one axis; an empty axis reduces to -inf."""
-    out = Tensor(_logsumexp_np(a.data, axis, keepdims))
+def logsumexp(a: Tensor, axis: int = -1) -> Tensor:
+    """Stable log-sum-exp along one axis, which the result drops; an empty
+    axis reduces to -inf."""
+    out = Tensor(_logsumexp_np(a.data, axis))
     x = a.data
 
     def bw(g):
-        out_k = out.data if keepdims else np.expand_dims(out.data, axis)
-        g_k = g if keepdims else np.expand_dims(g, axis)
+        out_k = np.expand_dims(out.data, axis)
+        g_k = np.expand_dims(g, axis)
         with np.errstate(invalid="ignore"):
             w = np.where(np.isfinite(out_k), np.exp(x - out_k), 0.0)
         return (w * g_k,)
@@ -691,12 +662,3 @@ class Adam:
             v += (1.0 - b2) * t.grad**2
             t.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
             t.grad[...] = 0.0
-
-
-def make_optimizer(kind: str, lr: float):
-    if kind == "sgd":
-        return Sgd(lr)
-    if kind == "adam":
-        return Adam(lr)
-    raise ValueError(f"unknown optimizer kind {kind!r}")
-

@@ -7,13 +7,18 @@ seed, build one loss on one tape, step Adam, log. The expected-error
 regime regenerates its hypothesis lists from the current model every step;
 nothing is cached across steps. Divergence (a non-finite loss) aborts the
 run and restores the last snapshot taken at the checkpoint cadence.
+
+A config field that its regime does not read must keep its default:
+``mle`` reads neither the fusion weights nor the beam fields, and ``lfm``
+decodes LM-free and takes its weights from the fusion module, so it reads
+no fusion weight. Setting such a field raises instead of being ignored.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +31,9 @@ from .mwer import MwerConfig, composite_loss
 
 _REGIMES = ("mle", "mwer", "lfm")
 _DEFAULT_LR = {"mle": 1e-3, "mwer": 1e-4, "lfm": 1e-4}
+_FUSION_FIELDS = ("lam", "gam", "mu", "nu", "theta", "tie_weights")
+_BEAM_FIELDS = ("beam_size", "max_tokens", "frame_cap")
+_UNREAD = {"mle": _FUSION_FIELDS + _BEAM_FIELDS, "mwer": (), "lfm": _FUSION_FIELDS}
 
 
 @dataclass
@@ -50,6 +58,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.regime not in _REGIMES:
             raise ValueError(f"regime must be one of {_REGIMES}, got {self.regime!r}")
+        defaults = {f.name: f.default for f in fields(self)}
+        for name in _UNREAD[self.regime]:
+            if getattr(self, name) != defaults[name]:
+                raise ValueError(f"the {self.regime} regime does not read {name}; "
+                                 f"leave it at {defaults[name]!r}")
         if self.steps < 0 or self.batch_size < 1:
             raise ValueError("need steps >= 0 and batch_size >= 1")
         if min(self.lam, self.gam, self.mu, self.nu, self.theta) < 0:
@@ -58,10 +71,6 @@ class TrainConfig:
             raise ValueError("cadences must be >= 1")
         if self.tie_weights:
             self.mu, self.nu = self.lam, self.gam
-        if self.regime == "lfm":
-            # weights come from the fusion model; the search stays LM-free
-            self.lam = 0.0
-            self.gam = 0.0
         if self.lr == 0.0:
             self.lr = _DEFAULT_LR[self.regime]
         if self.lr < 0:
@@ -139,7 +148,7 @@ def _run_steps(config: TrainConfig, params: T.ParamSet, step_fn, log: RunLog,
     empty; such a step logs an ``empty_batch`` event, records no loss and
     takes no snapshot.
     """
-    optimizer = T.make_optimizer("adam", config.lr)
+    optimizer = T.Adam(config.lr)
     snap = _Snapshot(params, config.checkpoint_every)
     for step in range(1, config.steps + 1):
         loss = step_fn(step, optimizer)
@@ -194,17 +203,20 @@ def train_mwer(config: TrainConfig, train_data: list, model: HatModel,
                elm=None) -> tuple[HatModel, RunLog]:
     """Minimize expected word errors over freshly decoded hypothesis lists.
 
-    The LM-aware machinery runs whenever an external LM or any nonzero
-    weight is given; otherwise search and loss never touch an LM. A batch
-    whose every list comes back empty is skipped and counted, not fatal.
+    The loss is the one LM-aware objective; regular MWER is its zero-weight
+    case. Lists come from the fused search whenever an external LM or an ILM
+    weight is given, and from the LM-free search otherwise, which at zero
+    weights gives the same lists. gamma or nu > 0 without an external LM is
+    refused, as its term would silently read zeros. A batch whose every
+    list comes back empty is skipped and counted, not fatal.
     """
     if config.regime != "mwer":
         raise ValueError(f"train_mwer got a {config.regime!r} config")
     if not train_data:
         raise ValueError("empty training set")
-    lm_aware = elm is not None or any((config.lam, config.gam, config.mu, config.nu))
-    if config.gam > 0 and elm is None:
-        raise ValueError("gamma > 0 needs an external LM")
+    if elm is None and (config.gam > 0 or config.nu > 0):
+        raise ValueError("gamma > 0 or nu > 0 needs an external LM")
+    fused = elm is not None or config.lam > 0
     beam_cfg = config.beam_config()
     mwer_cfg = MwerConfig(mu=config.mu, nu=config.nu, theta=config.theta)
     log = RunLog(config)
@@ -216,7 +228,7 @@ def train_mwer(config: TrainConfig, train_data: list, model: HatModel,
         batch = _sample(rng, train_data, config.batch_size)
         pairs = []
         for utt in batch:
-            if lm_aware:
+            if fused:
                 nb = beam_search(utt, model, elm, beam_cfg)
             else:
                 nb = beam_search_plain(utt, model, beam_cfg)
@@ -229,8 +241,7 @@ def train_mwer(config: TrainConfig, train_data: list, model: HatModel,
             return None
         model.params.zero_grads()
         with T.Tape() as tape:
-            parts = [composite_loss(u, nb, model, mwer_cfg, lm_aware=lm_aware)[None]
-                     for u, nb in pairs]
+            parts = [composite_loss(u, nb, model, mwer_cfg)[None] for u, nb in pairs]
             loss = T.mean_vec(T.concat(parts, axis=0))
             tape.backward(loss)
         value = float(loss.data)

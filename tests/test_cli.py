@@ -168,6 +168,29 @@ class TestMissingArtifacts:
                      "--split", "dev-common", "--init", pipeline["mle"]]) == 3
         assert elm.name in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ['{"step": 1, "train_st',
+                                      '{"train_stats": {"mean_mu": 0.1}}'],
+                             ids=["truncated", "no-step"])
+    def test_corrupt_lfm_log_exits_3(self, pipeline, tmp_path, capsys, text):
+        exp = tmp_path / "exp"
+        shutil.copytree(pipeline["exp"], exp)
+        log = exp / "logs" / "lfm-x.jsonl"
+        log.write_text(text + "\n")
+        assert main(["report", "--exp-dir", str(exp)]) == 3
+        assert log.name in capsys.readouterr().err
+
+    def test_feedforward_checkpoint_exits_3(self, pipeline, tmp_path, capsys):
+        # older headers stored the encoder kind; a feed-forward one cannot be built
+        exp = tmp_path / "exp"
+        shutil.copytree(pipeline["exp"], exp)
+        header_path = exp / "models" / (pipeline["mle"] + ".json")
+        header = json.loads(header_path.read_text())
+        header["config"]["recurrent_encoder"] = False
+        header_path.write_text(json.dumps(header))
+        assert main(["decode", "--config", str(pipeline["config"]), "--exp-dir", str(exp),
+                     "--split", "dev-common", "--init", pipeline["mle"]]) == 3
+        assert header_path.name in capsys.readouterr().err
+
 
 class TestAppendOnly:
     def test_gen_data_refuses_second_run(self, pipeline):

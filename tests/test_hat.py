@@ -91,11 +91,6 @@ class TestEncoder:
             ids = [0, 3, 1, 2, 2]
             np.testing.assert_array_equal(m.encode(ids).data, m.encode_np(ids))
 
-    def test_nonrecurrent_is_framewise(self):
-        m = tiny_model(recurrent_encoder=False)
-        full = m.encode([0, 1, 2]).data
-        np.testing.assert_allclose(full[1], m.encode([1]).data[0], atol=1e-15)
-
 
 class TestJointLocals:
     def test_grid_shape(self):
@@ -303,6 +298,38 @@ class TestCheckpoint:
         assert again.full_sum_log_prob(utt, utt.reference).item() == pytest.approx(
             m.full_sum_log_prob(utt, utt.reference).item(), abs=0
         )
+
+    # a header as older versions wrote it, when the encoder kind was a setting
+    LEGACY_HEADER = """{
+  "kind": "hat",
+  "config": {
+    "vocab_size": 5,
+    "acoustic_size": 6,
+    "embed_dim": 3,
+    "hidden_dim": 4,
+    "joint_dim": 4,
+    "recurrent_encoder": %s
+  }
+}
+"""
+
+    def test_legacy_recurrent_header_loads(self, tmp_path):
+        m = tiny_model(v=5, a=6, seed=22)
+        save_checkpoint(m, tmp_path / "ck")
+        (tmp_path / "ck.json").write_text(self.LEGACY_HEADER % "true")
+        again = load_checkpoint(tmp_path / "ck")
+        assert again.config == m.config
+        utt = Utterance("u", [0, 5, 1], [2, 4])
+        assert again.full_sum_log_prob(utt, utt.reference).item() == \
+            m.full_sum_log_prob(utt, utt.reference).item()
+        np.testing.assert_array_equal(again.encode_np(utt.acoustics),
+                                      m.encode_np(utt.acoustics))
+
+    def test_legacy_feedforward_header_rejected(self, tmp_path):
+        save_checkpoint(tiny_model(v=5, a=6), tmp_path / "ck")
+        (tmp_path / "ck.json").write_text(self.LEGACY_HEADER % "false")
+        with pytest.raises(ValueError, match="ck.json"):
+            load_checkpoint(tmp_path / "ck")
 
     def test_wrong_kind_rejected(self, tmp_path):
         m = tiny_model()

