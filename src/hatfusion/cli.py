@@ -2,10 +2,16 @@
 
 Every command takes --exp-dir and an optional JSON --config whose sections
 override the built-in defaults; individual flags override the config in
-turn, except for keys listed under "pinned", which reject overrides.
-Artifacts are named <stage>-<confighash>-s<seed> so reruns with different
-settings never collide, and existing artifacts are never overwritten. A
-.lock file in the experiment directory keeps concurrent invocations out.
+turn, except for keys listed under "pinned", which reject overrides. Each
+section holds one constructor's keyword arguments (task: TaskConfig, hat:
+HatConfig, elm: train_ngram, train_<regime>: TrainConfig, lfm: LfmConfig,
+sweep: SweepSpec, decode: BeamConfig); "decode" is the beam for every
+search, below a training section's own beam keys. A command builds all it
+needs, refusing a bad key, before it writes anything. Artifacts are named
+<stage>-<hash>-s<seed>, the hash covering what the stage built and its
+parent, so reruns with different settings never collide, and existing
+artifacts are never overwritten. A .lock file in the experiment directory
+keeps concurrent invocations out.
 
 Exit codes: 0 success, 2 usage or configuration, 3 missing artifact,
 4 numerical failure.
@@ -18,6 +24,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,16 +41,17 @@ from .training import RunLog, TrainConfig, train_lfm, train_mle, train_mwer
 
 _CODES = {"usage": 2, "missing-artifact": 3, "numerical": 4}
 
+# only the CLI's own choices; every other value is its constructor's default
 _DEFAULTS = {
     "seed": 0,
     "task": {},
-    "hat": {"embed_dim": 16, "hidden_dim": 32, "joint_dim": 32},
+    "hat": {},
     "elm": {"order": 2, "smoothing": 0.1},
-    "train_mle": {"steps": 2000, "batch_size": 8, "lr": 1e-3},
-    "train_mwer": {"steps": 500, "batch_size": 8, "lr": 1e-4},
-    "train_lfm": {"steps": 2000, "batch_size": 8, "lr": 1e-4},
-    "lfm": {"model_dim": 16, "num_heads": 2, "num_layers": 2, "ffn_dim": 32},
-    "decode": {"beam_size": 8, "max_tokens": 16, "frame_cap": 4},
+    "train_mle": {"steps": 2000},
+    "train_mwer": {"steps": 500},
+    "train_lfm": {"steps": 2000},
+    "lfm": {},
+    "decode": {"max_tokens": 16},
     "sweep": {},
 }
 
@@ -89,22 +97,22 @@ def _override(cfg: dict, section: str, key: str, value) -> None:
         return
     if key in cfg["pinned"]:
         raise CliError("usage", f"{key!r} is pinned by the config file")
-    if section == "":
-        cfg[key] = value
-    else:
-        cfg[section][key] = value
+    (cfg if section == "" else cfg[section])[key] = value
 
 
-def _stage_hash(stage: str, cfg: dict, sections: list, seed: int,
-                parent: str | None = None, extra: dict | None = None) -> str:
-    payload = {
-        "stage": stage,
-        "seed": seed,
-        "sections": {s: cfg[s] for s in sections},
-        "parent": parent,
-        "extra": extra or {},
-    }
-    blob = json.dumps(payload, sort_keys=True).encode()
+def _build(what: str, make, section: dict, **given):
+    """``make(**section, **given)``; a bad or unknown argument is a usage error."""
+    try:
+        return make(**section, **given)
+    except (TypeError, ValueError) as e:
+        raise CliError("usage", f"bad {what} config: {e}")
+
+
+def _stage_hash(stage: str, *built, parent: str | None = None) -> str:
+    """Name hash over the objects (dataclasses or kwargs dicts) a stage built."""
+    built = [asdict(b) if is_dataclass(b) else b for b in built]
+    blob = json.dumps({"stage": stage, "built": built, "parent": parent},
+                      sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:8]
 
 
@@ -219,9 +227,14 @@ def _load_elm(exp: ExpDir):
 
 
 def _beam_config(cfg: dict, lam: float, gam: float) -> BeamConfig:
-    d = cfg["decode"]
-    return BeamConfig(beam_size=d["beam_size"], ilm_weight=lam, elm_weight=gam,
-                      max_tokens=d["max_tokens"], frame_cap=d["frame_cap"])
+    return _build("decode", BeamConfig, cfg["decode"], ilm_weight=lam, elm_weight=gam)
+
+
+def _train_config(cfg: dict, regime: str) -> TrainConfig:
+    # mle runs no search, so it takes no beam field
+    beam = cfg["decode"] if regime != "mle" else {}
+    return _build(f"train_{regime}", TrainConfig, {**beam, **cfg[f"train_{regime}"]},
+                  regime=regime, seed=cfg["seed"])
 
 
 def _nbest_wer(lists: list) -> float:
@@ -241,26 +254,18 @@ def _check_converged(log, what: str) -> None:
 def cmd_gen_data(args) -> int:
     cfg = _load_config(args.config)
     _override(cfg, "", "seed", args.seed)
-    try:
-        require_smoothing(cfg["elm"]["smoothing"])
-    except (TypeError, ValueError) as e:
-        raise CliError("usage", f"bad elm config: {e}")
+    task_cfg = _build("task", TaskConfig, {"seed": cfg["seed"], **cfg["task"]})
+    task = generate_task(task_cfg)
+    elm = _build("elm", train_ngram, cfg["elm"], corpus=task.text_only,
+                 vocab=list(range(task_cfg.vocab_size)))
+    _build("elm", require_smoothing, {"smoothing": elm.smoothing})
+    h = _stage_hash("gen-data", task_cfg, cfg["elm"])
     exp = ExpDir(args.exp_dir, create=True)
     with _Lock(exp, "gen-data"):
         if (exp.root / "data" / "manifest.json").exists():
             raise CliError("usage", "data/ already generated in this experiment")
-        kwargs = dict(cfg["task"])
-        kwargs.setdefault("seed", cfg["seed"])
-        try:
-            task_cfg = TaskConfig(**kwargs)
-        except (TypeError, ValueError) as e:
-            raise CliError("usage", f"bad task config: {e}")
-        task = generate_task(task_cfg)
-        save_task(task, exp.root / "data")
-        elm = train_ngram(task.text_only, vocab=list(range(task_cfg.vocab_size)),
-                          **cfg["elm"])
-        h = _stage_hash("gen-data", cfg, ["task", "elm"], task_cfg.seed)
         elm_file = exp.fresh(f"models/elm-{h}-s{task_cfg.seed}.lm")
+        save_task(task, exp.root / "data")
         save_lm(elm, elm_file)
         counts = data_mod.rare_train_counts(task)
         print(f"data: {len(task.train)} train utts, rare counts "
@@ -268,35 +273,19 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _hat_config(cfg: dict, task) -> HatConfig:
-    try:
-        return HatConfig(vocab_size=task.config.vocab_size,
-                         acoustic_size=task.config.acoustic_symbols, **cfg["hat"])
-    except (TypeError, ValueError) as e:
-        raise CliError("usage", f"bad model config: {e}")
-
-
-def _train_config(cfg: dict, regime: str) -> TrainConfig:
-    section = dict(cfg[f"train_{regime}"])
-    if regime != "mle":  # mle reads no beam field
-        section.setdefault("beam_size", cfg["decode"]["beam_size"])
-    try:
-        return TrainConfig(regime=regime, seed=cfg["seed"], **section)
-    except (TypeError, ValueError) as e:
-        raise CliError("usage", f"bad training config: {e}")
-
-
 def cmd_train_mle(args) -> int:
     cfg = _load_config(args.config)
     _override(cfg, "", "seed", args.seed)
     _override(cfg, "train_mle", "steps", args.steps)
+    train_cfg = _train_config(cfg, "mle")
     exp = ExpDir(args.exp_dir)
     with _Lock(exp, "train-mle"):
         task = _load_task(exp)
-        train_cfg = _train_config(cfg, "mle")
-        h = _stage_hash("train-mle", cfg, ["task", "hat", "train_mle"], cfg["seed"])
+        hat_cfg = _build("hat", HatConfig, cfg["hat"], vocab_size=task.config.vocab_size,
+                         acoustic_size=task.config.acoustic_symbols)
+        h = _stage_hash("train-mle", task.config, hat_cfg, train_cfg)
         ckpt = exp.fresh(f"models/mle-{h}-s{cfg['seed']}.json")
-        model, log = train_mle(train_cfg, task.train, hat_config=_hat_config(cfg, task))
+        model, log = train_mle(train_cfg, task.train, hat_config=hat_cfg)
         save_checkpoint(model, str(ckpt.parent / ckpt.stem))
         log.save(exp.subdir("logs") / f"mle-{h}-s{cfg['seed']}.jsonl")
         _check_converged(log, "MLE training")
@@ -314,22 +303,23 @@ def cmd_train_mwer(args) -> int:
         _override(cfg, "train_mwer", key, getattr(args, key))
     _override(cfg, "train_mwer", "tie_weights", True if args.tie else None)
     _override(cfg, "train_mwer", "steps", args.steps)
+    # the training section's beam keys outrank "decode", so the flag goes there
     _override(cfg, "train_mwer", "beam_size", args.beam)
+    train_cfg = _train_config(cfg, "mwer")
     exp = ExpDir(args.exp_dir)
     with _Lock(exp, "train-mwer"):
         task = _load_task(exp)
         model, parent = _load_hat(exp, args.init)
-        train_cfg = _train_config(cfg, "mwer")
-        uses_lm = any((train_cfg.lam, train_cfg.gam, train_cfg.mu, train_cfg.nu))
-        elm = _load_elm(exp) if uses_lm else None
-        h = _stage_hash("train-mwer", cfg, ["task", "hat", "train_mwer"],
-                        cfg["seed"], parent=parent)
+        # only the gamma and nu terms read the external LM
+        elm = _load_elm(exp) if train_cfg.gam > 0 or train_cfg.nu > 0 else None
+        h = _stage_hash("train-mwer", task.config, train_cfg, parent=parent)
         ckpt = exp.fresh(f"models/mwer-{h}-s{cfg['seed']}.json")
         model, log = train_mwer(train_cfg, task.train, model, elm=elm)
         save_checkpoint(model, str(ckpt.parent / ckpt.stem))
         log.save(exp.subdir("logs") / f"mwer-{h}-s{cfg['seed']}.jsonl")
         _check_converged(log, "MWER training")
-        kind = "lm-aware" if uses_lm else "regular"
+        weights = (train_cfg.lam, train_cfg.gam, train_cfg.mu, train_cfg.nu)
+        kind = "lm-aware" if any(weights) else "regular"
         print(f"mwer ({kind}): {train_cfg.steps} steps from {parent}, "
               f"saved {ckpt.stem}")
     return 0
@@ -340,19 +330,15 @@ def cmd_train_lfm(args) -> int:
     _override(cfg, "", "seed", args.seed)
     _override(cfg, "train_lfm", "steps", args.steps)
     _override(cfg, "train_lfm", "beam_size", args.beam)
+    train_cfg = _train_config(cfg, "lfm")
     exp = ExpDir(args.exp_dir)
     with _Lock(exp, "train-lfm"):
         task = _load_task(exp)
         hat, parent = _load_hat(exp, args.init)
+        lfm_cfg = _build("lfm", LfmConfig, cfg["lfm"], vocab_size=hat.config.vocab_size,
+                         enc_dim=hat.config.hidden_dim)
         elm = _load_elm(exp)
-        train_cfg = _train_config(cfg, "lfm")
-        try:
-            lfm_cfg = LfmConfig(vocab_size=hat.config.vocab_size,
-                                enc_dim=hat.config.hidden_dim, **cfg["lfm"])
-        except (TypeError, ValueError) as e:
-            raise CliError("usage", f"bad fusion-model config: {e}")
-        h = _stage_hash("train-lfm", cfg, ["task", "hat", "elm", "lfm", "train_lfm"],
-                        cfg["seed"], parent=parent)
+        h = _stage_hash("train-lfm", task.config, train_cfg, lfm_cfg, parent=parent)
         ckpt = exp.fresh(f"models/lfm-{h}-s{cfg['seed']}.json")
         lfm, log = train_lfm(train_cfg, task.train, hat, elm, lfm_config=lfm_cfg,
                              stats_data=task.dev_common[:8] + task.dev_rare[:8])
@@ -368,16 +354,15 @@ def cmd_decode(args) -> int:
     cfg = _load_config(args.config)
     _override(cfg, "", "seed", args.seed)
     _override(cfg, "decode", "beam_size", args.beam)
-    lam = args.lam if args.lam is not None else 0.0
-    gam = args.gam if args.gam is not None else 0.0
-    if min(lam, gam) < 0:
-        raise CliError("usage", "fusion weights must be nonnegative")
+    if args.k is not None and args.k < 1:
+        raise CliError("usage", f"--k must be >= 1, got {args.k}")
+    beam_cfg = _beam_config(cfg, args.lam or 0.0, args.gam or 0.0)
+    lam, gam = beam_cfg.ilm_weight, beam_cfg.elm_weight
     exp = ExpDir(args.exp_dir)
     with _Lock(exp, "decode"):
         task = _load_task(exp)
         model, parent = _load_hat(exp, args.init)
         corpus = _split(task, args.split)
-        beam_cfg = _beam_config(cfg, lam, gam)
         elm = _load_elm(exp)
         fused = lam > 0 or gam > 0
         lists = []
@@ -429,8 +414,6 @@ def cmd_rescore(args) -> int:
         else:
             mu = args.mu if args.mu is not None else 0.0
             nu = args.nu if args.nu is not None else 0.0
-            if min(mu, nu) < 0:
-                raise CliError("usage", "fusion weights must be nonnegative")
             try:
                 ranked = [rescore_scalar(nb, mu=mu, nu=nu) for nb in lists]
             except ValueError as e:
@@ -446,25 +429,19 @@ def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     _override(cfg, "", "seed", args.seed)
     _override(cfg, "decode", "beam_size", args.beam)
-    section = cfg["sweep"]
-    if args.ilm_grid is not None:
-        section["ilm_grid"] = [float(x) for x in args.ilm_grid.split(",")]
-    if args.elm_grid is not None:
-        section["elm_grid"] = [float(x) for x in args.elm_grid.split(",")]
+    for key in ("ilm_grid", "elm_grid"):
+        if getattr(args, key) is not None:
+            cfg["sweep"][key] = getattr(args, key)
+    spec = _build("sweep", SweepSpec, cfg["sweep"], mode=args.mode)
+    beam_cfg = _beam_config(cfg, 0.0, 0.0)
     exp = ExpDir(args.exp_dir)
     with _Lock(exp, "sweep"):
         task = _load_task(exp)
         model, parent = _load_hat(exp, args.init)
         elm = _load_elm(exp)
-        try:
-            spec = SweepSpec(mode=args.mode, **section)
-        except (TypeError, ValueError) as e:
-            raise CliError("usage", f"bad sweep spec: {e}")
-        h = _stage_hash("sweep", cfg, ["sweep", "decode"], cfg["seed"],
-                        parent=parent, extra={"mode": args.mode})
+        h = _stage_hash("sweep", spec, beam_cfg, parent=parent)
         out = exp.fresh(f"sweeps/sweep-{args.mode}-{h}-s{cfg['seed']}.jsonl")
-        result = run_sweep(spec, model, elm, (task.dev_common, task.dev_rare),
-                           _beam_config(cfg, 0.0, 0.0))
+        result = run_sweep(spec, model, elm, (task.dev_common, task.dev_rare), beam_cfg)
         save_sweep(result, out)
         print(f"sweep ({args.mode}): best ilm={_fmt_weight(result.best_ilm)} "
               f"elm={_fmt_weight(result.best_elm)} "
@@ -495,10 +472,12 @@ def _lfm_stats_rows(log_path: Path) -> list:
         if "train_stats" in rec:
             row = {"log": log_path.name, "step": rec["step"]}
             for side in ("train", "dev"):
-                stats = rec.get(f"{side}_stats")
-                if stats:
-                    for k, v in stats.items():
-                        row[f"{side}_{k}"] = v
+                stats = rec.get(f"{side}_stats") or {}
+                if not (isinstance(stats, dict)
+                        and all(isinstance(v, (int, float)) for v in stats.values())):
+                    raise ValueError(f"{side}_stats is not a record of numbers")
+                for k, v in stats.items():
+                    row[f"{side}_{k}"] = v
             rows.append(row)
     return rows
 
@@ -570,6 +549,13 @@ def _add_weights(p):
                    help="external-LM weight at search time")
 
 
+def _grid(text: str) -> list:
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma list of numbers: {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hatfusion",
@@ -632,8 +618,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("shallow-fusion", "rescoring"),
                    default="shallow-fusion")
     p.add_argument("--beam", type=int, default=None)
-    p.add_argument("--ilm-grid", help="comma list, e.g. 0,0.1,0.2")
-    p.add_argument("--elm-grid", help="comma list, e.g. 0,0.1,0.2")
+    p.add_argument("--ilm-grid", type=_grid, help="comma list, e.g. 0,0.1,0.2")
+    p.add_argument("--elm-grid", type=_grid, help="comma list, e.g. 0,0.1,0.2")
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("eval", help="score a persisted N-best file")

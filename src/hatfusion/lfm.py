@@ -219,6 +219,8 @@ def prepare_rescoring(utterance: Utterance, nbest: NBestList, hat: HatModel, elm
 
 def rescore_scalar(nbest: NBestList, mu: float, nu: float) -> NBestList:
     """Re-rank by constant fusion weights using the attached per-token scores."""
+    if min(mu, nu) < 0:
+        raise ValueError("fusion weights must be nonnegative")
     _require_lm_free(nbest)
     scores = []
     for h in nbest.hyps:

@@ -75,6 +75,7 @@ class TrainConfig:
             self.lr = _DEFAULT_LR[self.regime]
         if self.lr < 0:
             raise ValueError(f"learning rate must be positive, got {self.lr}")
+        self.beam_config()  # BeamConfig checks the beam fields
 
     def beam_config(self) -> BeamConfig:
         return BeamConfig(

@@ -26,6 +26,30 @@ TINY = {
 }
 
 
+def write_config(path, **sections):
+    """TINY with the given sections updated, written to ``path``."""
+    cfg = {name: dict(body) for name, body in TINY.items()}
+    for name, body in sections.items():
+        cfg.setdefault(name, {}).update(body)
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def copy_exp(pipeline, tmp_path):
+    exp = tmp_path / "exp"
+    shutil.copytree(pipeline["exp"], exp)
+    return exp
+
+
+def tree(root):
+    return sorted(p.relative_to(root) for p in root.rglob("*"))
+
+
+def run_log_config(exp, pattern):
+    [log] = exp.glob(pattern)
+    return json.loads(log.read_text().splitlines()[0])
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """One fully populated experiment dir shared by the read-only tests."""
@@ -169,8 +193,10 @@ class TestMissingArtifacts:
         assert elm.name in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", ['{"step": 1, "train_st',
-                                      '{"train_stats": {"mean_mu": 0.1}}'],
-                             ids=["truncated", "no-step"])
+                                      '{"train_stats": {"mean_mu": 0.1}}',
+                                      '{"step": 1, "train_stats": [0.1]}',
+                                      '{"step": 1, "train_stats": {"mean_mu": "x"}}'],
+                             ids=["truncated", "no-step", "list-stats", "text-stat"])
     def test_corrupt_lfm_log_exits_3(self, pipeline, tmp_path, capsys, text):
         exp = tmp_path / "exp"
         shutil.copytree(pipeline["exp"], exp)
@@ -190,6 +216,104 @@ class TestMissingArtifacts:
         assert main(["decode", "--config", str(pipeline["config"]), "--exp-dir", str(exp),
                      "--split", "dev-common", "--init", pipeline["mle"]]) == 3
         assert header_path.name in capsys.readouterr().err
+
+    def test_mu_alone_needs_no_elm(self, pipeline, tmp_path):
+        # only the gamma and nu terms read the external LM
+        exp = copy_exp(pipeline, tmp_path)
+        for elm in exp.glob("models/elm-*.lm"):
+            elm.unlink()
+        args = ["--config", str(pipeline["config"]), "--exp-dir", str(exp),
+                "--init", pipeline["mle"]]
+        assert main(["train-mwer", *args, "--mu", "0.1"]) == 0
+        assert main(["train-mwer", *args, "--nu", "0.1"]) == 3
+
+
+# (section, a misspelt key or bad value, the command that reads the section)
+BAD_SECTIONS = [
+    ("task", {"vocab": 10}, ["gen-data"]),
+    ("elm", {"ordr": 3}, ["gen-data"]),
+    ("elm", {"order": 0}, ["gen-data"]),
+    ("hat", {"embed": 4}, ["train-mle"]),
+    ("train_mle", {"step": 3}, ["train-mle"]),
+    ("train_mwer", {"lambda": 0.1}, ["train-mwer"]),
+    ("train_lfm", {"batch": 2}, ["train-lfm"]),
+    ("lfm", {"heads": 2}, ["train-lfm"]),
+    ("decode", {"beam": 2, "max_token": 3}, ["decode", "--split", "dev-common"]),
+    # the weights come from the flags; a section may not set them too
+    ("decode", {"ilm_weight": 0.3}, ["decode", "--split", "dev-common"]),
+    ("sweep", {"grid": [0.0]}, ["sweep", "--mode", "rescoring"]),
+]
+
+
+class TestConfigSections:
+    @pytest.mark.parametrize("section,bad,command", BAD_SECTIONS,
+                             ids=[f"{s}-{next(iter(b))}" for s, b, _ in BAD_SECTIONS])
+    def test_bad_key_exits_2_before_writing(self, pipeline, tmp_path, capsys,
+                                            section, bad, command):
+        cfg = write_config(tmp_path / "cfg.json", **{section: bad})
+        if command == ["gen-data"]:
+            exp = tmp_path / "fresh"
+            assert main(["gen-data", "--config", str(cfg), "--exp-dir", str(exp)]) == 2
+            assert not (exp / "data").exists()
+            assert main(["gen-data", "--config", str(pipeline["config"]),
+                         "--exp-dir", str(exp)]) == 0
+        else:
+            exp = copy_exp(pipeline, tmp_path)
+            before = tree(exp)
+            init = [] if command == ["train-mle"] else ["--init", pipeline["mle"]]
+            assert main([*command, "--config", str(cfg), "--exp-dir", str(exp),
+                         *init]) == 2
+            assert tree(exp) == before
+        assert next(iter(bad)) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["decode", "--split", "dev-common"],
+                                         ["sweep", "--mode", "rescoring"],
+                                         ["train-mwer"], ["train-lfm"]],
+                             ids=lambda c: c[0])
+    def test_zero_beam_exits_2(self, pipeline, tmp_path, command):
+        exp = copy_exp(pipeline, tmp_path)
+        before = tree(exp)
+        assert main([*command, "--config", str(pipeline["config"]), "--exp-dir", str(exp),
+                     "--init", pipeline["mle"], "--beam", "0"]) == 2
+        assert tree(exp) == before
+
+    def test_training_searches_use_decode_section(self, pipeline, tmp_path):
+        exp = copy_exp(pipeline, tmp_path)
+        args = ["--exp-dir", str(exp), "--init", pipeline["mle"]]
+        for beam in (4, 3):
+            cfg = write_config(tmp_path / f"b{beam}.json", decode={"beam_size": beam})
+            assert main(["train-mwer", "--config", str(cfg), *args]) == 0
+        # configs that differ only in the beam name different artifacts
+        logs = [json.loads(p.read_text().splitlines()[0])
+                for p in exp.glob("logs/mwer-*.jsonl")]
+        assert sorted(rec["beam_size"] for rec in logs) == [3, 4]
+        assert len(list(exp.glob("models/mwer-*.params"))) == 2
+        assert main(["train-lfm", "--config", str(pipeline["config"]), *args]) == 0
+        for rec in [*logs, run_log_config(exp, "logs/lfm-*.jsonl")]:
+            assert rec["max_tokens"] == TINY["decode"]["max_tokens"]
+            assert rec["frame_cap"] == TINY["decode"]["frame_cap"]
+
+    def test_beam_flag_outranks_training_section(self, pipeline, tmp_path):
+        exp = copy_exp(pipeline, tmp_path)
+        cfg = write_config(tmp_path / "cfg.json", train_mwer={"beam_size": 4})
+        assert main(["train-mwer", "--config", str(cfg), "--exp-dir", str(exp),
+                     "--init", pipeline["mle"], "--beam", "2"]) == 0
+        assert run_log_config(exp, "logs/mwer-*.jsonl")["beam_size"] == 2
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_decode_k_below_1_exits_2(self, pipeline, tmp_path, k):
+        exp = copy_exp(pipeline, tmp_path)
+        assert main(["decode", "--config", str(pipeline["config"]), "--exp-dir", str(exp),
+                     "--split", "dev-common", "--init", pipeline["mle"], "--k", k]) == 2
+        assert not list(exp.glob("nbest/dev-common-*"))
+
+    @pytest.mark.parametrize("flag", ["--ilm-grid", "--elm-grid"])
+    def test_bad_sweep_grid_exits_2(self, pipeline, tmp_path, flag):
+        exp = copy_exp(pipeline, tmp_path)
+        with pytest.raises(SystemExit) as e:
+            main(["sweep", "--exp-dir", str(exp), "--init", pipeline["mle"],
+                  flag, "0,x"])
+        assert e.value.code == 2
 
 
 class TestAppendOnly:

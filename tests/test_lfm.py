@@ -210,6 +210,14 @@ class TestRescoring:
         with pytest.raises(ValueError):
             F.rescore_scalar(plain, 0.1, 0.1)
 
+    @pytest.mark.parametrize("mu,nu", [(-0.1, 0.0), (0.0, -0.1)])
+    def test_negative_weight_refused(self, mu, nu):
+        rng = np.random.default_rng(17)
+        hat = tiny_hat(18)
+        _, nb = prepared_list(rng, hat, tiny_elm(rng))
+        with pytest.raises(ValueError, match="nonnegative"):
+            F.rescore_scalar(nb, mu, nu)
+
     @pytest.mark.parametrize("ranker", ["rescore_scalar", "rescore_with_lfm", "lfm_loss"])
     def test_list_without_lm_scores_refused(self, ranker):
         # rescore_components alone attaches the full sum but no per-token LM

@@ -85,6 +85,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             TrainConfig(regime="mwer", steps=1, mu=-0.1)
 
+    @pytest.mark.parametrize("field,value", [
+        ("beam_size", 0), ("max_tokens", -1), ("frame_cap", 0)])
+    def test_bad_beam_field_rejected(self, field, value):
+        # the search's own checks run when the config is made, not mid-training
+        with pytest.raises(ValueError):
+            TrainConfig(regime="mwer", steps=1, **{field: value})
+
 
 class TestRunLog:
     def test_header_echoes_config(self):
