@@ -31,14 +31,16 @@ enc = model.encode(utt.acoustics)
 eproj = model.eproj_np(enc.data)
 T_, U = len(utt.acoustics), len(utt.reference)
 
-dprojs = [model.dproj_np(model.pred_start_np())]
-h = model.pred_start_np()
+# prediction states for each prefix length u, projected as one stacked (U+1, J)
+states = [model.pred_start_np()]
 for tok in utt.reference:
-    h = model.pred_step_np(h, tok)
-    dprojs.append(model.dproj_np(h))
+    states.append(model.pred_step_np(states[-1], tok))
+dprojs = model.dproj_np(np.stack(states))
 
 def node(t, u):
-    return model.joint_np(eproj[t], dprojs[u])
+    # the joint scores a stack of decoder rows; one node is a stack of one
+    blank_logit, label_lp = model.joint_np(eproj[t], dprojs[u][None])
+    return blank_logit[0], label_lp[0]
 
 total = -np.inf
 for cut in itertools.combinations_with_replacement(range(T_), U):

@@ -376,8 +376,9 @@ def cmd_decode(args) -> int:
             if args.k is not None:
                 nb.hyps = nb.hyps[: args.k]
             lists.append(nb)
+        h = _stage_hash("decode", beam_cfg, {"k": args.k}, parent=parent)
         tag = (f"{args.split}-{Path(parent).stem}-i{_fmt_weight(lam)}"
-               f"-e{_fmt_weight(gam)}")
+               f"-e{_fmt_weight(gam)}-{h}")
         out = exp.fresh(f"nbest/{tag}.jsonl")
         save_nbest(lists, out)
         value = _nbest_wer(lists)

@@ -15,6 +15,15 @@ finite, so ``beam_search``, ``exhaustive_search`` and
 unseen token -inf, and a zero weight times -inf is NaN. The two searches
 also refuse an n-gram over a different number of labels than the model's.
 
+Each expansion stage is scored as one stack: one ``joint_np`` call on the
+frontier's (F, J) decoder projections, then a partition of the (F, V) score
+matrix that keeps every candidate tying the k-th score, and a sort of that
+shortlist by the (-score, tokens) key of a full sort. What depends on the
+tokens alone (prediction state, projection, ILM and ELM rows, per-token
+arrays and their sums) is made once per search and cached by token tuple.
+Stacked products go row by row (``hat._row_products``), so the lists equal
+those of a hypothesis-at-a-time search bit for bit.
+
 ``beam_search_plain`` is the fusion-free twin: it never touches LM
 machinery, and with lam = gam = 0 the fused search is bit-identical to it.
 Its hypotheses carry empty ILM and ELM score arrays, not per-token zeros,
@@ -94,23 +103,25 @@ def _combine(e2e, lam, ilm_arr, gam, elm_arr) -> float:
     return (e2e - lam * float(np.sum(ilm_arr))) + gam * float(np.sum(elm_arr))
 
 
-class _SearchHyp:
-    __slots__ = ("tokens", "e2e", "dstate", "dproj", "ilm", "elm", "elm_state", "ilm_vec", "elm_vec")
+class _Prefix:
+    """What the search knows about one token prefix; made once per search.
 
-    def __init__(self, tokens, e2e, dstate, dproj, ilm, elm, elm_state, ilm_vec=None, elm_vec=None):
+    ``ilm_sum``/``elm_sum`` are ``np.sum`` of the per-token arrays, taken
+    when the prefix is made so no stage or sort re-sums them.
+    """
+
+    __slots__ = ("tokens", "dstate", "dproj", "ilm", "elm", "ilm_sum", "elm_sum",
+                 "elm_state", "ilm_vec", "elm_vec")
+
+    def __init__(self, tokens, dstate, ilm, elm, elm_state=None):
         self.tokens = tokens
-        self.e2e = e2e
         self.dstate = dstate
-        self.dproj = dproj
         self.ilm = ilm
         self.elm = elm
+        self.ilm_sum = float(np.sum(ilm))
+        self.elm_sum = float(np.sum(elm))
         self.elm_state = elm_state
-        self.ilm_vec = ilm_vec
-        self.elm_vec = elm_vec
-
-    def moved_blank(self, e2e):
-        return _SearchHyp(self.tokens, e2e, self.dstate, self.dproj, self.ilm, self.elm,
-                          self.elm_state, self.ilm_vec, self.elm_vec)
+        self.dproj = self.ilm_vec = self.elm_vec = None
 
 
 def _require_aligned_vocab(model: HatModel, elm) -> None:
@@ -120,93 +131,104 @@ def _require_aligned_vocab(model: HatModel, elm) -> None:
                          f"{model.config.vocab_size}")
 
 
+def _make_prefix(model: HatModel, elm, parent: _Prefix, v: int, with_lm: bool) -> _Prefix:
+    """The prefix ``parent.tokens + (v,)``; its stacked rows (dproj, ilm_vec) come later."""
+    tokens = parent.tokens + (v,)
+    dstate = model.pred_step_np(parent.dstate, v)
+    if not with_lm:
+        return _Prefix(tokens, dstate, parent.ilm, parent.elm)
+    elm_state, r = advance_state(elm, parent.elm_state, v) if elm is not None else (None, 0.0)
+    p = _Prefix(tokens, dstate, np.append(parent.ilm, parent.ilm_vec[v]),
+                np.append(parent.elm, r), elm_state)
+    p.elm_vec = next_token_logprobs(elm, elm_state) if elm is not None else parent.elm_vec
+    return p
+
+
 def _search(utterance: Utterance, model: HatModel, elm, lam: float, gam: float,
             cfg: BeamConfig, with_lm: bool):
     _COUNTERS["beam_search"] += 1
     vocab_size = model.config.vocab_size
     enc = model.encode_np(utterance.acoustics)
     eproj = model.eproj_np(enc)
-    d0 = model.pred_start_np()
-    zero_vec = np.zeros(vocab_size)
-    root = _SearchHyp((), 0.0, d0, model.dproj_np(d0), np.zeros(0), np.zeros(0), None)
+    root = _Prefix((), model.pred_start_np(), np.zeros(0), np.zeros(0))
+    root.dproj = model.dproj_np(root.dstate[None])[0]
     if with_lm:
-        root.ilm_vec = model.ilm_logprobs_np(root.dproj)
+        root.ilm_vec = model.ilm_logprobs_np(root.dproj[None])[0]
         if elm is not None:
             root.elm_state = initial_state(elm)
             root.elm_vec = next_token_logprobs(elm, root.elm_state)
         else:
-            root.elm_vec = zero_vec
+            root.elm_vec = np.zeros(vocab_size)
+    cache = {(): root}
 
-    beam = [root]
+    # a hypothesis is [prefix, e2e]: the score belongs to the search, the
+    # rest is shared by every hypothesis with those tokens
+    beam = [[root, 0.0]]
     k = cfg.beam_size
     for t in range(enc.shape[0]):
-        ep = eproj[t]
         pool: dict = {}
         frontier = beam
         for stage in range(cfg.frame_cap + 1):
-            locals_ = [model.joint_np(ep, h.dproj) for h in frontier]
-            for h, (blank_logit, _) in zip(frontier, locals_):
-                moved = h.e2e + (-np.logaddexp(0.0, -blank_logit))
-                cur = pool.get(h.tokens)
+            prefixes = [p for p, _ in frontier]
+            e2e = np.array([s for _, s in frontier])
+            blank_logit, label_lp = model.joint_np(eproj[t], np.stack([p.dproj for p in prefixes]))
+            moved = e2e + (-np.logaddexp(0.0, -blank_logit))
+            for p, s in zip(prefixes, moved):
+                cur = pool.get(p.tokens)
                 if cur is None:
-                    pool[h.tokens] = h.moved_blank(moved)
+                    pool[p.tokens] = [p, s]
                 else:
-                    cur.e2e = float(np.logaddexp(cur.e2e, moved))
-            if stage == cfg.frame_cap:
+                    cur[1] = np.logaddexp(cur[1], s)
+            rows = [i for i, p in enumerate(prefixes) if len(p.tokens) < cfg.max_tokens]
+            if stage == cfg.frame_cap or not rows:
                 break
-            cands = []
-            for h, (blank_logit, label_lp) in zip(frontier, locals_):
-                if len(h.tokens) >= cfg.max_tokens:
-                    continue
-                e2e_new = h.e2e + (-np.logaddexp(0.0, blank_logit)) + label_lp
+            e2e_new = (e2e + (-np.logaddexp(0.0, blank_logit)))[rows, None] + label_lp[rows]
+            if with_lm:
+                live = [prefixes[i] for i in rows]
+                si = np.array([p.ilm_sum for p in live])[:, None]
+                sr = np.array([p.elm_sum for p in live])[:, None]
+                ilm_vec = np.stack([p.ilm_vec for p in live])
+                elm_vec = np.stack([p.elm_vec for p in live])
+                comb = (e2e_new - lam * (si + ilm_vec)) + gam * (sr + elm_vec)
+            else:
+                comb = e2e_new
+            # ties of the k-th score stay on the shortlist: a full sort's top k
+            neg = -comb.ravel()
+            short = range(neg.size)
+            if neg.size > k:
+                short = np.flatnonzero(neg <= neg[np.argpartition(neg, k - 1)[k - 1]]).tolist()
+            chosen = sorted((neg[c], prefixes[rows[c // vocab_size]].tokens + (c % vocab_size,), c)
+                            for c in short)[:k]
+            frontier, made = [], []
+            for _, tokens, c in chosen:
+                r, v = divmod(c, vocab_size)
+                p = cache.get(tokens)
+                if p is None:
+                    p = cache[tokens] = _make_prefix(model, elm, prefixes[rows[r]], v, with_lm)
+                    made.append(p)
+                frontier.append([p, e2e_new[r, v]])
+            if made:  # one stacked projection (and ILM head) for the new prefixes
+                dproj = model.dproj_np(np.stack([p.dstate for p in made]))
+                for p, d in zip(made, dproj):
+                    p.dproj = d
                 if with_lm:
-                    si = float(np.sum(h.ilm))
-                    sr = float(np.sum(h.elm))
-                    comb = (e2e_new - lam * (si + h.ilm_vec)) + gam * (sr + h.elm_vec)
-                else:
-                    comb = e2e_new
-                for v in range(vocab_size):
-                    cands.append((-comb[v], h.tokens + (v,), h, v, e2e_new[v]))
-            if not cands:
-                frontier = []
-                continue
-            cands.sort(key=lambda c: (c[0], c[1]))
-            survivors = []
-            for _, tokens, h, v, e2e_val in cands[:k]:
-                dstate = model.pred_step_np(h.dstate, v)
-                dproj = model.dproj_np(dstate)
-                if with_lm:
-                    ilm = np.append(h.ilm, h.ilm_vec[v])
-                    if elm is not None:
-                        elm_state, r = advance_state(elm, h.elm_state, v)
-                        elm_arr = np.append(h.elm, r)
-                        elm_vec = next_token_logprobs(elm, elm_state)
-                    else:
-                        elm_state, elm_arr, elm_vec = None, np.append(h.elm, 0.0), zero_vec
-                    nh = _SearchHyp(tokens, e2e_val, dstate, dproj, ilm, elm_arr, elm_state,
-                                    model.ilm_logprobs_np(dproj), elm_vec)
-                else:
-                    nh = _SearchHyp(tokens, e2e_val, dstate, dproj, h.ilm, h.elm, None)
-                survivors.append(nh)
-            frontier = survivors
+                    for p, iv in zip(made, model.ilm_logprobs_np(dproj)):
+                        p.ilm_vec = iv
 
-        merged = list(pool.values())
-        if with_lm:
-            merged.sort(key=lambda h: (-_combine(h.e2e, lam, h.ilm, gam, h.elm), h.tokens))
-        else:
-            merged.sort(key=lambda h: (-h.e2e, h.tokens))
+        merged = sorted(pool.values(), key=lambda h: (
+            -((h[1] - lam * h[0].ilm_sum) + gam * h[0].elm_sum), h[0].tokens))
         beam = merged[:k]
 
     out = []
-    for h in beam:
+    for p, s in beam:
         out.append(
             Hypothesis(
-                tokens=h.tokens,
-                e2e_search=float(h.e2e),
-                ilm_scores=h.ilm,
-                elm_scores=h.elm,
-                combined=_combine(h.e2e, lam, h.ilm, gam, h.elm),
-                truncated=len(h.tokens) >= cfg.max_tokens,
+                tokens=p.tokens,
+                e2e_search=float(s),
+                ilm_scores=p.ilm,
+                elm_scores=p.elm,
+                combined=_combine(s, lam, p.ilm, gam, p.elm),
+                truncated=len(p.tokens) >= cfg.max_tokens,
             )
         )
     out.sort(key=lambda h: (-h.combined, h.tokens))

@@ -10,7 +10,8 @@ LM view scores labels with the encoder contribution zeroed out.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,12 @@ class HatConfig:
     embed_dim: int = 16
     hidden_dim: int = 32
     joint_dim: int = 32
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+                raise ValueError(f"hat {f.name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass
@@ -180,18 +187,22 @@ class HatModel:
         return enc @ self._p("joint_we").data
 
     def dproj_np(self, h: np.ndarray) -> np.ndarray:
-        return h @ self._p("joint_wd").data
+        """Decoder projections of stacked prediction states: (F, H) -> (F, J)."""
+        return _row_products(h, self._p("joint_wd").data)
 
-    def joint_np(self, eproj_t: np.ndarray, dproj_u: np.ndarray):
-        """(blank logit, label log-probs over V) at one lattice node."""
-        z = np.tanh(eproj_t + dproj_u + self._p("joint_b").data)
-        blank_logit = float(z @ self._p("blank_w").data + self._p("blank_b").data)
-        label_lp = T.log_softmax_np(z @ self._p("label_w").data + self._p("label_b").data)
+    def joint_np(self, eproj_t: np.ndarray, dproj: np.ndarray):
+        """Blank logits (F,) and label log-probs (F, V) at frame projection
+        ``eproj_t`` (J,) for F stacked decoder projections ``dproj`` (F, J)."""
+        z = np.tanh(eproj_t + dproj + self._p("joint_b").data)
+        blank_logit = _row_products(z, self._p("blank_w").data) + self._p("blank_b").data
+        label_lp = T.log_softmax_np(_row_products(z, self._p("label_w").data)
+                                    + self._p("label_b").data)
         return blank_logit, label_lp
 
-    def ilm_logprobs_np(self, dproj_u: np.ndarray) -> np.ndarray:
-        z = np.tanh(dproj_u + self._p("joint_b").data)
-        return T.log_softmax_np(z @ self._p("label_w").data + self._p("label_b").data)
+    def ilm_logprobs_np(self, dproj: np.ndarray) -> np.ndarray:
+        """Internal-LM label log-probs (F, V) for stacked decoder projections (F, J)."""
+        z = np.tanh(dproj + self._p("joint_b").data)
+        return T.log_softmax_np(_row_products(z, self._p("label_w").data) + self._p("label_b").data)
 
     # -- exact scoring --------------------------------------------------
 
@@ -352,6 +363,16 @@ def _init_params(cfg: HatConfig, seed: int) -> T.ParamSet:
     ps.add("label_w", normal(j, v, scale=j**-0.5))
     ps.add("label_b", np.zeros(v))
     return ps
+
+
+def _row_products(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x[i] @ w`` for every row of ``x`` (F, J), bit-equal to the one-row product.
+
+    Stacking each row as its own (1, J) matrix keeps one gemv (or dot, for a
+    vector ``w``) per row; a plain (F, J) @ (J, V) goes to gemm, which blocks
+    and rounds differently, and the search must rank exactly as row by row.
+    """
+    return (x[:, None, :] @ w)[:, 0]
 
 
 def _check_ids(ids, bound: int, what: str) -> np.ndarray:

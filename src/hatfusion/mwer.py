@@ -126,7 +126,10 @@ def composite_loss(utterance: Utterance, nbest: NBestList, model: HatModel,
 
     The sweep yields the e2e and ILM totals together; the ELM totals are
     read off the hypotheses (empty arrays, as a plain search leaves them,
-    sum to zero).
+    sum to zero). A term weighted by zero is left out: at mu = 0 the sweep
+    skips the ILM head, at nu = 0 no ELM constant is added. Adding a zero
+    changes no bit of the loss, and the gradients lose only exact-zero
+    addends, so regular MWER records the tape of the e2e scores alone.
     """
     if not nbest.hyps:
         raise ValueError("composite_loss: empty hypothesis list")
@@ -135,7 +138,10 @@ def composite_loss(utterance: Utterance, nbest: NBestList, model: HatModel,
     k = len(nbest.hyps)
     errors = np.array([nwe(h.tokens, reference) for h in nbest.hyps], dtype=float)
     enc = model.encode(utterance.acoustics)
-    full, ilm = model.score_sequences(enc, seqs)
-    elm_totals = np.array([float(np.sum(h.elm_scores)) for h in nbest.hyps])
-    term = mwer_loss_scores(full[:k], errors, ilm[:k], elm_totals, config.mu, config.nu)
+    full, ilm = model.score_sequences(enc, seqs, with_ilm=config.mu != 0)
+    elm_totals = None
+    if config.nu != 0:
+        elm_totals = np.array([float(np.sum(h.elm_scores)) for h in nbest.hyps])
+    term = mwer_loss_scores(full[:k], errors, None if ilm is None else ilm[:k], elm_totals,
+                            config.mu, config.nu)
     return T.add(term, T.scale(full[k], -float(config.theta)))

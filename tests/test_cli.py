@@ -234,6 +234,7 @@ BAD_SECTIONS = [
     ("elm", {"ordr": 3}, ["gen-data"]),
     ("elm", {"order": 0}, ["gen-data"]),
     ("hat", {"embed": 4}, ["train-mle"]),
+    ("hat", {"embed_dim": 0}, ["train-mle"]),
     ("train_mle", {"step": 3}, ["train-mle"]),
     ("train_mwer", {"lambda": 0.1}, ["train-mwer"]),
     ("train_lfm", {"batch": 2}, ["train-lfm"]),
@@ -324,6 +325,15 @@ class TestAppendOnly:
         code = main(["decode", *pipeline["args"], "--split", "test-rare",
                      "--init", pipeline["mle"]])
         assert code == 2
+
+    def test_decode_with_another_beam_is_another_artifact(self, pipeline, tmp_path):
+        exp = copy_exp(pipeline, tmp_path)
+        args = ["--config", str(pipeline["config"]), "--exp-dir", str(exp),
+                "--split", "dev-common", "--init", pipeline["mle"]]
+        assert main(["decode", *args]) == 0
+        assert main(["decode", *args, "--beam", "2"]) == 0
+        assert len(list(exp.glob("nbest/dev-common-*.jsonl"))) == 2
+        assert main(["decode", *args, "--beam", "2"]) == 2
 
     def test_lock_blocks_and_is_released(self, pipeline):
         lock = pipeline["exp"] / ".lock"

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -99,6 +100,70 @@ class TestBeamBasics:
         for _ in range(3):
             D.beam_search_plain(random_utt(rng), model, D.BeamConfig(beam_size=2))
         assert D.beam_call_count() == before + 3
+
+
+class TestStackedSearch:
+    def test_tied_labels_break_by_tokens(self, monkeypatch):
+        # zeroed heads: every label scores log(1/5) and every blank log(1/2),
+        # so candidates of one length tie exactly and only the token order
+        # can rank them, in the shortlist and in the merged beam alike
+        model = tiny_model(51, v=5)
+        for name in ("label_w", "label_b", "blank_w"):
+            model.params[name].data[...] = 0.0
+        tokens = []
+        step = H.HatModel.pred_step_np
+        monkeypatch.setattr(H.HatModel, "pred_step_np",
+                            lambda self, h, tok: tokens.append(tok) or step(self, h, tok))
+        utt = H.Utterance("tie", [0, 1], [0])
+        nb = D.beam_search_plain(utt, model, D.BeamConfig(beam_size=3, max_tokens=2, frame_cap=1))
+        assert tokens[:3] == [0, 1, 2]
+        # by hand: () blanks twice; (0,) and (1,) are emitted at either frame
+        # (two paths each), (2,) only at the second frame, so it drops out
+        b, lab = -math.log(2.0), -math.log(5.0)
+        assert [h.tokens for h in nb.hyps] == [(), (0,), (1,)]
+        want = [2 * b, 2 * b + lab, 2 * b + lab]
+        np.testing.assert_allclose([h.e2e_search for h in nb.hyps], want, rtol=0, atol=1e-12)
+        assert nb.hyps[1].e2e_search == nb.hyps[2].e2e_search
+
+    def test_cut_tie_group_keeps_lowest_tokens(self):
+        # a zeroed label head ties all children of one parent; where the
+        # k-th candidate falls inside such a group, the lowest tokens stay
+        model = tiny_model(51, v=5)
+        model.params["label_w"].data[...] = 0.0
+        model.params["label_b"].data[...] = 0.0
+        utt = H.Utterance("cut", [0, 1], [0])
+        nb = D.beam_search_plain(utt, model, D.BeamConfig(beam_size=8, max_tokens=2, frame_cap=1))
+        children: dict = {}
+        for h in nb.hyps:
+            if len(h.tokens) == 2:
+                children.setdefault(h.tokens[0], []).append(h.tokens[1])
+        assert any(0 < len(c) < 5 for c in children.values())
+        for c in children.values():
+            assert sorted(c) == list(range(len(c)))
+
+    def test_each_prefix_state_is_computed_once(self, monkeypatch):
+        rng = np.random.default_rng(52)
+        model = tiny_model(53)
+        elm = tiny_elm(rng)
+        steps, dproj_rows = [], set()
+        step, joint = H.HatModel.pred_step_np, H.HatModel.joint_np
+
+        def counting_step(self, h, token):
+            steps.append((h.tobytes(), int(token)))
+            return step(self, h, token)
+
+        def recording_joint(self, eproj_t, dproj):
+            dproj_rows.update(row.tobytes() for row in dproj)
+            return joint(self, eproj_t, dproj)
+
+        monkeypatch.setattr(H.HatModel, "pred_step_np", counting_step)
+        monkeypatch.setattr(H.HatModel, "joint_np", recording_joint)
+        cfg = D.BeamConfig(beam_size=4, ilm_weight=0.2, elm_weight=0.3, max_tokens=4, frame_cap=2)
+        D.beam_search(random_utt(rng, t=5), model, elm, cfg)
+        assert len(steps) == len(set(steps))
+        # every expanded prefix reaches the joint at the next stage; the
+        # root is the one prefix no step made
+        assert len(steps) == len(dproj_rows) - 1
 
 
 class TestUnsmoothedElm:

@@ -60,6 +60,42 @@ def enumerated_full_sum(lb, l1mb, lab, labels):
     return m + math.log(sum(math.exp(x - m) for x in done))
 
 
+class TestConfig:
+    @pytest.mark.parametrize("field", ["vocab_size", "acoustic_size", "embed_dim",
+                                       "hidden_dim", "joint_dim"])
+    @pytest.mark.parametrize("value", [0, -2, 2.5, True])
+    def test_dimensions_must_be_positive_integers(self, field, value):
+        kw = dict(vocab_size=3, acoustic_size=4)
+        kw[field] = value
+        with pytest.raises(ValueError, match=field):
+            HatConfig(**kw)
+
+    def test_numpy_integers_accepted(self):
+        assert HatConfig(vocab_size=np.int64(3), acoustic_size=4).vocab_size == 3
+
+
+class TestStackedHeads:
+    def test_rows_equal_one_row_stacks(self):
+        # the search ranks by exact bits, so a row of a stacked call must
+        # equal the same row scored alone, at the benchmark's sizes
+        cfg = HatConfig(vocab_size=12, acoustic_size=8, embed_dim=8, hidden_dim=16, joint_dim=16)
+        m = HatModel(cfg, seed=4)
+        rng = np.random.default_rng(4)
+        states = np.tanh(rng.normal(size=(9, 16)))
+        eproj_t = m.eproj_np(m.encode_np([1, 5]))[1]
+        dproj = m.dproj_np(states)
+        blank, label = m.joint_np(eproj_t, dproj)
+        ilm = m.ilm_logprobs_np(dproj)
+        assert blank.shape == (9,) and label.shape == ilm.shape == (9, 12)
+        for i in range(9):
+            one = dproj[i][None]
+            np.testing.assert_array_equal(m.dproj_np(states[i][None])[0], dproj[i])
+            b, lab = m.joint_np(eproj_t, one)
+            assert b[0] == blank[i]
+            np.testing.assert_array_equal(lab[0], label[i])
+            np.testing.assert_array_equal(m.ilm_logprobs_np(one)[0], ilm[i])
+
+
 class TestEncoder:
     def test_single_frame_single_state(self):
         m = tiny_model()

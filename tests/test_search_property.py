@@ -1,0 +1,33 @@
+"""Property test: an unpruned beam is the exhaustive search."""
+
+import numpy as np
+import pytest
+
+from hatfusion import decode as D
+
+from test_decode import random_utt, tiny_elm, tiny_model
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+
+@hypothesis.settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@hypothesis.given(seed=st.integers(0, 2**16), v=st.integers(2, 3), max_tokens=st.integers(1, 3),
+                  extra_cap=st.integers(0, 1), frames=st.integers(1, 3),
+                  weights=st.sampled_from([(0.0, 0.0), (0.3, 0.0), (0.2, 0.4), (0.8, 0.8)]))
+def test_unpruned_beam_matches_exhaustive_search(seed, v, max_tokens, extra_cap, frames, weights):
+    # frame_cap >= max_tokens reaches every sequence in one frame, and a beam
+    # as wide as the number of sequences prunes none, so the beam's best is
+    # the enumerated argmax and every search score is the exact full sum
+    rng = np.random.default_rng(seed)
+    model = tiny_model(seed, v=v)
+    elm = tiny_elm(rng, v=v, smoothing=0.3)
+    utt = random_utt(rng, t=frames, uid=f"p{seed}")
+    lam, gam = weights
+    cfg = D.BeamConfig(beam_size=sum(v**n for n in range(max_tokens + 1)), ilm_weight=lam,
+                       elm_weight=gam, max_tokens=max_tokens, frame_cap=max_tokens + extra_cap)
+    nb = D.beam_search(utt, model, elm, cfg)
+    want = D.exhaustive_search(utt, model, elm, lam, gam, max_len=max_tokens)
+    assert list(nb.hyps[0].tokens) == want
+    for h in D.rescore_components(nb, model, utt).hyps:
+        assert abs(h.e2e_search - h.e2e_fullsum) < 1e-10
