@@ -137,7 +137,9 @@ def _make_prefix(model: HatModel, elm, parent: _Prefix, v: int, with_lm: bool) -
     dstate = model.pred_step_np(parent.dstate, v)
     if not with_lm:
         return _Prefix(tokens, dstate, parent.ilm, parent.elm)
-    elm_state, r = advance_state(elm, parent.elm_state, v) if elm is not None else (None, 0.0)
+    # the parent's ELM row already scores v; only the new state is queried
+    elm_state, r = (advance_state(elm, parent.elm_state, v, parent.elm_vec)
+                    if elm is not None else (None, 0.0))
     p = _Prefix(tokens, dstate, np.append(parent.ilm, parent.ilm_vec[v]),
                 np.append(parent.elm, r), elm_state)
     p.elm_vec = next_token_logprobs(elm, elm_state) if elm is not None else parent.elm_vec

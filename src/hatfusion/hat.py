@@ -3,8 +3,10 @@
 Factorized joint: each lattice node (t, u) carries a blank Bernoulli
 (sigmoid of a blank logit) and a label log-softmax over the vocabulary,
 with blank excluded from the label distribution. The full-sum score of a
-label sequence marginalizes over every monotonic alignment; the internal
-LM view scores labels with the encoder contribution zeroed out.
+label sequence marginalizes over every monotonic alignment: the model builds
+the log-blank and log-emit grids on the tape and hands them to one lattice
+primitive, ``tensor.transducer_full_sum``. The internal LM view scores
+labels with the encoder contribution zeroed out.
 """
 
 from __future__ import annotations
@@ -17,10 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-
-# Log-domain stand-in for "unreachable"; finite so masked lattice cells
-# never produce inf - inf in the backward pass.
-NEG = -1.0e30
 
 _COUNTERS = {"lattice_sweeps": 0}
 
@@ -209,9 +207,10 @@ class HatModel:
     def score_sequences(self, enc: T.Tensor, seqs, with_ilm: bool = True):
         """Full-sum log P(Y|X) for each sequence against shared encoder states.
 
-        Returns (full_sums (K,), ilm_totals (K,) or None). All sequences are
-        scored in one lattice sweep over anti-diagonals; unreachable cells
-        are masked to NEG so their exp-weight underflows to exactly zero.
+        Returns (full_sums (K,), ilm_totals (K,) or None). The joint grids
+        of all K sequences are built together and scored in one lattice
+        sweep, ``T.transducer_full_sum``: one tape entry for the whole
+        α recursion, whatever T and U are.
         """
         _COUNTERS["lattice_sweeps"] += 1
         seqs = [list(s) for s in seqs]
@@ -230,63 +229,16 @@ class HatModel:
         dstates = self.predict_states(seqs)
         blank_logit, label_lp, dproj = self._grids(enc, dstates)
         lb = T.log_sigmoid(blank_logit)
-        l1mb = T.log_one_minus_sigmoid(blank_logit)
-
-        n_diag = t_len + u_max
-        width = u_max + 1
-        dd = np.arange(n_diag)[:, None]
-        us = np.arange(width)[None, :]
-        tgrid = dd - us
-        valid = (tgrid >= 0) & (tgrid < t_len)
-        tclip = np.clip(tgrid, 0, t_len - 1)
-        kk = np.arange(k)[:, None, None]
-        lb_diag = T.add(
-            T.slice_(lb, (kk, tclip[None], np.broadcast_to(us, tgrid.shape)[None])),
-            T.constant(np.where(valid, 0.0, NEG)[None]),
-        )
         if u_max > 0:
-            kk4 = np.arange(k)[:, None, None]
-            tt4 = np.arange(t_len)[None, :, None]
-            uu4 = np.arange(u_max)[None, None, :]
-            yy4 = pad[:, None, :]
-            label_tok = T.slice_(label_lp, (kk4, tt4, uu4, yy4))
+            # le[k, t, u]: leave the blank, then emit label u+1 of sequence k
+            l1mb = T.log_one_minus_sigmoid(blank_logit)
+            label_tok = T.slice_(label_lp, (np.arange(k)[:, None, None],
+                                            np.arange(t_len)[None, :, None],
+                                            np.arange(u_max)[None, None, :], pad[:, None, :]))
             le = T.add(l1mb[:, :, :u_max], label_tok)
-            le_valid = valid & (us < u_max)
-            le_diag = T.add(
-                T.slice_(
-                    le,
-                    (
-                        kk,
-                        tclip[None],
-                        np.broadcast_to(np.clip(us, 0, u_max - 1), tgrid.shape)[None],
-                    ),
-                ),
-                T.constant(np.where(le_valid, 0.0, NEG)[None]),
-            )
-
-        a0 = np.full((k, width), NEG)
-        a0[:, 0] = 0.0
-        alpha = T.constant(a0)
-        alphas = [alpha]
-        negcol = T.constant(np.full((k, 1), NEG))
-        for d in range(1, n_diag):
-            t_blank = T.add(alpha, lb_diag[:, d - 1, :])
-            if u_max > 0:
-                t_label = T.concat(
-                    [negcol, T.add(alpha, le_diag[:, d - 1, :])[:, : width - 1]], axis=1
-                )
-                alpha = T.logsumexp(
-                    T.concat([t_blank[None], t_label[None]], axis=0), axis=0
-                )
-            else:
-                alpha = t_blank
-            alphas.append(alpha)
-
-        stacked = T.concat([a[:, None, :] for a in alphas], axis=1)
-        k_idx = np.arange(k)
-        a_fin = T.slice_(stacked, (k_idx, t_len - 1 + lens, lens))
-        lb_fin = T.slice_(lb, (k_idx, np.full(k, t_len - 1), lens))
-        full_sums = T.add(a_fin, lb_fin)
+        else:
+            le = T.constant(np.zeros((k, t_len, 0)))
+        full_sums = T.transducer_full_sum(lb, le, lens)
 
         if not with_ilm:
             return full_sums, None

@@ -117,9 +117,14 @@ def next_token_logprobs(lm: NGramLm, state: LmState) -> np.ndarray:
     return lm.context_dist(state.context)
 
 
-def advance_state(lm: NGramLm, state: LmState, token) -> tuple[LmState, float]:
+def advance_state(lm: NGramLm, state: LmState, token, dist=None) -> tuple[LmState, float]:
+    """The state after ``token`` and the token's log-prob. A caller that
+    already holds the distribution at ``state`` passes it as ``dist`` and
+    spares the query."""
     _check_label(token, lm.vocab_size)
-    logp = float(next_token_logprobs(lm, state)[token])
+    if dist is None:
+        dist = next_token_logprobs(lm, state)
+    logp = float(dist[token])
     new = LmState(context=(state.context + (token,))[-(lm.order - 1):] if lm.order > 1 else ())
     return new, logp
 

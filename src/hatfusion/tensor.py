@@ -2,8 +2,13 @@
 
 The differentiable surface is a fixed whitelist of primitives (the functions
 under "Primitives" below), kept deliberately small so every backward rule
-can be audited by hand. Each is called by name; the only operator sugar on
-``Tensor`` is indexing, ``x[key]``, which is ``slice_``.
+can be audited by hand. All but one are elementwise, linear-algebra,
+reduction, indexing or attention ops; the one domain primitive,
+``transducer_full_sum``, runs a whole lattice recursion as one tape entry
+whose backward reproduces, bit for bit, what the tape would compute for
+that recursion recorded op by op. Each primitive is called by name; the
+only operator sugar on ``Tensor`` is indexing, ``x[key]``, which is
+``slice_``.
 Recording happens only while a ``Tape`` is active; outside of one, every
 operation is a plain numpy evaluation and its result is a constant leaf.
 
@@ -21,6 +26,10 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 _EPS_LAYERNORM = 1e-6
+
+# Log-domain stand-in for "unreachable" lattice cells; finite, so masked
+# cells never produce inf - inf in a backward pass.
+NEG = -1.0e30
 
 
 class Tensor:
@@ -461,6 +470,100 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False) 
         return gq, gk, gv
 
     return _record(out, (q, k, v), bw)
+
+
+def transducer_full_sum(lb: Tensor, le: Tensor, lens) -> Tensor:
+    """Full-sum log-likelihood of K label sequences over transducer lattices.
+
+    ``lb`` (K, T, U+1) holds log P(blank) at each node (t, u), ``le``
+    (K, T, U) the log-probability of emitting label u+1 of sequence k at
+    (t, u), and ``lens`` (K,) the label counts, each at most U. Entry k sums
+    every monotonic path from (0, 0) through the final blank at
+    (T-1, lens[k]); cells past lens[k] never reach it.
+
+    The forward walks the T+U anti-diagonals t + u = d for all K lattices at
+    once (the diagonal layout of Bagby et al., SLT 2018). Cells off the grid
+    are masked to NEG, so their exp-weight underflows to exactly zero. The
+    backward is the reverse walk (the occupancy pass of Graves 2012, §2.5)
+    as one tape entry. It repeats, in order, the arithmetic the tape does
+    for this recursion recorded op by op (gathers, adds, concats and a
+    two-row logsumexp per diagonal), so its gradients equal that
+    recording's bit for bit.
+    """
+    lens = np.asarray(lens, dtype=np.int64)
+    if lb.data.ndim != 3 or lb.shape[1] == 0:
+        raise ValueError(f"transducer_full_sum: lb must be (K, T>=1, U+1), got {lb.shape}")
+    k, t_len, width = lb.shape
+    u_max = width - 1
+    if le.shape != (k, t_len, u_max) or lens.shape != (k,):
+        raise ValueError(f"transducer_full_sum: lb {lb.shape} needs le {(k, t_len, u_max)} "
+                         f"and lens ({k},), got {le.shape} and {lens.shape}")
+    if lens.size and (lens.min() < 0 or lens.max() > u_max):
+        raise ValueError(f"transducer_full_sum: lengths must lie in [0, {u_max}]")
+
+    n_diag = t_len + u_max
+    us = np.arange(width)[None, :]
+    tgrid = np.arange(n_diag)[:, None] - us
+    valid = (tgrid >= 0) & (tgrid < t_len)
+    tclip = np.clip(tgrid, 0, t_len - 1)
+    kk = np.arange(k)[:, None, None]
+    lb_key = (kk, tclip[None], np.broadcast_to(us, tgrid.shape)[None])
+    lb_diag = lb.data[lb_key] + np.where(valid, 0.0, NEG)[None]
+    if u_max > 0:
+        le_key = (kk, tclip[None], np.broadcast_to(np.clip(us, 0, u_max - 1), tgrid.shape)[None])
+        le_diag = le.data[le_key] + np.where(valid & (us < u_max), 0.0, NEG)[None]
+
+    # alphas[d]: forward log-probs on diagonal d; blocks[d]: its blank and
+    # label arrivals, the rows the logsumexp merged
+    alphas = np.empty((n_diag, k, width))
+    alphas[0] = NEG
+    alphas[0, :, 0] = 0.0
+    blocks = np.empty((n_diag, 2, k, width))
+    for d in range(1, n_diag):
+        t_blank = alphas[d - 1] + lb_diag[:, d - 1]
+        if u_max == 0:
+            alphas[d] = t_blank
+            continue
+        blocks[d, 0] = t_blank
+        blocks[d, 1, :, 0] = NEG
+        blocks[d, 1, :, 1:] = (alphas[d - 1] + le_diag[:, d - 1])[:, :u_max]
+        alphas[d] = _logsumexp_np(blocks[d], axis=0)
+    k_idx = np.arange(k)
+    d_fin = t_len - 1 + lens
+    out = Tensor(alphas[d_fin, k_idx, lens] + lb.data[k_idx, t_len - 1, lens])
+
+    # The backward adds in the tape's order, so gradients match bit for bit:
+    # an alpha's gradient is its final-cell part, plus the label part, plus
+    # the blank part; lb's is its final-blank part plus the diagonal scatter.
+    def bw(g):
+        fin = np.zeros((n_diag, k, width))
+        fin[d_fin, k_idx, lens] += g
+        g_lb_diag = np.zeros((k, n_diag, width))
+        g_le_diag = np.zeros((k, n_diag, width))
+        g_alpha = fin[n_diag - 1]
+        for d in range(n_diag - 1, 0, -1):
+            if u_max == 0:
+                g_lb_diag[:, d - 1] = g_alpha
+                g_alpha = fin[d - 1] + g_alpha
+                continue
+            out_k = alphas[d][None]
+            with np.errstate(invalid="ignore"):
+                w = np.where(np.isfinite(out_k), np.exp(blocks[d] - out_k), 0.0)
+            wg = w * g_alpha[None]
+            g_lb_diag[:, d - 1] = wg[0]
+            g_le_diag[:, d - 1, :u_max] = wg[1, :, 1:]
+            g_alpha = (fin[d - 1] + g_le_diag[:, d - 1]) + wg[0]
+        g_lb = np.zeros_like(lb.data)
+        g_lb[k_idx, t_len - 1, lens] += g
+        scattered = np.zeros_like(lb.data)
+        np.add.at(scattered, lb_key, g_lb_diag)
+        g_lb += scattered
+        g_le = np.zeros_like(le.data)
+        if u_max > 0:
+            np.add.at(g_le, le_key, g_le_diag)
+        return g_lb, g_le
+
+    return _record(out, (lb, le), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Shared test utilities: finite-difference gradient oracles."""
+"""Shared test utilities: finite-difference gradient oracles and the op-by-op
+lattice recursion that ``tensor.transducer_full_sum`` must equal bit for bit."""
 
 import numpy as np
 
@@ -64,3 +65,54 @@ def weighted_scalar(out, weights):
     while t.data.ndim > 0:
         t = T.matmul(t, T.constant(np.ones(t.shape[-1])))
     return t
+
+
+def op_by_op_full_sum(lb, le, lens):
+    """``T.transducer_full_sum`` recorded primitive by primitive.
+
+    The anti-diagonal alpha recursion on the tape: NEG-masked diagonal
+    gathers, then per diagonal a blank add, a label add shifted one column
+    by a NEG concat, and a two-row logsumexp; finally the final alpha plus
+    the final blank. About ten tape entries per diagonal, whose sums and
+    gradients the primitive's single entry must reproduce exactly.
+    """
+    lens = np.asarray(lens, dtype=np.int64)
+    k, t_len, width = lb.shape
+    u_max = width - 1
+    n_diag = t_len + u_max
+    dd = np.arange(n_diag)[:, None]
+    us = np.arange(width)[None, :]
+    tgrid = dd - us
+    valid = (tgrid >= 0) & (tgrid < t_len)
+    tclip = np.clip(tgrid, 0, t_len - 1)
+    kk = np.arange(k)[:, None, None]
+    lb_diag = T.add(
+        T.slice_(lb, (kk, tclip[None], np.broadcast_to(us, tgrid.shape)[None])),
+        T.constant(np.where(valid, 0.0, T.NEG)[None]),
+    )
+    if u_max > 0:
+        le_diag = T.add(
+            T.slice_(le, (kk, tclip[None],
+                          np.broadcast_to(np.clip(us, 0, u_max - 1), tgrid.shape)[None])),
+            T.constant(np.where(valid & (us < u_max), 0.0, T.NEG)[None]),
+        )
+    a0 = np.full((k, width), T.NEG)
+    a0[:, 0] = 0.0
+    alpha = T.constant(a0)
+    alphas = [alpha]
+    negcol = T.constant(np.full((k, 1), T.NEG))
+    for d in range(1, n_diag):
+        t_blank = T.add(alpha, lb_diag[:, d - 1, :])
+        if u_max > 0:
+            t_label = T.concat(
+                [negcol, T.add(alpha, le_diag[:, d - 1, :])[:, : width - 1]], axis=1
+            )
+            alpha = T.logsumexp(T.concat([t_blank[None], t_label[None]], axis=0), axis=0)
+        else:
+            alpha = t_blank
+        alphas.append(alpha)
+    stacked = T.concat([a[:, None, :] for a in alphas], axis=1)
+    k_idx = np.arange(k)
+    a_fin = T.slice_(stacked, (k_idx, t_len - 1 + lens, lens))
+    lb_fin = T.slice_(lb, (k_idx, np.full(k, t_len - 1), lens))
+    return T.add(a_fin, lb_fin)

@@ -165,6 +165,30 @@ class TestStackedSearch:
         # root is the one prefix no step made
         assert len(steps) == len(dproj_rows) - 1
 
+    def test_elm_is_queried_once_per_prefix(self, monkeypatch):
+        # a new prefix reads its token's log-prob off the parent's ELM row,
+        # so the ELM answers one query per prefix: the root's and one per step
+        rng = np.random.default_rng(54)
+        model = tiny_model(55)
+        elm = tiny_elm(rng)
+        steps, queries = [], []
+        step, dist = H.HatModel.pred_step_np, L.NGramLm.context_dist
+
+        def counting_step(self, h, token):
+            steps.append(int(token))
+            return step(self, h, token)
+
+        def counting_dist(self, ctx):
+            queries.append(ctx)
+            return dist(self, ctx)
+
+        monkeypatch.setattr(H.HatModel, "pred_step_np", counting_step)
+        monkeypatch.setattr(L.NGramLm, "context_dist", counting_dist)
+        cfg = D.BeamConfig(beam_size=4, ilm_weight=0.2, elm_weight=0.3, max_tokens=4, frame_cap=2)
+        D.beam_search(random_utt(rng, t=5), model, elm, cfg)
+        assert steps
+        assert len(queries) == len(steps) + 1
+
 
 class TestUnsmoothedElm:
     def test_fusion_and_rescoring_refuse_it(self):

@@ -84,6 +84,18 @@ class TestScoring:
         _, lp = L.advance_state(m, L.initial_state(m), 0)
         assert lp == L.score_tokens(m, [0]).per_token[0]
 
+    def test_held_distribution_spares_the_query(self, monkeypatch):
+        m = L.train_ngram([[0, 1, 2, 0]], order=2, smoothing=0.2, vocab=[0, 1, 2])
+        state, _ = L.advance_state(m, L.initial_state(m), 1)
+        held = L.next_token_logprobs(m, state)
+        want = L.advance_state(m, state, 2)
+        queries = []
+        dist = L.NGramLm.context_dist
+        monkeypatch.setattr(L.NGramLm, "context_dist",
+                            lambda self, ctx: queries.append(ctx) or dist(self, ctx))
+        assert L.advance_state(m, state, 2, held) == want
+        assert queries == []
+
     def test_markov_property(self):
         m = L.train_ngram([[0, 1, 2, 0, 1], [2, 2, 0, 1, 0]], order=2, smoothing=0.1,
                           vocab=[0, 1, 2])

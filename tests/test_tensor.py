@@ -240,6 +240,9 @@ def _fd_cases():
             T.Tensor(_rand(rng, 4, 3), trainable=True),
             T.Tensor(_rand(rng, 4, 2), trainable=True),
         ),
+        "transducer-full-sum": lambda rng: (
+            lambda lb, le: ([lb, le], lambda: T.transducer_full_sum(lb, le, [2, 0, 3]))
+        )(T.Tensor(_rand(rng, 3, 2, 4), trainable=True), T.Tensor(_rand(rng, 3, 2, 3), trainable=True)),
     }
     return sorted(cases.items())
 
