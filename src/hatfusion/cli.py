@@ -1,17 +1,19 @@
 """Command-line pipeline over an append-only experiment directory.
 
-Every command takes --exp-dir and an optional JSON --config whose sections
-override the built-in defaults; individual flags override the config in
-turn, except for keys listed under "pinned", which reject overrides. Each
-section holds one constructor's keyword arguments (task: TaskConfig, hat:
-HatConfig, elm: train_ngram, train_<regime>: TrainConfig, lfm: LfmConfig,
-sweep: SweepSpec, decode: BeamConfig); "decode" is the beam for every
-search, below a training section's own beam keys. A command builds all it
-needs, refusing a bad key, before it writes anything. Artifacts are named
-<stage>-<hash>-s<seed>, the hash covering what the stage built and its
-parent, so reruns with different settings never collide, and existing
-artifacts are never overwritten. A .lock file in the experiment directory
-keeps concurrent invocations out.
+Every command takes --exp-dir. gen-data, train-*, decode and sweep take an
+optional JSON --config whose sections override the built-in defaults, and
+their flags override the config in turn; of these, gen-data and train-*
+draw random numbers and take --seed over the config's "seed". rescore, eval
+and report only re-read artifacts. Each section holds one constructor's
+keyword arguments (task: TaskConfig, hat: HatConfig, elm: train_ngram,
+train_<regime>: TrainConfig, lfm: LfmConfig, sweep: SweepSpec, decode:
+BeamConfig); "decode" is the beam for every search, below a training
+section's own beam keys. A command builds all it needs, refusing a bad key,
+before it writes anything. Artifacts are named <stage>-<hash>, plus -s<seed>
+for seeded stages, the hash covering what the stage built and its parent, so
+reruns with different settings never collide, and existing artifacts are
+never overwritten. A .lock file in the experiment directory keeps
+concurrent invocations out.
 
 Exit codes: 0 success, 2 usage or configuration, 3 missing artifact,
 4 numerical failure.
@@ -79,25 +81,19 @@ def _load_config(path) -> dict:
         except json.JSONDecodeError as e:
             raise CliError("usage", f"config file {p} is not valid JSON: {e}")
         for key, value in user.items():
-            if key == "pinned":
-                cfg["pinned"] = list(value)
-            elif key == "seed":
+            if key == "seed":
                 cfg["seed"] = int(value)
             elif key in cfg and isinstance(value, dict):
                 cfg[key].update(value)
             else:
                 raise CliError("usage", f"unknown config section {key!r}")
-    cfg.setdefault("pinned", [])
     return cfg
 
 
 def _override(cfg: dict, section: str, key: str, value) -> None:
-    """Write a flag value into the config unless the key is pinned."""
-    if value is None:
-        return
-    if key in cfg["pinned"]:
-        raise CliError("usage", f"{key!r} is pinned by the config file")
-    (cfg if section == "" else cfg[section])[key] = value
+    """Write a given flag value over the config's."""
+    if value is not None:
+        (cfg if section == "" else cfg[section])[key] = value
 
 
 def _build(what: str, make, section: dict, **given):
@@ -237,9 +233,12 @@ def _train_config(cfg: dict, regime: str) -> TrainConfig:
                   regime=regime, seed=cfg["seed"])
 
 
-def _nbest_wer(lists: list) -> float:
+def _nbest_wer(lists: list, src: Path) -> float:
+    """WER of the lists' top hypotheses; ``src`` names their file."""
     hyps = [list(nb.hyps[0].tokens) if nb.hyps else [] for nb in lists]
     refs = [list(nb.reference) for nb in lists]
+    if not any(refs):
+        raise CliError("missing-artifact", f"{src} holds no reference words to score")
     return wer(hyps, refs)
 
 
@@ -352,7 +351,6 @@ def cmd_train_lfm(args) -> int:
 
 def cmd_decode(args) -> int:
     cfg = _load_config(args.config)
-    _override(cfg, "", "seed", args.seed)
     _override(cfg, "decode", "beam_size", args.beam)
     if args.k is not None and args.k < 1:
         raise CliError("usage", f"--k must be >= 1, got {args.k}")
@@ -381,7 +379,7 @@ def cmd_decode(args) -> int:
                f"-e{_fmt_weight(gam)}-{h}")
         out = exp.fresh(f"nbest/{tag}.jsonl")
         save_nbest(lists, out)
-        value = _nbest_wer(lists)
+        value = _nbest_wer(lists, out)
         if not np.isfinite(value):
             raise CliError("numerical", f"non-finite WER on {args.split}")
         print(f"decode: {args.split} ilm={_fmt_weight(lam)} elm={_fmt_weight(gam)} "
@@ -397,38 +395,46 @@ def _find_nbest(exp: ExpDir, name: str) -> Path:
 
 
 def cmd_rescore(args) -> int:
-    cfg = _load_config(args.config)
+    if args.lfm is not None and (args.mu is not None or args.nu is not None):
+        raise CliError("usage", "--lfm emits its own per-token weights; "
+                       "--mu/--nu are for constant-weight rescoring only")
+    if args.lfm is None and args.init is not None:
+        raise CliError("usage", "--init names the recognizer that --lfm reads; "
+                       "constant-weight rescoring reads none")
     exp = ExpDir(args.exp_dir)
     with _Lock(exp, "rescore"):
         src = _find_nbest(exp, args.nbest)
         lists = _read(load_nbest, src)
-        if args.lfm is not None:
-            task = _load_task(exp)
-            hat, _ = _load_hat(exp, args.init)
-            lfm = _read(load_lfm, str(_resolve_base(exp, args.lfm, "fusion model")))
-            by_uid = {u.uid: u for split in _SPLITS
-                      for u in _split(task, split)}
-            # the ELM scores ride on the list; rescore_with_lfm reads no ELM
-            ranked = [rescore_with_lfm(by_uid[nb.uid], nb, hat, None, lfm)
-                      for nb in lists]
-            tag = f"{src.stem}-lfm"
-        else:
-            mu = args.mu if args.mu is not None else 0.0
-            nu = args.nu if args.nu is not None else 0.0
-            try:
+        try:
+            if args.lfm is not None:
+                task = _load_task(exp)
+                hat, _ = _load_hat(exp, args.init)
+                lfm = _read(load_lfm, str(_resolve_base(exp, args.lfm, "fusion model")))
+                by_uid = {u.uid: u for split in _SPLITS for u in _split(task, split)}
+                ranked = []
+                for nb in lists:
+                    if nb.uid not in by_uid:
+                        raise CliError("missing-artifact", f"utterance {nb.uid!r} of {src} "
+                                       "is not in this experiment's task")
+                    # the ELM scores ride on the list; rescore_with_lfm reads no ELM
+                    ranked.append(rescore_with_lfm(by_uid[nb.uid], nb, hat, None, lfm))
+                tag = f"{src.stem}-lfm"
+            else:
+                mu = args.mu if args.mu is not None else 0.0
+                nu = args.nu if args.nu is not None else 0.0
                 ranked = [rescore_scalar(nb, mu=mu, nu=nu) for nb in lists]
-            except ValueError as e:
-                raise CliError("usage", str(e))
-            tag = f"{src.stem}-r{_fmt_weight(mu)}-{_fmt_weight(nu)}"
+                tag = f"{src.stem}-r{_fmt_weight(mu)}-{_fmt_weight(nu)}"
+        except ValueError as e:
+            raise CliError("usage", f"cannot rescore {src.name}: {e}")
+        value = _nbest_wer(ranked, src)
         out = exp.fresh(f"nbest/{tag}.jsonl")
         save_nbest(ranked, out)
-        print(f"rescore: {src.name} -> {out.name} wer={_nbest_wer(ranked):.3f}")
+        print(f"rescore: {src.name} -> {out.name} wer={value:.3f}")
     return 0
 
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
-    _override(cfg, "", "seed", args.seed)
     _override(cfg, "decode", "beam_size", args.beam)
     for key in ("ilm_grid", "elm_grid"):
         if getattr(args, key) is not None:
@@ -441,7 +447,7 @@ def cmd_sweep(args) -> int:
         model, parent = _load_hat(exp, args.init)
         elm = _load_elm(exp)
         h = _stage_hash("sweep", spec, beam_cfg, parent=parent)
-        out = exp.fresh(f"sweeps/sweep-{args.mode}-{h}-s{cfg['seed']}.jsonl")
+        out = exp.fresh(f"sweeps/sweep-{args.mode}-{h}.jsonl")
         result = run_sweep(spec, model, elm, (task.dev_common, task.dev_rare), beam_cfg)
         save_sweep(result, out)
         print(f"sweep ({args.mode}): best ilm={_fmt_weight(result.best_ilm)} "
@@ -457,7 +463,7 @@ def cmd_eval(args) -> int:
         lists = _read(load_nbest, src)
         if not lists:
             raise CliError("missing-artifact", f"{src} holds no hypothesis lists")
-        value = _nbest_wer(lists)
+        value = _nbest_wer(lists, src)
         if not np.isfinite(value):
             raise CliError("numerical", f"non-finite WER from {src.name}")
         record = {"source": src.name, "utterances": len(lists), "wer": value}
@@ -497,7 +503,7 @@ def cmd_report(args) -> int:
             if not lists:
                 continue
             rows.append({"nbest": nb_path.name, "utterances": len(lists),
-                         "wer": _nbest_wer(lists)})
+                         "wer": _nbest_wer(lists, nb_path)})
         if not rows:
             raise CliError("missing-artifact", "no N-best files to report on")
         sweeps = []
@@ -536,11 +542,13 @@ def cmd_report(args) -> int:
 # -- argument parsing ----------------------------------------------------------
 
 
-def _add_common(p, config=True):
+def _add_common(p, config=True, seed=True):
     p.add_argument("--exp-dir", required=True, help="experiment directory")
     if config:
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, default=None)
+    if seed:
+        p.add_argument("--seed", type=int, default=None,
+                       help="random seed (overrides the config's)")
 
 
 def _add_weights(p):
@@ -596,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_train_lfm)
 
     p = sub.add_parser("decode", help="beam-search a split and persist N-best")
-    _add_common(p)
+    _add_common(p, seed=False)
     p.add_argument("--init", help="checkpoint to decode with (default: newest)")
     p.add_argument("--split", required=True, choices=_SPLITS)
     _add_weights(p)
@@ -605,16 +613,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_decode)
 
     p = sub.add_parser("rescore", help="re-rank a persisted N-best file")
-    _add_common(p)
+    _add_common(p, config=False, seed=False)
     p.add_argument("--nbest", required=True, help="file name under nbest/ or a path")
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--nu", type=float, default=None)
+    p.add_argument("--mu", type=float, default=None,
+                   help="constant internal-LM weight (not with --lfm)")
+    p.add_argument("--nu", type=float, default=None,
+                   help="constant external-LM weight (not with --lfm)")
     p.add_argument("--lfm", help="fusion-weight checkpoint for per-token weights")
     p.add_argument("--init", help="recognizer checkpoint (only with --lfm)")
     p.set_defaults(fn=cmd_rescore)
 
     p = sub.add_parser("sweep", help="grid-search fusion weights on the dev pair")
-    _add_common(p)
+    _add_common(p, seed=False)
     p.add_argument("--init", help="checkpoint to sweep (default: newest)")
     p.add_argument("--mode", choices=("shallow-fusion", "rescoring"),
                    default="shallow-fusion")
@@ -624,12 +634,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("eval", help="score a persisted N-best file")
-    _add_common(p, config=False)
+    _add_common(p, config=False, seed=False)
     p.add_argument("--nbest", required=True)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("report", help="summarize the experiment directory")
-    _add_common(p, config=False)
+    _add_common(p, config=False, seed=False)
     p.set_defaults(fn=cmd_report)
 
     return parser

@@ -108,16 +108,20 @@ def _rescore_eval(point, prepared_sets):
 
 
 def run_sweep(spec: SweepSpec, model: HatModel, elm, dev_sets: tuple,
-              beam_cfg: BeamConfig | None = None) -> SweepResult:
-    """Evaluate every grid point on both dev sets and pick the best average."""
+              beam_cfg: BeamConfig) -> SweepResult:
+    """Evaluate every grid point on both dev sets and pick the best average.
+
+    Every search takes its beam from ``beam_cfg``; shallow fusion replaces
+    its fusion weights by the point's, and rescoring's one LM-free decode
+    reads none.
+    """
     if len(dev_sets) != 2:
         raise ValueError(f"expected two dev sets, got {len(dev_sets)}")
-    base = beam_cfg or BeamConfig()
     if spec.mode == "rescoring":
-        prepared = tuple(prepare_corpus(model, elm, c, base) for c in dev_sets)
+        prepared = tuple(prepare_corpus(model, elm, c, beam_cfg) for c in dev_sets)
         evaluate = lambda pt: _rescore_eval(pt, prepared)
     else:
-        evaluate = lambda pt: _shallow_eval(pt, model, elm, dev_sets, base)
+        evaluate = lambda pt: _shallow_eval(pt, model, elm, dev_sets, beam_cfg)
 
     def one_point(pt):
         lam, gam = pt

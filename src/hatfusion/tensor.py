@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import struct
-import threading
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -63,29 +62,17 @@ class Tensor:
         return slice_(self, key)
 
 
-def constant(data, name: str = "") -> Tensor:
+def constant(data) -> Tensor:
     """A non-trainable leaf; gradients never accumulate into it."""
-    return Tensor(data, trainable=False, name=name)
+    return Tensor(data, trainable=False)
 
 
 # ---------------------------------------------------------------------------
 # Tape
 # ---------------------------------------------------------------------------
 
-_tls = threading.local()
-
-
-def _tape_stack() -> list["Tape"]:
-    stack = getattr(_tls, "stack", None)
-    if stack is None:
-        stack = []
-        _tls.stack = stack
-    return stack
-
-
-def _active_tape() -> "Tape | None":
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+# tapes entered and not yet exited, innermost last
+_tape_stack: list["Tape"] = []
 
 
 class Tape:
@@ -93,19 +80,20 @@ class Tape:
 
     Entries are appended in application order, so every input of entry i was
     produced by an earlier entry or is a leaf; the reverse walk in
-    ``backward`` is therefore a valid topological order.  Tapes are
-    single-threaded; the active-tape stack is thread-local.
+    ``backward`` is therefore a valid topological order.  Tapes nest: an
+    operation records only into the innermost tape entered, and the outer
+    one resumes recording once the inner one exits.
     """
 
     def __init__(self):
         self._entries: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _tape_stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        popped = _tape_stack().pop()
+        popped = _tape_stack.pop()
         assert popped is self
 
     def __len__(self) -> int:
@@ -144,9 +132,8 @@ class Tape:
 
 
 def _record(out: Tensor, inputs: tuple[Tensor, ...], bw: Callable) -> Tensor:
-    tape = _active_tape()
-    if tape is not None:
-        tape._record(out, inputs, bw)
+    if _tape_stack:
+        _tape_stack[-1]._record(out, inputs, bw)
     return out
 
 
@@ -737,21 +724,23 @@ class Sgd:
             t.grad[...] = 0.0
 
 
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
+
+
 class Adam:
     """Adaptive-moment estimation with bias correction."""
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
         self._t = 0
 
     def step(self, params: ParamSet) -> None:
         self._t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = _ADAM_BETA1, _ADAM_BETA2
         c1 = 1.0 - b1**self._t
         c2 = 1.0 - b2**self._t
         for name, t in params.items():
@@ -763,5 +752,5 @@ class Adam:
             m += (1.0 - b1) * t.grad
             v *= b2
             v += (1.0 - b2) * t.grad**2
-            t.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            t.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + _ADAM_EPS)
             t.grad[...] = 0.0

@@ -6,7 +6,7 @@ Each regime shares the same skeleton: sample a batch with the config's
 seed, build one loss on one tape, step Adam, log. The expected-error
 regime regenerates its hypothesis lists from the current model every step;
 nothing is cached across steps. Divergence (a non-finite loss) aborts the
-run and restores the last snapshot taken at the checkpoint cadence.
+run and restores the last snapshot, taken every ``_CHECKPOINT_EVERY`` steps.
 
 A config field that its regime does not read must keep its default:
 ``mle`` reads neither the fusion weights nor the beam fields, and ``lfm``
@@ -34,6 +34,7 @@ _DEFAULT_LR = {"mle": 1e-3, "mwer": 1e-4, "lfm": 1e-4}
 _FUSION_FIELDS = ("lam", "gam", "mu", "nu", "theta", "tie_weights")
 _BEAM_FIELDS = ("beam_size", "max_tokens", "frame_cap")
 _UNREAD = {"mle": _FUSION_FIELDS + _BEAM_FIELDS, "mwer": (), "lfm": _FUSION_FIELDS}
+_CHECKPOINT_EVERY = 100
 
 
 @dataclass
@@ -52,7 +53,6 @@ class TrainConfig:
     beam_size: int = 8
     max_tokens: int = 16
     frame_cap: int = 4
-    checkpoint_every: int = 100
     log_every: int = 10
 
     def __post_init__(self):
@@ -67,8 +67,8 @@ class TrainConfig:
             raise ValueError("need steps >= 0 and batch_size >= 1")
         if min(self.lam, self.gam, self.mu, self.nu, self.theta) < 0:
             raise ValueError("fusion weights must be nonnegative")
-        if self.checkpoint_every < 1 or self.log_every < 1:
-            raise ValueError("cadences must be >= 1")
+        if self.log_every < 1:
+            raise ValueError("log_every must be >= 1")
         if self.tie_weights:
             self.mu, self.nu = self.lam, self.gam
         if self.lr == 0.0:
@@ -125,14 +125,13 @@ def _sample(rng, data: list, size: int) -> list:
 class _Snapshot:
     """Rolling restore point for divergence aborts."""
 
-    def __init__(self, params: T.ParamSet, every: int):
+    def __init__(self, params: T.ParamSet):
         self.params = params
-        self.every = every
         self.values = params.copy_values()
         self.step = 0
 
     def update(self, step: int) -> None:
-        if step % self.every == 0:
+        if step % _CHECKPOINT_EVERY == 0:
             self.values = self.params.copy_values()
             self.step = step
 
@@ -150,7 +149,7 @@ def _run_steps(config: TrainConfig, params: T.ParamSet, step_fn, log: RunLog,
     takes no snapshot.
     """
     optimizer = T.Adam(config.lr)
-    snap = _Snapshot(params, config.checkpoint_every)
+    snap = _Snapshot(params)
     for step in range(1, config.steps + 1):
         loss = step_fn(step, optimizer)
         if loss is None:
@@ -171,17 +170,14 @@ def _run_steps(config: TrainConfig, params: T.ParamSet, step_fn, log: RunLog,
         snap.update(step)
 
 
-def train_mle(config: TrainConfig, train_data: list, hat_config: HatConfig | None = None,
-              model: HatModel | None = None) -> tuple[HatModel, RunLog]:
-    """Fit the lattice model by maximum likelihood on reference transcripts."""
+def train_mle(config: TrainConfig, train_data: list, hat_config: HatConfig) -> tuple[HatModel, RunLog]:
+    """Fit a fresh lattice model, built from ``hat_config`` and initialised
+    from ``config.seed``, by maximum likelihood on reference transcripts."""
     if config.regime != "mle":
         raise ValueError(f"train_mle got a {config.regime!r} config")
-    if model is None:
-        if hat_config is None:
-            raise ValueError("need either a model or a model config")
-        model = HatModel(hat_config, seed=config.seed)
     if not train_data:
         raise ValueError("empty training set")
+    model = HatModel(hat_config, seed=config.seed)
     log = RunLog(config)
     rng = _batch_rng(config)
 
@@ -256,11 +252,12 @@ def train_mwer(config: TrainConfig, train_data: list, model: HatModel,
 
 
 def train_lfm(config: TrainConfig, train_data: list, hat: HatModel, elm,
-              lfm: LfmModel | None = None, lfm_config: LfmConfig | None = None,
+              lfm_config: LfmConfig | None = None,
               stats_data: list | None = None) -> tuple[LfmModel, RunLog]:
     """Fit per-token fusion weights against a frozen recognizer and LM.
 
-    Hypothesis lists are decoded LM-free from the frozen model each step.
+    The fusion module is built fresh from ``lfm_config`` (by default one
+    sized to ``hat``) and initialised from ``config.seed``. Hypothesis lists are decoded LM-free from the frozen model each step.
     At every logging step the emitted-weight statistics are recorded for
     the step's batch and, when ``stats_data`` is given, for that fixed set
     (decoded once up front; the frozen model makes reuse exact).
@@ -269,11 +266,9 @@ def train_lfm(config: TrainConfig, train_data: list, hat: HatModel, elm,
         raise ValueError(f"train_lfm got a {config.regime!r} config")
     if not train_data:
         raise ValueError("empty training set")
-    if lfm is None:
-        if lfm_config is None:
-            lfm_config = LfmConfig(vocab_size=hat.config.vocab_size,
-                                   enc_dim=hat.config.hidden_dim)
-        lfm = LfmModel(lfm_config, seed=config.seed)
+    if lfm_config is None:
+        lfm_config = LfmConfig(vocab_size=hat.config.vocab_size, enc_dim=hat.config.hidden_dim)
+    lfm = LfmModel(lfm_config, seed=config.seed)
     beam_cfg = config.beam_config()
     log = RunLog(config)
     rng = _batch_rng(config)

@@ -57,14 +57,36 @@ def pipeline(tmp_path_factory):
     cfg_path = root / "config.json"
     cfg_path.write_text(json.dumps(TINY))
     exp = root / "exp"
-    args = ["--config", str(cfg_path), "--exp-dir", str(exp), "--seed", "3"]
-    assert main(["gen-data", *args]) == 0
-    assert main(["train-mle", *args]) == 0
+    args = ["--config", str(cfg_path), "--exp-dir", str(exp)]
+    # only the commands that draw random numbers take a seed
+    seeded = [*args, "--seed", "3"]
+    assert main(["gen-data", *seeded]) == 0
+    assert main(["train-mle", *seeded]) == 0
     mle = next(exp.glob("models/mle-*.json")).stem
     assert main(["decode", *args, "--split", "test-rare", "--init", mle]) == 0
     nbest = next(exp.glob("nbest/test-rare-*.jsonl")).stem
     return {"root": root, "exp": exp, "config": cfg_path, "mle": mle,
-            "nbest": nbest, "args": args}
+            "nbest": nbest, "args": args, "seeded": seeded}
+
+
+@pytest.fixture(scope="module")
+def lfm_exp(pipeline, tmp_path_factory):
+    """A copy of the pipeline with a trained fusion module; tests only read it."""
+    exp = tmp_path_factory.mktemp("lfm") / "exp"
+    shutil.copytree(pipeline["exp"], exp)
+    assert main(["train-lfm", "--config", str(pipeline["config"]), "--exp-dir", str(exp),
+                 "--seed", "5", "--init", pipeline["mle"]]) == 0
+    return {"exp": exp, "lfm": next(exp.glob("models/lfm-*-s5.json")).stem}
+
+
+def edited_nbest(pipeline, path, edit):
+    """The pipeline's N-best file with ``edit`` applied to every record."""
+    src = pipeline["exp"] / "nbest" / (pipeline["nbest"] + ".jsonl")
+    records = [json.loads(line) for line in src.read_text().splitlines()]
+    for rec in records:
+        edit(rec)
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    return path
 
 
 class TestParsing:
@@ -86,15 +108,33 @@ class TestParsing:
 
     def test_unknown_config_section(self, tmp_path):
         bad = tmp_path / "bad.json"
-        bad.write_text('{"optimizer": {"kind": "adam"}}')
-        assert main(["gen-data", "--config", str(bad),
-                     "--exp-dir", str(tmp_path / "e")]) == 2
+        for text in ('{"optimizer": {"kind": "adam"}}', '{"pinned": ["seed"]}'):
+            bad.write_text(text)
+            assert main(["gen-data", "--config", str(bad),
+                         "--exp-dir", str(tmp_path / "e")]) == 2
+        assert not (tmp_path / "e").exists()
 
-    def test_pinned_key_rejects_override(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({**TINY, "pinned": ["seed"]}))
-        assert main(["gen-data", "--config", str(cfg),
-                     "--exp-dir", str(tmp_path / "e"), "--seed", "7"]) == 2
+    @pytest.mark.parametrize("command,flag", [
+        (["decode", "--split", "dev-common"], ["--seed", "7"]),
+        (["sweep"], ["--seed", "7"]),
+        (["rescore", "--nbest", "x"], ["--seed", "7"]),
+        (["rescore", "--nbest", "x"], ["--config", "cfg.json"]),
+    ], ids=["decode-seed", "sweep-seed", "rescore-seed", "rescore-config"])
+    def test_flag_nothing_reads_exits_2(self, tmp_path, command, flag):
+        with pytest.raises(SystemExit) as e:
+            main([*command, "--exp-dir", str(tmp_path), *flag])
+        assert e.value.code == 2
+
+    @pytest.mark.parametrize("flags", [["--lfm", "lfm-x", "--mu", "0.1"],
+                                       ["--lfm", "lfm-x", "--nu", "0.1"],
+                                       ["--init", "mle-x"]],
+                             ids=["lfm-mu", "lfm-nu", "init-without-lfm"])
+    def test_rescore_flags_the_branch_ignores_exit_2(self, pipeline, tmp_path, flags):
+        exp = copy_exp(pipeline, tmp_path)
+        before = tree(exp)
+        assert main(["rescore", "--exp-dir", str(exp), "--nbest", pipeline["nbest"],
+                     *flags]) == 2
+        assert tree(exp) == before
 
     def test_unsmoothed_elm_rejected_before_writing(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -169,6 +209,24 @@ class TestMissingArtifacts:
         bad.write_text('{"uid": "x"}\n')
         assert main(["eval", "--exp-dir", str(exp), "--nbest", str(bad)]) == 3
         assert bad.name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "report"])
+    def test_nbest_without_reference_words_exits_3(self, pipeline, tmp_path, capsys,
+                                                   command):
+        exp = copy_exp(pipeline, tmp_path)
+        bad = edited_nbest(pipeline, exp / "nbest" / "no-refs.jsonl",
+                           lambda rec: rec.update(reference=[]))
+        extra = ["--nbest", bad.name] if command == "eval" else []
+        assert main([command, "--exp-dir", str(exp), *extra]) == 3
+        assert bad.name in capsys.readouterr().err
+
+    def test_rescore_lfm_unknown_uid_exits_3(self, pipeline, lfm_exp, tmp_path, capsys):
+        bad = edited_nbest(pipeline, tmp_path / "elsewhere.jsonl",
+                           lambda rec: rec.update(uid="elsewhere-1"))
+        assert main(["rescore", "--exp-dir", str(lfm_exp["exp"]), "--nbest", str(bad),
+                     "--lfm", lfm_exp["lfm"], "--init", pipeline["mle"]]) == 3
+        err = capsys.readouterr().err
+        assert "elsewhere-1" in err and bad.name in err
 
     def test_sweep_summary_without_best_ilm_exits_3(self, pipeline, tmp_path, capsys):
         exp = tmp_path / "exp"
@@ -301,6 +359,28 @@ class TestConfigSections:
                      "--init", pipeline["mle"], "--beam", "2"]) == 0
         assert run_log_config(exp, "logs/mwer-*.jsonl")["beam_size"] == 2
 
+    def test_rescore_lfm_of_fused_list_exits_2(self, pipeline, lfm_exp, tmp_path, capsys):
+        # the scalar path refuses the same list with the same code
+        fused = edited_nbest(pipeline, tmp_path / "fused.jsonl",
+                             lambda rec: rec.update(ilm_weight=0.3))
+        for weights in (["--lfm", lfm_exp["lfm"], "--init", pipeline["mle"]], ["--mu", "0.1"]):
+            assert main(["rescore", "--exp-dir", str(lfm_exp["exp"]), "--nbest", str(fused),
+                         *weights]) == 2
+            assert "without LM fusion" in capsys.readouterr().err
+
+    def test_rescore_lfm_against_another_recognizer_exits_2(self, pipeline, lfm_exp,
+                                                            tmp_path, capsys):
+        exp = tmp_path / "exp"
+        shutil.copytree(lfm_exp["exp"], exp)
+        wide = write_config(tmp_path / "wide.json", hat={"hidden_dim": 8})
+        assert main(["train-mle", "--config", str(wide), "--exp-dir", str(exp),
+                     "--seed", "4", "--steps", "1"]) == 0
+        other = next(exp.glob("models/mle-*-s4.json")).stem
+        assert main(["rescore", "--exp-dir", str(exp), "--nbest", pipeline["nbest"],
+                     "--lfm", lfm_exp["lfm"], "--init", other]) == 2
+        assert "encoder states" in capsys.readouterr().err
+        assert not list(exp.glob("nbest/*-lfm.jsonl"))
+
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_decode_k_below_1_exits_2(self, pipeline, tmp_path, k):
         exp = copy_exp(pipeline, tmp_path)
@@ -394,7 +474,7 @@ class TestPipeline:
                                                 for b in (0.0, 0.3)]
 
     def test_mwer_and_lfm_commands(self, pipeline):
-        args = pipeline["args"]
+        args = pipeline["seeded"]
         assert main(["train-mwer", *args, "--init", pipeline["mle"],
                      "--lambda", "0.2", "--gamma", "0.3", "--tie"]) == 0
         assert main(["train-lfm", *args, "--init", pipeline["mle"]]) == 0
@@ -419,7 +499,7 @@ class TestPipeline:
                     assert np.isfinite(value)
 
     def test_numerical_failures_exit_4(self, pipeline, monkeypatch):
-        monkeypatch.setattr(cli, "_nbest_wer", lambda lists: float("nan"))
+        monkeypatch.setattr(cli, "_nbest_wer", lambda lists, src: float("nan"))
         code = main(["eval", "--exp-dir", str(pipeline["exp"]),
                      "--nbest", pipeline["nbest"]])
         assert code == 4

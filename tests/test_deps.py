@@ -1,4 +1,5 @@
-"""The package's runtime imports: the standard library and numpy, nothing else."""
+"""The package's runtime imports: the standard library and numpy, nothing
+else, and every imported name is read."""
 
 import ast
 import sys
@@ -16,6 +17,19 @@ def imported_roots(tree):
             yield node.module.split(".")[0]
 
 
+def unused_imports(tree) -> list:
+    """Names an import binds that no expression in the module reads;
+    ``from __future__`` imports bind nothing."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {alias.asname or alias.name for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read)
+
+
 def test_imports_are_stdlib_numpy_or_own():
     files = sorted(SRC.glob("*.py"))
     assert files
@@ -23,3 +37,19 @@ def test_imports_are_stdlib_numpy_or_own():
                for root in imported_roots(ast.parse(f.read_text()))
                if root not in ALLOWED]
     assert not outside, outside
+
+
+def test_every_imported_name_is_read():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    unused = [f"{f.name}: {name}" for f in files
+              for name in unused_imports(ast.parse(f.read_text()))]
+    assert not unused, unused
+
+
+def test_unused_import_check_sees_each_form():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import os.path\nimport numpy as np\nfrom json import dumps, loads\n"
+                     "from . import tensor as T\n"
+                     "x = np.zeros(1)\ny: T.Tensor = loads('1')\n")
+    assert unused_imports(tree) == ["dumps", "os"]

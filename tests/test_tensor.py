@@ -127,6 +127,19 @@ class TestBackward:
             assert not z.is_leaf
         assert len(tape) == 1
 
+    def test_nested_tape_records_only_into_the_inner_one(self):
+        x = T.Tensor([1.0, 2.0], trainable=True)
+        with T.Tape() as outer:
+            a = T.scale(x, 2.0)
+            with T.Tape() as inner:
+                b = T.tanh(a)
+                c = T.exp(b)
+            d = T.scale(c, 3.0)
+        assert [e[0] for e in inner._entries] == [b, c]
+        assert [e[0] for e in outer._entries] == [a, d]
+        y = T.scale(x, 4.0)
+        assert y.is_leaf and len(outer) == 2
+
 
 def _rand(rng, *shape):
     return rng.normal(size=shape)

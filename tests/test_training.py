@@ -131,9 +131,9 @@ class TestMle:
         assert a.params.to_bytes() == b.params.to_bytes()
         assert log_a.to_bytes() == log_b.to_bytes()
 
-    def test_divergence_restores_snapshot(self, task):
-        cfg = TrainConfig(regime="mle", steps=50, batch_size=4, seed=1,
-                          lr=1.0, checkpoint_every=5)
+    def test_divergence_restores_snapshot(self, task, monkeypatch):
+        monkeypatch.setattr(training, "_CHECKPOINT_EVERY", 5)
+        cfg = TrainConfig(regime="mle", steps=50, batch_size=4, seed=1, lr=1.0)
         # a huge step size blows the loss up; the run must stop at the last
         # snapshot instead of returning garbage
         with warnings.catch_warnings():
@@ -244,11 +244,12 @@ class TestLfm:
         pairs = [(u, prepare_rescoring(u, beam_search_plain(u, hat_model, bc),
                                        hat_model, elm))
                  for u in task.dev_rare[:6]]
-        lfm = LfmModel(self.lfm_cfg(task, frozen), seed=4)
-        before = float(lfm_loss(pairs, hat_model, lfm).data)
+        lfm_cfg = self.lfm_cfg(task, frozen)
+        # train_lfm builds the same module from the config's seed
+        before = float(lfm_loss(pairs, hat_model, LfmModel(lfm_cfg, seed=4)).data)
         cfg = TrainConfig(regime="lfm", steps=40, batch_size=3, seed=4, beam_size=4,
                           lr=3e-3)
-        train_lfm(cfg, task.train, hat_model, elm, lfm=lfm)
+        lfm, _ = train_lfm(cfg, task.train, hat_model, elm, lfm_config=lfm_cfg)
         after = float(lfm_loss(pairs, hat_model, lfm).data)
         assert after < before
 
@@ -291,7 +292,7 @@ class TestEmptyBatch:
         monkeypatch.setattr(training, "beam_search_plain", search)
         monkeypatch.setattr(training._Snapshot, "update", update)
         cfg = TrainConfig(regime=regime, steps=4, batch_size=batch_size, seed=5,
-                          beam_size=4, log_every=1, checkpoint_every=1)
+                          beam_size=4, log_every=1)
         model = tiny_hat(task)
         model.params.set_values(warm.params.copy_values())
         with warnings.catch_warnings():
