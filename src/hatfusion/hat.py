@@ -349,10 +349,17 @@ def load_checkpoint(base) -> HatModel:
     header = json.loads(path.read_text())
     if header.get("kind") != "hat":
         raise ValueError(f"not a transducer checkpoint: {base}")
+    if not isinstance(header.get("config"), dict):
+        raise ValueError(f"{path}: header has no config")
     config = dict(header["config"])
     # older headers record the encoder kind; only the recurrent one exists now
     if not config.pop("recurrent_encoder", True):
         raise ValueError(f"{path}: feed-forward encoder checkpoints are no longer supported")
     model = HatModel(HatConfig(**config))
-    model.params.set_values(T.ParamSet.load(base.parent / (base.name + ".params")).copy_values())
+    params_path = base.parent / (base.name + ".params")
+    values = T.ParamSet.load(params_path).copy_values()
+    try:
+        model.params.set_values(values)
+    except ValueError as e:
+        raise ValueError(f"{params_path} does not match {path.name}: {e}") from None
     return model

@@ -14,6 +14,12 @@ The transformer is pre-norm: each sublayer adds its output to the residual
 stream after layer normalization. Encoder states enter as constants; only
 LFM parameters ever receive gradients here.
 
+Training, rescoring and the weight statistics run the module once per
+N-best list, not once per hypothesis, on the right-padded id block that
+``LfmModel.forward`` describes, and drop the padded positions afterwards.
+The constant-head identity with scalar rescoring still holds bit for bit,
+because a zeroed head emits exactly its bias at every position.
+
 ``prepare_rescoring`` is the one place that attaches the exact full sum and
 the per-token ILM and ELM scores to a list; it leaves the search scores
 alone, so a fused list still recombines to its stored ``combined``.
@@ -101,18 +107,31 @@ class LfmModel:
         heads = []
         for h in range(self.config.num_heads):
             s = slice(h * dh, (h + 1) * dh)
-            heads.append(T.scaled_dot_attention(q[:, s], k[:, s], v[:, s], causal=causal))
-        return T.matmul(T.concat(heads, axis=1), self._p(prefix + "o"))
+            heads.append(T.scaled_dot_attention(q[..., s], k[..., s], v[..., s], causal=causal))
+        return T.matmul(T.concat(heads, axis=-1), self._p(prefix + "o"))
 
     def _ln(self, x: T.Tensor, name: str) -> T.Tensor:
         return T.layer_normalize(x, self._p(name + "_g"), self._p(name + "_b"))
 
-    def forward(self, enc_states: np.ndarray, tokens) -> T.Tensor:
-        """Per-token weight pairs, (L, 2); column 0 is mu, column 1 is nu."""
-        ids = np.asarray(list(tokens), dtype=np.int64)
+    def forward(self, enc_states: np.ndarray, ids) -> T.Tensor:
+        """Weight pairs (..., L, 2) for token ids (..., L); column 0 is mu, 1 is nu.
+
+        A 1-D sequence is one hypothesis. A (K, L) block holds the K
+        hypotheses of one N-best list, each right-padded to L with id 0, all
+        read against the one utterance's encoder states (T, enc_dim), so the
+        input projection and every layer's cross-attention keys and values
+        are computed once per call. A real position's weights do not depend
+        on the padding, so no key-padding mask is needed: the causal mask
+        keeps every real position from seeing the later padding,
+        cross-attention reads only the utterance's frames, and layer norm,
+        the FFN and the head act row by row. Weights at padded positions are
+        meaningless; callers drop them. A block row equals the row's own
+        1-D forward up to the last bits of the stacked matrix products.
+        """
+        ids = np.asarray(ids, dtype=np.int64)
         if ids.size == 0:
-            return T.constant(np.zeros((0, 2)))
-        if ids.size and (ids.min() < 0 or ids.max() >= self.config.vocab_size):
+            return T.constant(np.zeros(ids.shape + (2,)))
+        if ids.min() < 0 or ids.max() >= self.config.vocab_size:
             raise ValueError("token id out of range for the fusion module")
         enc_states = np.asarray(enc_states, dtype=float)
         if enc_states.ndim != 2 or enc_states.shape[1] != self.config.enc_dim:
@@ -121,7 +140,7 @@ class LfmModel:
             )
         x = T.add(
             T.embedding_lookup(self._p("emb"), ids),
-            T.constant(_positional_code(ids.size, self.config.model_dim)),
+            T.constant(_positional_code(ids.shape[-1], self.config.model_dim)),
         )
         encf = T.matmul(T.constant(enc_states), self._p("enc_in"))
         for i in range(self.config.num_layers):
@@ -232,35 +251,53 @@ def rescore_scalar(nbest: NBestList, mu: float, nu: float) -> NBestList:
 
 def rescore_with_lfm(utterance: Utterance, nbest: NBestList, hat: HatModel, elm,
                      lfm: LfmModel) -> NBestList:
-    """Re-rank with per-token weights from the fusion module.
+    """Re-rank with per-token weights from one fusion-module pass over the list.
 
     The per-token scores are read off the prepared list; ``hat`` only
     encodes the utterance, and ``elm`` is unused.
     """
     _require_lm_free(nbest)
-    enc = hat.encode_np(utterance.acoustics)
+    w = lfm.forward(hat.encode_np(utterance.acoustics), _padded_ids(nbest.hyps)).data
     scores = []
-    for h in nbest.hyps:
-        w = lfm.forward(enc, h.tokens).data
-        scores.append(_weighted_score(h.e2e_fullsum, w[:, 0], h.ilm_scores,
-                                      w[:, 1], h.elm_scores))
+    for h, wh in zip(nbest.hyps, w):
+        n = len(h.tokens)
+        scores.append(_weighted_score(h.e2e_fullsum, wh[:n, 0], h.ilm_scores,
+                                      wh[:n, 1], h.elm_scores))
     return _reranked(nbest, scores)
 
 
+def _padded_ids(hyps: list) -> np.ndarray:
+    """The list's token ids as one (K, L_max) block, rows right-padded with 0."""
+    ids = np.zeros((len(hyps), max((len(h.tokens) for h in hyps), default=0)), dtype=np.int64)
+    for row, h in zip(ids, hyps):
+        row[:len(h.tokens)] = h.tokens
+    return ids
+
+
 def _freeze_batch(batch: list, hat: HatModel) -> list:
-    """Frozen-model scores are plain numbers; gather them before taping."""
+    """Frozen-model scores are plain numbers; gather them before taping.
+
+    Each list becomes its padded id block and the matching (K, L_max, 2)
+    block of per-token score pairs [-s_l, r_l], zero at padded positions.
+    """
     prepared = []
     for utterance, nbest in batch:
         _require_lm_free(nbest)
         if not nbest.hyps:
             continue
         reference = list(utterance.reference)
+        ids = _padded_ids(nbest.hyps)
+        pairs = np.zeros(ids.shape + (2,))
+        for row, h in zip(pairs, nbest.hyps):
+            row[:len(h.tokens), 0] = np.negative(h.ilm_scores)
+            row[:len(h.tokens), 1] = h.elm_scores
         prepared.append(
             (
                 hat.encode_np(utterance.acoustics),
                 [nwe(h.tokens, reference) for h in nbest.hyps],
                 np.array([h.e2e_fullsum for h in nbest.hyps]),
-                nbest.hyps,
+                ids,
+                pairs,
             )
         )
     return prepared
@@ -271,7 +308,10 @@ def lfm_loss(batch: list, hat: HatModel, lfm: LfmModel) -> T.Tensor:
 
     Raw score per hypothesis: e2e_fullsum - Σ mu_l s_l + Σ nu_l r_l. Only
     the weights are tensor-valued; the scores are read off the prepared
-    lists as constants. ``hat`` only encodes the utterances.
+    lists as constants. ``hat`` only encodes the utterances. Each list takes
+    one fusion-module pass over its padded block, and its weighted sums are
+    three tape entries whatever its size: multiply by the score pairs,
+    contract the pair axis, contract the token axis (padding adds zeros).
     """
     if not batch:
         raise ValueError("lfm loss: empty batch")
@@ -279,16 +319,11 @@ def lfm_loss(batch: list, hat: HatModel, lfm: LfmModel) -> T.Tensor:
     if not prepared:
         raise ValueError("lfm loss: every list in the batch was empty")
     per_utt = []
-    for enc, errors, e2e, hyps in prepared:
-        parts = []
-        for h in hyps:
-            w = lfm.forward(enc, h.tokens)
-            contrib = T.add(
-                T.scale(T.dot(w[:, 0], T.constant(h.ilm_scores)), -1.0),
-                T.dot(w[:, 1], T.constant(h.elm_scores)),
-            )
-            parts.append(contrib[None])
-        raw = T.add(T.constant(e2e), T.concat(parts, axis=0))
+    for enc, errors, e2e, ids, pairs in prepared:
+        w = lfm.forward(enc, ids)
+        per_token = T.matmul(T.multiply(w, T.constant(pairs)), T.constant(np.ones(2)))
+        contrib = T.matmul(per_token, T.constant(np.ones(ids.shape[1])))
+        raw = T.add(T.constant(e2e), contrib)
         per_utt.append(renormalized_expectation(raw, errors)[None])
     return T.mean_vec(T.concat(per_utt, axis=0))
 
@@ -315,22 +350,24 @@ def train_lfm_step(batch: list, hat: HatModel, lfm: LfmModel, optimizer) -> floa
 
 
 def weight_stats(dataset: list, lfm: LfmModel, hat: HatModel) -> WeightStats:
-    """Mean and spread of emitted weights over all tokens of all hypotheses."""
+    """Mean and spread of emitted weights over all tokens of all hypotheses.
+
+    One fusion-module pass per list; padded positions are dropped, so an
+    empty hypothesis adds nothing. A dataset without a single token is
+    refused.
+    """
     if not dataset:
         raise ValueError("weight_stats: empty dataset")
-    mus, nus = [], []
+    mus, nus = [np.zeros(0)], [np.zeros(0)]
     for utterance, nbest in dataset:
-        enc = hat.encode_np(utterance.acoustics)
-        for h in nbest.hyps:
-            if not h.tokens:
-                continue
-            w = lfm.forward(enc, list(h.tokens)).data
-            mus.append(w[:, 0])
-            nus.append(w[:, 1])
-    if not mus:
-        raise ValueError("weight_stats: no tokens to summarize")
+        w = lfm.forward(hat.encode_np(utterance.acoustics), _padded_ids(nbest.hyps)).data
+        for h, wh in zip(nbest.hyps, w):
+            mus.append(wh[:len(h.tokens), 0])
+            nus.append(wh[:len(h.tokens), 1])
     mu = np.concatenate(mus)
     nu = np.concatenate(nus)
+    if mu.size == 0:
+        raise ValueError("weight_stats: no tokens to summarize")
     return WeightStats(
         mean_mu=float(np.mean(mu)),
         std_mu=float(np.std(mu)),
@@ -353,10 +390,17 @@ def load_lfm(base) -> LfmModel:
     meta = json.loads(path.read_text())
     if meta.get("kind") != "lfm":
         raise ValueError(f"not a fusion-module checkpoint: {meta.get('kind')!r}")
+    if not isinstance(meta.get("config"), dict):
+        raise ValueError(f"{path}: header has no config")
     config = dict(meta["config"])
     # older headers record the head kind; only the softplus head exists now
     if not config.pop("nonnegative", True):
         raise ValueError(f"{path}: signed-head fusion checkpoints are no longer supported")
     lfm = LfmModel(LfmConfig(**config))
-    lfm.params.set_values(T.ParamSet.load(base.parent / (base.name + ".params")).copy_values())
+    params_path = base.parent / (base.name + ".params")
+    values = T.ParamSet.load(params_path).copy_values()
+    try:
+        lfm.params.set_values(values)
+    except ValueError as e:
+        raise ValueError(f"{params_path} does not match {path.name}: {e}") from None
     return lfm

@@ -127,8 +127,11 @@ class Tape:
                 if inp.is_leaf and not inp.trainable:
                     continue
                 if inp.grad is None:
-                    inp.grad = np.zeros_like(inp.data)
-                inp.grad += g
+                    # 0.0 + g, as zeros-then-add gave it (-0.0 becomes +0.0),
+                    # without first filling an array with zeros
+                    inp.grad = np.add(g, 0.0, out=np.empty_like(inp.data))
+                else:
+                    inp.grad += g
 
 
 def _record(out: Tensor, inputs: tuple[Tensor, ...], bw: Callable) -> Tensor:
@@ -425,36 +428,36 @@ def layer_normalize(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False) -> Tensor:
     """softmax(q kᵀ / sqrt(d)) v with optional causal masking.
 
-    q: (Lq, d), k: (Lk, d), v: (Lk, dv) -> (Lq, dv).  With ``causal`` set,
+    q: (..., Lq, d), k: (..., Lk, d), v: (..., Lk, dv) -> (..., Lq, dv).
+    The leading axes stack independent attentions; k and v carry the same
+    leading axes as q, or are one 2-D pair shared by every stacked query
+    block (their gradients then sum over the stack). With ``causal`` set,
     query position i attends to key positions j <= i only.
     """
-    if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
-        raise ValueError(
-            f"scaled_dot_attention: need 2-D inputs, got {q.shape}, {k.shape}, {v.shape}"
-        )
-    if q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]:
+    qd, kd, vd = q.data, k.data, v.data
+    if (qd.ndim < 2 or kd.ndim not in (2, qd.ndim) or kd.shape[:-2] not in ((), qd.shape[:-2])
+            or kd.shape[-1] != qd.shape[-1] or vd.shape[:-1] != kd.shape[:-1]):
         raise ValueError(
             f"scaled_dot_attention: shapes {q.shape}, {k.shape}, {v.shape} do not conform"
         )
-    inv_sqrt_d = 1.0 / np.sqrt(q.shape[1])
-    scores = (q.data @ k.data.T) * inv_sqrt_d
+    inv_sqrt_d = 1.0 / np.sqrt(qd.shape[-1])
+    scores = (qd @ np.swapaxes(kd, -1, -2)) * inv_sqrt_d
     if causal:
-        lq, lk = scores.shape
+        lq, lk = scores.shape[-2:]
         mask = np.triu(np.ones((lq, lk), dtype=bool), k=1)
         scores = np.where(mask, -np.inf, scores)
     m = np.max(scores, axis=-1, keepdims=True)
     e = np.exp(scores - m)
     attn = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(attn @ v.data)
-    qd, kd, vd = q.data, k.data, v.data
+    out = Tensor(attn @ vd)
 
     def bw(g):
-        gv = attn.T @ g
-        ga = g @ vd.T
+        gv = np.swapaxes(attn, -1, -2) @ g
+        ga = g @ np.swapaxes(vd, -1, -2)
         gs = attn * (ga - np.sum(ga * attn, axis=-1, keepdims=True))
         gq = (gs @ kd) * inv_sqrt_d
-        gk = (gs.T @ qd) * inv_sqrt_d
-        return gq, gk, gv
+        gk = (np.swapaxes(gs, -1, -2) @ qd) * inv_sqrt_d
+        return gq, _unbroadcast(gk, kd.shape), _unbroadcast(gv, vd.shape)
 
     return _record(out, (q, k, v), bw)
 
@@ -639,6 +642,18 @@ class ParamSet:
         return {k: v.data.copy() for k, v in self._params.items()}
 
     def set_values(self, values: dict[str, np.ndarray]) -> None:
+        """Overwrite every parameter; ``values`` must hold exactly this set's
+        names and shapes, or nothing is written and ValueError names the
+        first parameter that differs."""
+        for k in values:
+            if k not in self._params:
+                raise ValueError(f"unexpected parameter {k!r}")
+        for k, t in self._params.items():
+            if k not in values:
+                raise ValueError(f"missing parameter {k!r}")
+            if np.shape(values[k]) != t.data.shape:
+                raise ValueError(f"parameter {k!r} has shape {np.shape(values[k])}, "
+                                 f"expected {t.data.shape}")
         for k, t in self._params.items():
             t.data[...] = values[k]
 

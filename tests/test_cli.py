@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import hatfusion.cli as cli
+from hatfusion import tensor as T
 from hatfusion.cli import main
 from hatfusion.decode import load_nbest
 from hatfusion.lfm import rescore_scalar
@@ -262,6 +263,18 @@ class TestMissingArtifacts:
         log.write_text(text + "\n")
         assert main(["report", "--exp-dir", str(exp)]) == 3
         assert log.name in capsys.readouterr().err
+
+    def test_lfm_params_unlike_header_exit_3(self, pipeline, lfm_exp, tmp_path, capsys):
+        exp = tmp_path / "exp"
+        shutil.copytree(lfm_exp["exp"], exp)
+        path = exp / "models" / (lfm_exp["lfm"] + ".params")
+        params = T.ParamSet.load(path)
+        params.add("stray", np.zeros(3))
+        params.save(path)
+        assert main(["rescore", "--exp-dir", str(exp), "--nbest", pipeline["nbest"],
+                     "--lfm", lfm_exp["lfm"], "--init", pipeline["mle"]]) == 3
+        err = capsys.readouterr().err
+        assert path.name in err and "stray" in err
 
     def test_feedforward_checkpoint_exits_3(self, pipeline, tmp_path, capsys):
         # older headers stored the encoder kind; a feed-forward one cannot be built

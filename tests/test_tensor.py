@@ -59,6 +59,19 @@ class TestPrimitiveValues:
         with pytest.raises(ValueError, match="out of range"):
             T.embedding_lookup(T.constant(np.zeros((3, 2))), [0, 3])
 
+    @pytest.mark.parametrize("q,k,v", [
+        ((3,), (4, 3), (4, 2)),  # q needs a sequence axis
+        ((2, 4, 3), (3, 4, 3), (3, 4, 2)),  # stacked k/v must match q's leading axes
+        ((2, 4, 3), (1, 4, 3), (1, 4, 2)),  # ... without broadcasting
+        ((4, 3), (2, 4, 3), (2, 4, 2)),  # only q may stack over shared k/v
+        ((4, 3), (5, 2), (5, 2)),  # d differs
+        ((4, 3), (5, 3), (6, 2)),  # Lk differs
+        ((2, 4, 3), (5, 3), (2, 5, 2)),  # k shared, v stacked
+    ])
+    def test_attention_rejects_shapes_that_do_not_conform(self, q, k, v):
+        with pytest.raises(ValueError, match="do not conform"):
+            T.scaled_dot_attention(*(T.constant(np.zeros(s)) for s in (q, k, v)))
+
     def test_attention_causal_ignores_future(self):
         rng = np.random.default_rng(1)
         q = T.constant(rng.normal(size=(4, 3)))
@@ -331,6 +344,21 @@ class TestParamSet:
         for cut in range(len(T.ParamSet.MAGIC) + 1, len(blob)):
             with pytest.raises(ValueError):
                 T.ParamSet.from_bytes(blob[:cut])
+
+    @pytest.mark.parametrize("edit,name", [
+        (lambda v: v.update(w=v["w"][:1]), "w"),  # (1, 3) would broadcast into (4, 3)
+        (lambda v: v.update(s=np.ones(1)), "s"),
+        (lambda v: v.pop("b"), "b"),
+        (lambda v: v.update(extra=np.zeros(2)), "extra"),
+    ])
+    def test_set_values_refuses_other_names_or_shapes(self, edit, name):
+        ps = self._make()
+        before = ps.to_bytes()
+        values = ps.copy_values()
+        edit(values)
+        with pytest.raises(ValueError, match=repr(name)):
+            ps.set_values({k: v + 1.0 for k, v in values.items()})
+        assert ps.to_bytes() == before
 
     def test_zero_grads(self):
         ps = self._make()
