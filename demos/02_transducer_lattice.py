@@ -59,7 +59,7 @@ print("difference:", abs(full - total))
 
 # the internal LM is the label softmax evaluated with no acoustic projection
 ilm = model.internal_lm_log_prob(utt.reference)
-print("internal LM per-token scores:", ilm.per_token, "total", ilm.total)
+print("internal LM per-token scores:", ilm, "total", np.sum(ilm))
 
 # Sequence probabilities sum to one.  The joint activation is a tanh, so the
 # blank logit never falls below bias - |w|_1, blank probability never below

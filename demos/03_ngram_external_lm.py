@@ -42,7 +42,8 @@ print("mass on the expected follower:", round(float(dist[6]), 4))
 
 # scoring a whole sequence returns per-token log-probs
 scores = lm.score_tokens(model, [5, 6, 2])
-print("per-token log-probs for [5, 6, 2]:", np.round(scores.per_token, 3))
+print("per-token log-probs for [5, 6, 2]:", np.round(scores, 3),
+      "total", round(float(np.sum(scores)), 3))
 
 # word 6 is always preceded by 5, so its own context has seen only the
 # ordinary words 0..4 follow it; add-k gives 5 and 6 small but nonzero mass
@@ -54,5 +55,4 @@ print("rows sum to one:", float(dist.sum()), float(tail.sum()))
 lm.save_lm(model, "demo.lm")
 back = lm.load_lm("demo.lm")
 print("round-trip identical:",
-      np.array_equal(lm.score_tokens(model, [1, 5, 6]).per_token,
-                     lm.score_tokens(back, [1, 5, 6]).per_token))
+      np.array_equal(lm.score_tokens(model, [1, 5, 6]), lm.score_tokens(back, [1, 5, 6])))

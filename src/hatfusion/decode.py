@@ -29,6 +29,10 @@ machinery, and with lam = gam = 0 the fused search is bit-identical to it.
 Its hypotheses carry empty ILM and ELM score arrays, not per-token zeros,
 so a plain list cannot pass for one whose LM scores are attached.
 
+Both searches return at least one hypothesis: the acoustics are never
+empty, each frame's pool holds every frontier prefix, and the beam keeps
+the pool's best ``beam_size >= 1``. An empty list can come only from a file.
+
 ``rescore_components`` only adds the exact full sum. The per-token ILM and
 ELM scores of a list are attached once, by ``lfm.prepare_rescoring``; every
 later stage reads them off the hypotheses.
@@ -272,7 +276,7 @@ def exhaustive_search(utterance: Utterance, model: HatModel, elm, lam: float, ga
         seqs = [[]] if n == 0 else [list(s) for s in np.ndindex(*([v] * n))]
         full, ilm_tot = model.score_sequences(enc, seqs)
         for seq, fs, si in zip(seqs, full.data, ilm_tot.data):
-            sr = float(np.sum(score_tokens(elm, seq).per_token)) if elm is not None else 0.0
+            sr = float(np.sum(score_tokens(elm, seq))) if elm is not None else 0.0
             score = (fs - lam * si) + gam * sr
             key = (-score, tuple(seq))
             if best_key is None or key < best_key:
@@ -318,12 +322,39 @@ def save_nbest(lists, path) -> None:
             f.write(json.dumps(rec) + "\n")
 
 
+_NUM = (int, float)  # compared by type(), so a bool is no number
+# key -> its allowed types, or [types] for a list of such items
+_RECORD_KEYS = {"uid": (str,), "reference": [(int,)], "ilm_weight": _NUM, "elm_weight": _NUM,
+                "hyps": (list,)}
+_HYP_KEYS = {"tokens": [(int,)], "e2e_search": _NUM, "e2e_fullsum": _NUM + (type(None),),
+             "ilm": [_NUM], "elm": [_NUM], "combined": _NUM, "truncated": (bool,)}
+
+
+def _check_keys(rec, keys: dict) -> None:
+    if type(rec) is not dict:
+        raise ValueError("not a JSON object")
+    for key, kind in keys.items():
+        value = rec.get(key)
+        ok = (type(value) is list and all(type(v) in kind[0] for v in value)
+              if isinstance(kind, list) else type(value) in kind)
+        if key not in rec or not ok:
+            raise ValueError(f"{key!r} is missing or of the wrong type")
+
+
 def load_nbest(path) -> list:
+    """Read an N-best file; a record that breaks the schema (keys and their
+    types) raises ``ValueError`` naming the file and line."""
     out = []
-    for line in Path(path).read_text().splitlines():
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         if not line.strip():
             continue
-        rec = json.loads(line)
+        try:
+            rec = json.loads(line)
+            _check_keys(rec, _RECORD_KEYS)
+            for h in rec["hyps"]:
+                _check_keys(h, _HYP_KEYS)
+        except ValueError as e:
+            raise ValueError(f"{path}:{lineno}: {e}") from None
         hyps = [
             Hypothesis(
                 tokens=tuple(h["tokens"]),

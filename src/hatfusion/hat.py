@@ -68,12 +68,6 @@ class LatticeLocals:
         return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-@dataclass
-class IlmScore:
-    per_token: np.ndarray
-    total: float
-
-
 class HatModel:
     """Encoder + prediction network + factorized joint, all trainable."""
 
@@ -263,10 +257,11 @@ class HatModel:
         enc = self.encode(utterance.acoustics)
         return T.slice_(self.full_sum_log_probs(enc, [list(labels)]), 0)
 
-    def internal_lm_log_prob(self, labels) -> IlmScore:
+    def internal_lm_log_prob(self, labels) -> np.ndarray:
+        """Per-token internal-LM log-probs s_l of ``labels``: (U,)."""
         tokens = list(_check_ids(labels, self.config.vocab_size, "label"))
         if not tokens:
-            return IlmScore(per_token=np.zeros(0), total=0.0)
+            return np.zeros(0)
         dstates = self.predict_states([tokens])
         dproj = T.matmul(dstates, self._p("joint_wd"))
         lp = T.log_softmax(
@@ -276,8 +271,7 @@ class HatModel:
             ),
             axis=-1,
         )
-        per = lp.data[0, np.arange(len(tokens)), tokens]
-        return IlmScore(per_token=per, total=float(np.sum(per)))
+        return lp.data[0, np.arange(len(tokens)), tokens]
 
     def mle_loss(self, batch: list[Utterance]) -> T.Tensor:
         if not batch:

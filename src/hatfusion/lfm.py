@@ -231,8 +231,8 @@ def prepare_rescoring(utterance: Utterance, nbest: NBestList, hat: HatModel, elm
     hyps = []
     for h in out.hyps:
         toks = list(h.tokens)
-        hyps.append(replace(h, ilm_scores=hat.internal_lm_log_prob(toks).per_token,
-                            elm_scores=score_tokens(elm, toks).per_token))
+        hyps.append(replace(h, ilm_scores=hat.internal_lm_log_prob(toks),
+                            elm_scores=score_tokens(elm, toks)))
     return replace(out, hyps=hyps)
 
 
@@ -279,12 +279,13 @@ def _freeze_batch(batch: list, hat: HatModel) -> list:
 
     Each list becomes its padded id block and the matching (K, L_max, 2)
     block of per-token score pairs [-s_l, r_l], zero at padded positions.
+    An empty list is refused: its expected error is undefined.
     """
     prepared = []
     for utterance, nbest in batch:
         _require_lm_free(nbest)
         if not nbest.hyps:
-            continue
+            raise ValueError(f"lfm loss: empty hypothesis list for {nbest.uid!r}")
         reference = list(utterance.reference)
         ids = _padded_ids(nbest.hyps)
         pairs = np.zeros(ids.shape + (2,))
@@ -312,14 +313,12 @@ def lfm_loss(batch: list, hat: HatModel, lfm: LfmModel) -> T.Tensor:
     one fusion-module pass over its padded block, and its weighted sums are
     three tape entries whatever its size: multiply by the score pairs,
     contract the pair axis, contract the token axis (padding adds zeros).
+    An empty batch, or a batch holding an empty list, is refused.
     """
     if not batch:
         raise ValueError("lfm loss: empty batch")
-    prepared = _freeze_batch(batch, hat)
-    if not prepared:
-        raise ValueError("lfm loss: every list in the batch was empty")
     per_utt = []
-    for enc, errors, e2e, ids, pairs in prepared:
+    for enc, errors, e2e, ids, pairs in _freeze_batch(batch, hat):
         w = lfm.forward(enc, ids)
         per_token = T.matmul(T.multiply(w, T.constant(pairs)), T.constant(np.ones(2)))
         contrib = T.matmul(per_token, T.constant(np.ones(ids.shape[1])))

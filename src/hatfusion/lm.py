@@ -22,12 +22,6 @@ BOS = "<s>"
 
 
 @dataclass
-class LmScore:
-    per_token: np.ndarray
-    total: float
-
-
-@dataclass
 class NGramLm:
     order: int
     smoothing: float
@@ -129,13 +123,13 @@ def advance_state(lm: NGramLm, state: LmState, token, dist=None) -> tuple[LmStat
     return new, logp
 
 
-def score_tokens(lm: NGramLm, tokens) -> LmScore:
-    """Per-token log-probs r_l and their sum."""
+def score_tokens(lm: NGramLm, tokens) -> np.ndarray:
+    """Per-token log-probs r_l of ``tokens``: (U,)."""
     state = initial_state(lm)
     per = np.empty(len(tokens))
     for i, tok in enumerate(tokens):
         state, per[i] = advance_state(lm, state, tok)
-    return LmScore(per_token=per, total=float(np.sum(per)))
+    return per
 
 
 # -- persistence ------------------------------------------------------------
@@ -151,7 +145,7 @@ def save_lm(lm: NGramLm, path) -> None:
 
 
 def load_lm(path) -> NGramLm:
-    """Read an ``ngram-lm v1`` file; sentence-end lines of older files are skipped."""
+    """Read an ``ngram-lm v1`` file; sentence-end lines of older files are ignored."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no LM at {path}")

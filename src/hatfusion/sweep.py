@@ -73,18 +73,16 @@ def _argmin(rows: list) -> dict:
     return min(ok, key=lambda r: (r["average"], r["ilm"], r["elm"]))
 
 
+def _top_wer(lists: list) -> float:
+    """WER of each list's top hypothesis against its reference."""
+    return wer([list(nb.hyps[0].tokens) for nb in lists], [list(nb.reference) for nb in lists])
+
+
 def _shallow_eval(point, model, elm, dev_sets, base: BeamConfig):
     lam, gam = point
     cfg = replace(base, ilm_weight=lam, elm_weight=gam)
-    wers = []
-    for corpus in dev_sets:
-        hyps, refs = [], []
-        for utt in corpus:
-            nb = beam_search(utt, model, elm, cfg)
-            hyps.append(list(nb.hyps[0].tokens) if nb.hyps else [])
-            refs.append(list(utt.reference))
-        wers.append(wer(hyps, refs))
-    return wers
+    return [_top_wer([beam_search(utt, model, elm, cfg) for utt in corpus])
+            for corpus in dev_sets]
 
 
 def prepare_corpus(model: HatModel, elm, corpus: list, base: BeamConfig) -> list:
@@ -95,16 +93,8 @@ def prepare_corpus(model: HatModel, elm, corpus: list, base: BeamConfig) -> list
 
 def _rescore_eval(point, prepared_sets):
     lam, gam = point
-    wers = []
-    for pairs in prepared_sets:
-        hyps = []
-        refs = []
-        for utt, nbest in pairs:
-            ranked = rescore_scalar(nbest, mu=lam, nu=gam)
-            hyps.append(list(ranked.hyps[0].tokens) if ranked.hyps else [])
-            refs.append(list(utt.reference))
-        wers.append(wer(hyps, refs))
-    return wers
+    return [_top_wer([rescore_scalar(nbest, mu=lam, nu=gam) for _, nbest in pairs])
+            for pairs in prepared_sets]
 
 
 def run_sweep(spec: SweepSpec, model: HatModel, elm, dev_sets: tuple,

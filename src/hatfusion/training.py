@@ -5,8 +5,10 @@ run logs.
 Each regime shares the same skeleton: sample a batch with the config's
 seed, build one loss on one tape, step Adam, log. The expected-error
 regime regenerates its hypothesis lists from the current model every step;
-nothing is cached across steps. Divergence (a non-finite loss) aborts the
-run and restores the last snapshot, taken every ``_CHECKPOINT_EVERY`` steps.
+nothing is cached across steps. A search never returns an empty list (see
+``decode``), so every step has a loss. Divergence (a non-finite loss)
+aborts the run and restores the last snapshot, taken every
+``_CHECKPOINT_EVERY`` steps.
 
 A config field that its regime does not read must keep its default:
 ``mle`` reads neither the fusion weights nor the beam fields, and ``lfm``
@@ -144,17 +146,13 @@ def _run_steps(config: TrainConfig, params: T.ParamSet, step_fn, log: RunLog,
                extra_log=None) -> None:
     """Shared driver: step, divergence guard, snapshots, logging.
 
-    ``step_fn`` returns the step's loss, or None when its batch came back
-    empty; such a step logs an ``empty_batch`` event, records no loss and
-    takes no snapshot.
+    ``step_fn`` returns the step's loss. A non-finite loss restores the last
+    snapshot, logs a ``diverged`` event and ends the run.
     """
     optimizer = T.Adam(config.lr)
     snap = _Snapshot(params)
     for step in range(1, config.steps + 1):
         loss = step_fn(step, optimizer)
-        if loss is None:
-            log.append(event="empty_batch", step=step)
-            continue
         if not np.isfinite(loss):
             restored = snap.restore()
             log.append(event="diverged", step=step, restored_step=restored)
@@ -204,8 +202,8 @@ def train_mwer(config: TrainConfig, train_data: list, model: HatModel,
     case. Lists come from the fused search whenever an external LM or an ILM
     weight is given, and from the LM-free search otherwise, which at zero
     weights gives the same lists. gamma or nu > 0 without an external LM is
-    refused, as its term would silently read zeros. A batch whose every
-    list comes back empty is skipped and counted, not fatal.
+    refused, as its term would silently read zeros. Every search returns
+    at least one hypothesis, so each utterance of a batch adds one list.
     """
     if config.regime != "mwer":
         raise ValueError(f"train_mwer got a {config.regime!r} config")
@@ -218,24 +216,11 @@ def train_mwer(config: TrainConfig, train_data: list, model: HatModel,
     mwer_cfg = MwerConfig(mu=config.mu, nu=config.nu, theta=config.theta)
     log = RunLog(config)
     rng = _batch_rng(config)
-    skipped = 0
 
     def step_fn(step, optimizer):
-        nonlocal skipped
         batch = _sample(rng, train_data, config.batch_size)
-        pairs = []
-        for utt in batch:
-            if fused:
-                nb = beam_search(utt, model, elm, beam_cfg)
-            else:
-                nb = beam_search_plain(utt, model, beam_cfg)
-            if not nb.hyps:
-                skipped += 1
-                warnings.warn(f"empty hypothesis list for {utt.uid}; skipped")
-                continue
-            pairs.append((utt, nb))
-        if not pairs:
-            return None
+        pairs = [(utt, beam_search(utt, model, elm, beam_cfg) if fused
+                  else beam_search_plain(utt, model, beam_cfg)) for utt in batch]
         model.params.zero_grads()
         with T.Tape() as tape:
             parts = [composite_loss(u, nb, model, mwer_cfg)[None] for u, nb in pairs]
@@ -246,8 +231,7 @@ def train_mwer(config: TrainConfig, train_data: list, model: HatModel,
             optimizer.step(model.params)
         return value
 
-    _run_steps(config, model.params, step_fn, log,
-               extra_log=lambda step: {"skipped": skipped})
+    _run_steps(config, model.params, step_fn, log)
     return model, log
 
 
@@ -257,7 +241,8 @@ def train_lfm(config: TrainConfig, train_data: list, hat: HatModel, elm,
     """Fit per-token fusion weights against a frozen recognizer and LM.
 
     The fusion module is built fresh from ``lfm_config`` (by default one
-    sized to ``hat``) and initialised from ``config.seed``. Hypothesis lists are decoded LM-free from the frozen model each step.
+    sized to ``hat``) and initialised from ``config.seed``. Hypothesis
+    lists are decoded LM-free from the frozen model each step.
     At every logging step the emitted-weight statistics are recorded for
     the step's batch and, when ``stats_data`` is given, for that fixed set
     (decoded once up front; the frozen model makes reuse exact).
@@ -274,12 +259,8 @@ def train_lfm(config: TrainConfig, train_data: list, hat: HatModel, elm,
     rng = _batch_rng(config)
 
     def decode_pairs(utts):
-        pairs = []
-        for utt in utts:
-            nb = beam_search_plain(utt, hat, beam_cfg)
-            if nb.hyps:
-                pairs.append((utt, prepare_rescoring(utt, nb, hat, elm)))
-        return pairs
+        return [(utt, prepare_rescoring(utt, beam_search_plain(utt, hat, beam_cfg), hat, elm))
+                for utt in utts]
 
     fixed_pairs = decode_pairs(stats_data) if stats_data else None
     batch_pairs: list = []
@@ -287,8 +268,6 @@ def train_lfm(config: TrainConfig, train_data: list, hat: HatModel, elm,
     def step_fn(step, optimizer):
         nonlocal batch_pairs
         batch_pairs = decode_pairs(_sample(rng, train_data, config.batch_size))
-        if not batch_pairs:
-            return None
         return train_lfm_step(batch_pairs, hat, lfm, optimizer)
 
     def extra_log(step):

@@ -2,6 +2,7 @@
 
 import json
 import shutil
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -210,6 +211,12 @@ class TestMissingArtifacts:
         bad.write_text('{"uid": "x"}\n')
         assert main(["eval", "--exp-dir", str(exp), "--nbest", str(bad)]) == 3
         assert bad.name in capsys.readouterr().err
+
+    def test_nbest_with_string_hyps_exits_3(self, pipeline, tmp_path, capsys):
+        exp = copy_exp(pipeline, tmp_path)
+        bad = edited_nbest(pipeline, exp / "nbest" / "bad.jsonl", lambda rec: rec.update(hyps="x"))
+        assert main(["eval", "--exp-dir", str(exp), "--nbest", bad.name]) == 3
+        assert f"{bad.name}:1: 'hyps'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["eval", "report"])
     def test_nbest_without_reference_words_exits_3(self, pipeline, tmp_path, capsys,
@@ -511,11 +518,46 @@ class TestPipeline:
                 if key.endswith(("_mu", "_nu")):
                     assert np.isfinite(value)
 
-    def test_numerical_failures_exit_4(self, pipeline, monkeypatch):
-        monkeypatch.setattr(cli, "_nbest_wer", lambda lists, src: float("nan"))
-        code = main(["eval", "--exp-dir", str(pipeline["exp"]),
-                     "--nbest", pipeline["nbest"]])
+    def test_numerical_failures_exit_4(self, pipeline, tmp_path, monkeypatch):
+        # the first update blows the weights up: the next loss is NaN, the run
+        # restores its snapshot and logs the divergence, and the command exits 4
+        real_step = T.Adam.step
+
+        def blow_up(optimizer, params):
+            real_step(optimizer, params)
+            for _, p in params.items():
+                p.data[...] = np.nan
+
+        monkeypatch.setattr(T.Adam, "step", blow_up)
+        exp = copy_exp(pipeline, tmp_path)
+        with np.errstate(all="ignore"), pytest.warns(UserWarning, match="non-finite loss"):
+            code = main(["train-mle", "--config", str(pipeline["config"]),
+                         "--exp-dir", str(exp), "--seed", "4"])
         assert code == 4
+        records = [json.loads(line) for line in
+                   next(exp.glob("logs/mle-*-s4.jsonl")).read_text().splitlines()]
+        assert [r["event"] for r in records if "event" in r] == ["diverged"]
+
+
+class TestArtifactNames:
+    def test_field_left_at_default_renames_nothing(self):
+        @dataclass
+        class Before:
+            steps: int
+            lr: float = 0.1
+            grid: list = field(default_factory=lambda: [0.0, 0.5])
+
+        @dataclass
+        class After(Before):
+            extra: int = 7
+
+        def name(built):
+            return cli._stage_hash("train", built, {"k": 2}, parent="p")
+
+        assert name(After(3, lr=0.2)) == name(Before(3, lr=0.2))
+        assert name(After(3, lr=0.2, extra=8)) != name(Before(3, lr=0.2))
+        assert name(Before(3, grid=[0.5])) != name(Before(3))
+        assert name(Before(4)) != name(Before(3))
 
 
 class TestDeterminism:

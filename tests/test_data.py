@@ -165,7 +165,7 @@ class TestTextCorpus:
             [u.reference for u in task.train], order=2, smoothing=0.1, vocab=vocab
         )
         def avg(lm):
-            scores = [score_tokens(lm, u.reference).total for u in task.dev_rare]
+            scores = [float(np.sum(score_tokens(lm, u.reference))) for u in task.dev_rare]
             return float(np.mean(scores))
         assert avg(lm_text) > avg(lm_paired)
 

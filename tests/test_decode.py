@@ -197,7 +197,7 @@ class TestUnsmoothedElm:
         # NaN hypotheses and part from the plain search
         elm = L.train_ngram([[0, 1], [1, 0], [0, 0, 1]], order=2, smoothing=0.0,
                             vocab=[0, 1, 2])
-        assert np.isneginf(L.score_tokens(elm, [2]).per_token[0])
+        assert np.isneginf(L.score_tokens(elm, [2])[0])
         rng = np.random.default_rng(41)
         model = tiny_model(42)
         utt = random_utt(rng)
@@ -341,8 +341,7 @@ class TestRescoring:
         nb = D.beam_search_plain(utt, model, D.BeamConfig(beam_size=4, max_tokens=3))
         out = F.prepare_rescoring(utt, nb, model, elm)
         for a, b in zip(out.hyps, nb.hyps):
-            sc = L.score_tokens(elm, list(a.tokens))
-            np.testing.assert_array_equal(a.elm_scores, sc.per_token)
+            np.testing.assert_array_equal(a.elm_scores, L.score_tokens(elm, list(a.tokens)))
             assert a.combined == b.combined
 
 
@@ -388,3 +387,24 @@ class TestNBestIO:
         [h] = nb.hyps
         assert h.tokens == (1,) and h.e2e_fullsum == -0.9 and h.combined == -1.0
         np.testing.assert_array_equal(h.elm_scores, [-0.7])
+
+    @pytest.mark.parametrize("edit", [
+        lambda rec: rec.pop("hyps"),
+        lambda rec: rec.update(hyps="x"),
+        lambda rec: rec["hyps"][0].pop("tokens"),
+        lambda rec: rec["hyps"][0].update(ilm=["a"]),
+        lambda rec: rec["hyps"][0].update(truncated=1),
+        lambda rec: rec.update(reference=[True]),
+    ], ids=["no-hyps", "string-hyps", "hyp-without-tokens", "string-score", "int-flag",
+            "bool-word"])
+    def test_record_off_schema_names_file_and_line(self, tmp_path, edit):
+        hyp = {"tokens": [1], "e2e_search": -1.0, "e2e_fullsum": None, "ilm": [-0.5],
+               "elm": [-0.7], "combined": -1.0, "truncated": False}
+        good = {"uid": "u", "reference": [1], "ilm_weight": 0.0, "elm_weight": 0.0,
+                "hyps": [hyp]}
+        bad = json.loads(json.dumps(good))
+        edit(bad)
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(ValueError, match="bad.jsonl:2: "):
+            D.load_nbest(path)

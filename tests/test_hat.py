@@ -252,26 +252,22 @@ class TestFullSum:
 class TestInternalLm:
     def test_empty_sequence(self):
         s = tiny_model().internal_lm_log_prob([])
-        assert s.total == 0.0 and s.per_token.size == 0
+        assert s.size == 0 and float(np.sum(s)) == 0.0
 
     def test_zeroed_label_head_uniform(self):
         m = tiny_model(v=3)
         m.params["label_w"].data[...] = 0.0
         m.params["label_b"].data[...] = 0.0
         s = m.internal_lm_log_prob([0, 2, 1])
-        np.testing.assert_allclose(s.per_token, -math.log(3), atol=1e-15)
-
-    def test_total_is_sum_of_tokens(self):
-        s = tiny_model(seed=6).internal_lm_log_prob([0, 1, 2, 2, 0])
-        assert s.total == float(np.sum(s.per_token))
+        np.testing.assert_allclose(s, -math.log(3), atol=1e-15)
 
     def test_incremental_prefix_oracle(self):
         m = tiny_model(seed=8)
         y = [2, 0, 1, 1]
         s = m.internal_lm_log_prob(y)
         for l in range(1, len(y) + 1):
-            prefix_total = m.internal_lm_log_prob(y[:l]).total
-            assert prefix_total == pytest.approx(float(np.sum(s.per_token[:l])), abs=1e-12)
+            prefix_total = float(np.sum(m.internal_lm_log_prob(y[:l])))
+            assert prefix_total == pytest.approx(float(np.sum(s[:l])), abs=1e-12)
 
     def test_ignores_acoustics_by_construction(self):
         m = tiny_model(seed=9)
@@ -279,7 +275,7 @@ class TestInternalLm:
         m.params["aemb"].data[...] = 0.12345
         m.params["enc_wx"].data[...] *= -3.0
         after = m.internal_lm_log_prob([1, 0, 2])
-        np.testing.assert_array_equal(before.per_token, after.per_token)
+        np.testing.assert_array_equal(before, after)
 
     def test_batched_ilm_matches_single(self):
         m = tiny_model(v=3, seed=12)
@@ -287,7 +283,7 @@ class TestInternalLm:
         seqs = [[1, 2], [0], [2, 2, 1]]
         _, totals = m.score_sequences(enc, seqs)
         for s, tot in zip(seqs, totals.data):
-            assert tot == pytest.approx(m.internal_lm_log_prob(s).total, abs=1e-12)
+            assert tot == pytest.approx(float(np.sum(m.internal_lm_log_prob(s))), abs=1e-12)
 
 
 class TestMleLoss:

@@ -126,10 +126,10 @@ class TestRescoring:
         for h in nb.hyps:
             assert h.e2e_fullsum is not None
             np.testing.assert_array_equal(
-                h.ilm_scores, hat.internal_lm_log_prob(list(h.tokens)).per_token
+                h.ilm_scores, hat.internal_lm_log_prob(list(h.tokens))
             )
             np.testing.assert_array_equal(
-                h.elm_scores, L.score_tokens(elm, list(h.tokens)).per_token
+                h.elm_scores, L.score_tokens(elm, list(h.tokens))
             )
 
     def test_prepared_fused_list_keeps_its_combined_score(self):
@@ -256,8 +256,8 @@ class TestTraining:
             for h in nb.hyps:
                 toks = list(h.tokens)
                 w = lfm.forward(enc, toks).data
-                s = hat.internal_lm_log_prob(toks).per_token
-                r = L.score_tokens(elm, toks).per_token
+                s = hat.internal_lm_log_prob(toks)
+                r = L.score_tokens(elm, toks)
                 raw.append((h.e2e_fullsum - np.dot(w[:, 0], s)) + np.dot(w[:, 1], r))
                 errors.append(M.nwe(h.tokens, utt.reference))
             raw = np.array(raw)
@@ -310,6 +310,14 @@ class TestTraining:
         elm = tiny_elm(rng)
         with pytest.raises(ValueError):
             F.lfm_loss([], hat, tiny_lfm(24))
+
+    def test_empty_list_rejected(self):
+        rng = np.random.default_rng(18)
+        hat = tiny_hat(25)
+        [(utt, nb)] = self.build_batch(rng, hat, tiny_elm(rng), n=1)
+        empty = D.NBestList(nb.uid, list(nb.reference), [])
+        with pytest.raises(ValueError, match="empty hypothesis list"):
+            F.lfm_loss([(utt, nb), (utt, empty)], hat, tiny_lfm(26))
 
     def test_reads_attached_scores_without_recomputing(self, monkeypatch):
         rng = np.random.default_rng(22)

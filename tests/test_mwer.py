@@ -221,7 +221,8 @@ class TestCompositeLoss:
         # must too; ELM totals come from the decoded per-token scores
         raw = np.array(
             [
-                (h.e2e_fullsum - mu * self.model.internal_lm_log_prob(list(h.tokens)).total)
+                (h.e2e_fullsum
+                 - mu * float(np.sum(self.model.internal_lm_log_prob(list(h.tokens)))))
                 + nu * float(np.sum(h.elm_scores))
                 for h in self.nbest.hyps
             ]

@@ -1,4 +1,5 @@
-"""Property test: an unpruned beam is the exhaustive search."""
+"""Property tests: an unpruned beam is the exhaustive search, and no
+search returns an empty list."""
 
 import numpy as np
 import pytest
@@ -31,3 +32,19 @@ def test_unpruned_beam_matches_exhaustive_search(seed, v, max_tokens, extra_cap,
     assert list(nb.hyps[0].tokens) == want
     for h in D.rescore_components(nb, model, utt).hyps:
         assert abs(h.e2e_search - h.e2e_fullsum) < 1e-10
+
+
+@hypothesis.settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@hypothesis.given(seed=st.integers(0, 2**16), beam=st.integers(1, 4), max_tokens=st.integers(0, 3),
+                  frame_cap=st.integers(1, 3), frames=st.integers(1, 4),
+                  weights=st.sampled_from([(0.0, 0.0), (0.3, 0.0), (0.0, 0.5), (0.8, 0.8)]))
+def test_every_search_returns_a_hypothesis(seed, beam, max_tokens, frame_cap, frames, weights):
+    # training, the sweep and the fusion loss read hyps[0] with no empty-list branch
+    rng = np.random.default_rng(seed)
+    model = tiny_model(seed)
+    utt = random_utt(rng, t=frames, uid=f"n{seed}")
+    lam, gam = weights
+    cfg = D.BeamConfig(beam_size=beam, ilm_weight=lam, elm_weight=gam, max_tokens=max_tokens,
+                       frame_cap=frame_cap)
+    assert D.beam_search(utt, model, tiny_elm(rng, smoothing=0.3), cfg).hyps
+    assert D.beam_search_plain(utt, model, cfg).hyps

@@ -262,50 +262,3 @@ class TestLfm:
                                  lfm_config=self.lfm_cfg(task, frozen))
             outs.append((lfm.params.to_bytes(), log.to_bytes()))
         assert outs[0] == outs[1]
-
-
-class TestEmptyBatch:
-    """One rule in the shared driver: a step whose every list comes back
-    empty logs an ``empty_batch`` event, records no loss, takes no snapshot."""
-
-    @pytest.mark.parametrize("regime", ["mwer", "lfm"])
-    def test_event_without_loss_or_snapshot(self, task, warm, regime, monkeypatch):
-        empty_steps = {1, 3}
-        batch_size = 2
-        calls = {"n": 0}
-        real_search = training.beam_search_plain
-
-        def search(utt, model, cfg):
-            step = calls["n"] // batch_size + 1
-            calls["n"] += 1
-            if step in empty_steps:
-                return decode.NBestList(utt.uid, list(utt.reference), [])
-            return real_search(utt, model, cfg)
-
-        snapshots = []
-        real_update = training._Snapshot.update
-
-        def update(snap, step):
-            snapshots.append(step)
-            real_update(snap, step)
-
-        monkeypatch.setattr(training, "beam_search_plain", search)
-        monkeypatch.setattr(training._Snapshot, "update", update)
-        cfg = TrainConfig(regime=regime, steps=4, batch_size=batch_size, seed=5,
-                          beam_size=4, log_every=1)
-        model = tiny_hat(task)
-        model.params.set_values(warm.params.copy_values())
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # one warning per skipped list
-            if regime == "mwer":
-                _, log = train_mwer(cfg, task.train, model)
-            else:
-                lfm_cfg = LfmConfig(vocab_size=task.config.vocab_size,
-                                    enc_dim=model.config.hidden_dim, model_dim=8,
-                                    num_heads=2, num_layers=1, ffn_dim=8)
-                _, log = train_lfm(cfg, task.train, model, tiny_elm(task),
-                                   lfm_config=lfm_cfg)
-        events = [r for r in log.records if "event" in r]
-        assert events == [{"event": "empty_batch", "step": s} for s in sorted(empty_steps)]
-        assert [r["step"] for r in log.records if "loss" in r] == [2, 4]
-        assert snapshots == [2, 4]
