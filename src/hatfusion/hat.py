@@ -2,11 +2,14 @@
 
 Factorized joint: each lattice node (t, u) carries a blank Bernoulli
 (sigmoid of a blank logit) and a label log-softmax over the vocabulary,
-with blank excluded from the label distribution. The full-sum score of a
-label sequence marginalizes over every monotonic alignment: the model builds
-the log-blank and log-emit grids on the tape and hands them to one lattice
-primitive, ``tensor.transducer_full_sum``. The internal LM view scores
-labels with the encoder contribution zeroed out.
+with blank excluded from the label distribution. The encoder and the
+prediction network are tanh recurrences; on the tape each runs as one
+``tensor.tanh_recurrence`` entry, and the search steps the same numpy step,
+``tensor.tanh_step_np``. The full-sum score of a label sequence
+marginalizes over every monotonic alignment: the model builds the log-blank
+and log-emit grids on the tape and hands them to one lattice primitive,
+``tensor.transducer_full_sum``. The internal LM view scores labels with the
+encoder contribution zeroed out.
 """
 
 from __future__ import annotations
@@ -81,37 +84,30 @@ class HatModel:
     # -- encoder ------------------------------------------------------
 
     def encode(self, acoustics) -> T.Tensor:
-        """Encoder states, one (hidden_dim,) row per frame: (T, H)."""
+        """Encoder states, one (hidden_dim,) row per frame: (T, H).
+
+        The frames are one batch-of-one recurrence, ``T.tanh_recurrence``:
+        one lookup and one tape entry for the whole recursion, whatever T is.
+        """
         ids = _check_ids(acoustics, self.config.acoustic_size, "acoustic symbol")
         if ids.size == 0:
             raise ValueError("encode: empty acoustic sequence")
-        x = T.embedding_lookup(self._p("aemb"), ids)
-        wx, wh, b = self._p("enc_wx"), self._p("enc_wh"), self._p("enc_b")
-        rows = []
-        h = None
-        for t in range(ids.size):
-            pre = T.add(T.matmul(x[t : t + 1, :], wx), b)
-            if h is not None:
-                pre = T.add(pre, T.matmul(h, wh))
-            h = T.tanh(pre)
-            rows.append(h)
-        return T.concat(rows, axis=0)
+        x = T.embedding_lookup(self._p("aemb"), ids[:, None])
+        return T.tanh_recurrence(x, self._p("enc_wx"), self._p("enc_wh"), self._p("enc_b"))[0]
 
     def encode_np(self, acoustics) -> np.ndarray:
+        """``encode`` in numpy, recording nothing even under a tape."""
         ids = _check_ids(acoustics, self.config.acoustic_size, "acoustic symbol")
         if ids.size == 0:
             raise ValueError("encode: empty acoustic sequence")
-        x = self._p("aemb").data[ids]
+        x = self._p("aemb").data[ids[:, None]]
         wx, wh, b = self._p("enc_wx").data, self._p("enc_wh").data, self._p("enc_b").data
-        rows = np.empty((ids.size, self.config.hidden_dim))
+        rows = []
         h = None
-        for t in range(ids.size):
-            pre = x[t : t + 1] @ wx + b
-            if h is not None:
-                pre = pre + h @ wh
-            h = np.tanh(pre)
-            rows[t] = h[0]
-        return rows
+        for xs in x:
+            h = T.tanh_step_np(xs, wx, wh, b, h)
+            rows.append(h)
+        return np.concatenate(rows)
 
     # -- prediction network -------------------------------------------
 
@@ -120,7 +116,8 @@ class HatModel:
 
         Row (k, u) conditions on the first u tokens of seqs[k]; sequences
         shorter than U_max are padded and their trailing states are junk
-        the caller must mask.
+        the caller must mask. Each step's ids are looked up on their own
+        and the steps run as one ``T.tanh_recurrence`` over the K sequences.
         """
         k = len(seqs)
         lens = [len(s) for s in seqs]
@@ -128,32 +125,19 @@ class HatModel:
         pad = np.zeros((k, u_max), dtype=np.int64)
         for i, s in enumerate(seqs):
             pad[i, : lens[i]] = s
+        ids = np.concatenate([np.full((k, 1), self.config.vocab_size), pad], axis=1)
         lemb = self._p("lemb")
-        wx, wh, b = self._p("pred_wx"), self._p("pred_wh"), self._p("pred_b")
-        bos = np.full(k, self.config.vocab_size, dtype=np.int64)
-        steps = []
-        h = None
-        for u in range(u_max + 1):
-            ids = bos if u == 0 else pad[:, u - 1]
-            x = T.embedding_lookup(lemb, ids)
-            pre = T.add(T.matmul(x, wx), b)
-            if h is not None:
-                pre = T.add(pre, T.matmul(h, wh))
-            h = T.tanh(pre)
-            steps.append(h[:, None, :])
-        return T.concat(steps, axis=1)
+        x = T.concat([T.embedding_lookup(lemb, ids[None, :, u]) for u in range(u_max + 1)])
+        return T.tanh_recurrence(x, self._p("pred_wx"), self._p("pred_wh"), self._p("pred_b"))
 
     def pred_start_np(self) -> np.ndarray:
-        lemb = self._p("lemb").data
-        return np.tanh(
-            lemb[self.config.vocab_size] @ self._p("pred_wx").data
-            + self._p("pred_b").data
-        )
+        return T.tanh_step_np(self._p("lemb").data[self.config.vocab_size],
+                              self._p("pred_wx").data, self._p("pred_wh").data,
+                              self._p("pred_b").data)
 
     def pred_step_np(self, h: np.ndarray, token: int) -> np.ndarray:
-        lemb = self._p("lemb").data
-        pre = lemb[token] @ self._p("pred_wx").data + self._p("pred_b").data
-        return np.tanh(pre + h @ self._p("pred_wh").data)
+        return T.tanh_step_np(self._p("lemb").data[token], self._p("pred_wx").data,
+                              self._p("pred_wh").data, self._p("pred_b").data, h)
 
     # -- factorized joint ---------------------------------------------
 

@@ -144,26 +144,60 @@ def save_lm(lm: NGramLm, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _check_header(meta) -> None:
+    if type(meta) is not dict:
+        raise ValueError("the header is not a JSON object")
+    if type(meta.get("order")) is not int or meta["order"] < 1:
+        raise ValueError("'order' is missing or not an integer >= 1")
+    if type(meta.get("smoothing")) not in (int, float) or not 0 <= meta["smoothing"] < np.inf:
+        raise ValueError("'smoothing' is missing or not a finite number >= 0")
+    if type(meta.get("vocab")) is not list:
+        raise ValueError("'vocab' is missing or not a list")
+
+
+def _count_line(rec, v: int) -> tuple:
+    """(context, token, count) of one count line; the token is None on the
+    sentence-end lines of older files."""
+    if (type(rec) is not list or len(rec) != 3 or type(rec[0]) is not list
+            or not all(type(c) in (int, str) for c in rec[0])):
+        raise ValueError("a count line must be a [context, token, count] triple")
+    ctx, tok, c = rec
+    if tok is not None:
+        if type(tok) is not int:
+            raise ValueError(f"token {tok!r} not in vocabulary 0..{v - 1}")
+        _check_label(tok, v)
+        if type(c) is not int or c < 0:
+            raise ValueError(f"count {c!r} is not an integer >= 0")
+    return tuple(ctx), tok, c
+
+
 def load_lm(path) -> NGramLm:
-    """Read an ``ngram-lm v1`` file; sentence-end lines of older files are ignored."""
+    """Read an ``ngram-lm v1`` file; sentence-end lines of older files are
+    skipped. A header or count line off the schema raises ``ValueError``
+    naming the file and line."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no LM at {path}")
     lines = path.read_text().splitlines()
     if not lines or lines[0] != "ngram-lm v1":
         raise ValueError(f"unrecognized LM file {path}")
-    meta = json.loads(lines[1])
-    v = _label_count(meta["vocab"])
+    try:
+        meta = json.loads(lines[1]) if len(lines) > 1 else None
+        _check_header(meta)
+        v = _label_count(meta["vocab"])
+    except ValueError as e:
+        raise ValueError(f"{path}:2: {e}") from None
     counts: dict = {}
     totals: dict = {}
-    for line in lines[2:]:
+    for lineno, line in enumerate(lines[2:], 3):
         if not line.strip():
             continue
-        ctx_l, tok, c = json.loads(line)
+        try:
+            ctx, tok, c = _count_line(json.loads(line), v)
+        except ValueError as e:
+            raise ValueError(f"{path}:{lineno}: {e}") from None
         if tok is None:
             continue
-        _check_label(tok, v)
-        ctx = tuple(ctx_l)
         counts.setdefault(ctx, {})[tok] = c
         totals[ctx] = totals.get(ctx, 0) + c
     return NGramLm(order=meta["order"], smoothing=meta["smoothing"], vocab_size=v,

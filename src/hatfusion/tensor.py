@@ -2,13 +2,14 @@
 
 The differentiable surface is a fixed whitelist of primitives (the functions
 under "Primitives" below), kept deliberately small so every backward rule
-can be audited by hand. All but one are elementwise, linear-algebra,
-reduction, indexing or attention ops; the one domain primitive,
-``transducer_full_sum``, runs a whole lattice recursion as one tape entry
-whose backward reproduces, bit for bit, what the tape would compute for
-that recursion recorded op by op. Each primitive is called by name; the
-only operator sugar on ``Tensor`` is indexing, ``x[key]``, which is
-``slice_``.
+can be audited by hand. All but two are elementwise, linear-algebra,
+reduction, indexing or attention ops. The two domain primitives each run a
+whole recursion as one tape entry: ``tanh_recurrence`` a recurrent layer
+(the encoder and the prediction network), ``transducer_full_sum`` the
+lattice. Each one's backward reproduces, bit for bit, what the tape would
+compute for its recursion recorded op by op. Each primitive is called by
+name; the only operator sugar on ``Tensor`` is indexing, ``x[key]``, which
+is ``slice_``.
 Recording happens only while a ``Tape`` is active; outside of one, every
 operation is a plain numpy evaluation and its result is a constant leaf.
 
@@ -108,7 +109,9 @@ class Tape:
 
         Intermediate grads are reset first, so calling backward twice on the
         same tape (with leaf grads zeroed in between) is reproducible.  Leaf
-        grads are accumulated, never overwritten.
+        grads are accumulated, never overwritten. A backward rule may give
+        one input a list of gradients; they are added one by one, in order,
+        as separate entries would have added them.
         """
         if loss.data.size != 1:
             raise ValueError(
@@ -126,12 +129,14 @@ class Tape:
                     continue
                 if inp.is_leaf and not inp.trainable:
                     continue
-                if inp.grad is None:
-                    # 0.0 + g, as zeros-then-add gave it (-0.0 becomes +0.0),
-                    # without first filling an array with zeros
-                    inp.grad = np.add(g, 0.0, out=np.empty_like(inp.data))
-                else:
-                    inp.grad += g
+                # a list holds one input's contributions, added in its order
+                for part in g if isinstance(g, list) else (g,):
+                    if inp.grad is None:
+                        # 0.0 + g, as zeros-then-add gave it (-0.0 becomes
+                        # +0.0), without first filling an array with zeros
+                        inp.grad = np.add(part, 0.0, out=np.empty_like(inp.data))
+                    else:
+                        inp.grad += part
 
 
 def _record(out: Tensor, inputs: tuple[Tensor, ...], bw: Callable) -> Tensor:
@@ -462,6 +467,65 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False) 
     return _record(out, (q, k, v), bw)
 
 
+def tanh_step_np(x: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray,
+                 h: np.ndarray | None = None) -> np.ndarray:
+    """One step of the tanh recurrence, ``tanh(x @ wx + b + h @ wh)``, whose
+    state term is left out when ``h`` is None. Shapes are the caller's: the
+    search steps one (E,) row, the tape a (B, E) block."""
+    pre = x @ wx + b
+    if h is not None:
+        pre = pre + h @ wh
+    return np.tanh(pre)
+
+
+def tanh_recurrence(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
+    """Every state of h_s = tanh(x[s] @ wx + b + h_{s-1} @ wh) as one tape entry.
+
+    ``x`` (S, B, E) holds S steps of B inputs; the result (B, S, H) holds
+    each input's states, step 0 having no state term. The forward is
+    ``tanh_step_np`` at each step. The backward is backpropagation through
+    time (Werbos, Proc. IEEE 1990): it walks s in reverse with the
+    arithmetic the tape does for the steps recorded op by op (matmul, add,
+    tanh) and gives each weight its per-step gradients as a list, latest
+    step first, which ``Tape.backward`` adds in that order. Its gradients
+    therefore equal that recording's bit for bit, also when a grad slot
+    already holds other contributions.
+    """
+    xd, wxd, whd, bd = x.data, wx.data, wh.data, b.data
+    if xd.ndim != 3 or xd.shape[0] == 0 or wxd.ndim != 2 or xd.shape[2] != wxd.shape[0]:
+        raise ValueError(f"tanh_recurrence: x must be (S>=1, B, E) against wx (E, H), "
+                         f"got {x.shape} and {wx.shape}")
+    s_len, hdim = xd.shape[0], wxd.shape[1]
+    if wh.shape != (hdim, hdim) or b.shape != (hdim,):
+        raise ValueError(f"tanh_recurrence: wh {wh.shape} and b {b.shape} must be "
+                         f"({hdim}, {hdim}) and ({hdim},)")
+    hs = []
+    h = None
+    for s in range(s_len):
+        h = tanh_step_np(xd[s], wxd, whd, bd, h)
+        hs.append(h)
+    out = Tensor(np.stack(hs, axis=1))
+
+    # Only the step-to-step product is sequential. The other products and
+    # the bias sums are one 2-D op per step, and their stacked form runs the
+    # same 2-D op per step, so each is taken once for all steps after the walk.
+    def bw(g):
+        dtanh = 1.0 - out.data * out.data
+        gpre = np.empty((s_len,) + hs[0].shape)
+        for s in range(s_len - 1, -1, -1):
+            gh = g[:, s]
+            if s < s_len - 1:
+                gh = gh + np.matmul(gpre[s + 1], whd.T)
+            np.multiply(gh, dtanh[:, s], out=gpre[s])
+            gpre[s] += 0.0  # the tape's first write to a grad slot: -0.0 becomes +0.0
+        gwx = np.matmul(xd.transpose(0, 2, 1), gpre)
+        gwh = np.matmul(np.stack(hs[:-1]).transpose(0, 2, 1), gpre[1:]) if s_len > 1 else []
+        gb = gpre.sum(axis=1)
+        return np.matmul(gpre, wxd.T), list(gwx[::-1]), list(gwh[::-1]), list(gb[::-1])
+
+    return _record(out, (x, wx, wh, b), bw)
+
+
 def transducer_full_sum(lb: Tensor, le: Tensor, lens) -> Tensor:
     """Full-sum log-likelihood of K label sequences over transducer lattices.
 
@@ -712,12 +776,18 @@ class ParamSet:
 
     @classmethod
     def load(cls, path) -> "ParamSet":
+        """Read a saved set; a container that does not parse, or a tensor
+        holding a NaN or an infinity, raises ValueError naming the file."""
         with open(path, "rb") as f:
             blob = f.read()
         try:
-            return cls.from_bytes(blob)
+            ps = cls.from_bytes(blob)
         except ValueError as e:
             raise ValueError(f"{path}: {e}") from None
+        for name, t in ps.items():
+            if not np.all(np.isfinite(t.data)):
+                raise ValueError(f"{path}: tensor {name!r} holds non-finite values")
+        return ps
 
 
 # ---------------------------------------------------------------------------

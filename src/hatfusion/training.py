@@ -60,6 +60,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.regime not in _REGIMES:
             raise ValueError(f"regime must be one of {_REGIMES}, got {self.regime!r}")
+        for name in ("lr", "lam", "gam", "mu", "nu", "theta"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         defaults = {f.name: f.default for f in fields(self)}
         for name in _UNREAD[self.regime]:
             if getattr(self, name) != defaults[name]:

@@ -1,5 +1,6 @@
 """Shared test utilities: finite-difference gradient oracles and the op-by-op
-lattice recursion that ``tensor.transducer_full_sum`` must equal bit for bit."""
+recordings that ``tensor.transducer_full_sum`` and ``tensor.tanh_recurrence``
+must equal bit for bit."""
 
 import numpy as np
 
@@ -116,3 +117,46 @@ def op_by_op_full_sum(lb, le, lens):
     a_fin = T.slice_(stacked, (k_idx, t_len - 1 + lens, lens))
     lb_fin = T.slice_(lb, (k_idx, np.full(k, t_len - 1), lens))
     return T.add(a_fin, lb_fin)
+
+
+def _op_by_op_step(x, wx, wh, b, h):
+    pre = T.add(T.matmul(x, wx), b)
+    if h is not None:
+        pre = T.add(pre, T.matmul(h, wh))
+    return T.tanh(pre)
+
+
+def op_by_op_encode(model, acoustics):
+    """``HatModel.encode`` recorded primitive by primitive: one lookup, then
+    per frame a row slice, two matmuls, two adds and a tanh, and a concat of
+    the rows; six tape entries per frame where the primitive has one."""
+    ids = np.asarray(acoustics, dtype=np.int64)
+    x = T.embedding_lookup(model.params["aemb"], ids)
+    wx, wh, b = (model.params[n] for n in ("enc_wx", "enc_wh", "enc_b"))
+    rows = []
+    h = None
+    for t in range(ids.size):
+        h = _op_by_op_step(x[t : t + 1, :], wx, wh, b, h)
+        rows.append(h)
+    return T.concat(rows, axis=0)
+
+
+def op_by_op_predict_states(model, seqs):
+    """``HatModel.predict_states`` recorded primitive by primitive: per label
+    step one lookup of the step's ids, the step's matmuls, adds and tanh, and
+    a slice; a concat joins the steps into (K, U_max+1, H)."""
+    k = len(seqs)
+    lens = [len(s) for s in seqs]
+    u_max = max(lens) if lens else 0
+    pad = np.zeros((k, u_max), dtype=np.int64)
+    for i, s in enumerate(seqs):
+        pad[i, : lens[i]] = s
+    wx, wh, b = (model.params[n] for n in ("pred_wx", "pred_wh", "pred_b"))
+    bos = np.full(k, model.config.vocab_size, dtype=np.int64)
+    steps = []
+    h = None
+    for u in range(u_max + 1):
+        x = T.embedding_lookup(model.params["lemb"], bos if u == 0 else pad[:, u - 1])
+        h = _op_by_op_step(x, wx, wh, b, h)
+        steps.append(h[:, None, :])
+    return T.concat(steps, axis=1)

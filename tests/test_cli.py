@@ -196,6 +196,17 @@ class TestMissingArtifacts:
                      "--split", "dev-common", "--init", pipeline["mle"]]) == 3
         assert params.name in capsys.readouterr().err
 
+    def test_nan_checkpoint_exits_3(self, pipeline, tmp_path, capsys):
+        exp = copy_exp(pipeline, tmp_path)
+        path = exp / "models" / (pipeline["mle"] + ".params")
+        params = T.ParamSet.load(path)
+        params["pred_wh"].data[0, 0] = np.nan
+        params.save(path)
+        assert main(["decode", "--config", str(pipeline["config"]), "--exp-dir", str(exp),
+                     "--split", "dev-common", "--init", pipeline["mle"]]) == 3
+        err = capsys.readouterr().err
+        assert path.name in err and "'pred_wh'" in err
+
     def test_corrupt_nbest_exits_3(self, pipeline, tmp_path, capsys):
         exp = tmp_path / "exp"
         shutil.copytree(pipeline["exp"], exp)
@@ -314,6 +325,7 @@ BAD_SECTIONS = [
     ("hat", {"embed": 4}, ["train-mle"]),
     ("hat", {"embed_dim": 0}, ["train-mle"]),
     ("train_mle", {"step": 3}, ["train-mle"]),
+    ("train_mle", {"lr": float("inf")}, ["train-mle"]),
     ("train_mwer", {"lambda": 0.1}, ["train-mwer"]),
     ("train_lfm", {"batch": 2}, ["train-lfm"]),
     ("lfm", {"heads": 2}, ["train-lfm"]),

@@ -175,6 +175,18 @@ class TestPersistence:
         with pytest.raises(ValueError, match="not in vocabulary"):
             L.load_lm(tmp_path / "range.lm")
 
+    @pytest.mark.parametrize("lines,where,what", [
+        (['{"smoothing": 0.5, "vocab": [0, 1]}'], 2, "'order'"),
+        (['{"order": 1, "smoothing": 0.5, "vocab": [0, 1]}', '[[], 1, 2]', '[[], 1]'], 4,
+         "triple"),
+        (['{"order": 1, "smoothing": 0.5, "vocab": [0, 1]}', '[[], 0, 2.5]'], 3, "count 2.5"),
+    ], ids=["header-without-order", "count-pair", "fractional-count"])
+    def test_off_schema_line_names_file_and_line(self, tmp_path, lines, where, what):
+        path = tmp_path / "off.lm"
+        path.write_text("\n".join(["ngram-lm v1", *lines]) + "\n")
+        with pytest.raises(ValueError, match=f"off\\.lm:{where}: .*{what}"):
+            L.load_lm(path)
+
     def test_unrecognized_file_rejected(self, tmp_path):
         (tmp_path / "bad.lm").write_text("who knows\n")
         with pytest.raises(ValueError, match="unrecognized"):

@@ -85,6 +85,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             TrainConfig(regime="mwer", steps=1, mu=-0.1)
 
+    @pytest.mark.parametrize("regime,field,value", [
+        ("mle", "lr", float("inf")), ("mle", "lr", float("nan")), ("mwer", "lr", float("inf")),
+        ("mwer", "lam", float("nan")), ("mwer", "gam", float("inf")),
+        ("mwer", "mu", float("nan")), ("mwer", "nu", float("inf")),
+        ("lfm", "theta", float("inf")), ("lfm", "theta", float("nan"))])
+    def test_non_finite_value_rejected(self, regime, field, value):
+        # a NaN passes every "< 0" check; the run would only fail mid-way
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TrainConfig(regime=regime, steps=1, **{field: value})
+
     @pytest.mark.parametrize("field,value", [
         ("beam_size", 0), ("max_tokens", -1), ("frame_cap", 0)])
     def test_bad_beam_field_rejected(self, field, value):
