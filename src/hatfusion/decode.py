@@ -8,12 +8,17 @@ actually visited. Fusion follows
 
     combined = e2e - lam * sum(s_l) + gam * sum(r_l),
 
-with the internal-LM view read straight off the model's own decoder
-(zeroed encoder contribution), never a detached copy. LM scores must be
-finite, so ``beam_search``, ``exhaustive_search`` and
-``lfm.prepare_rescoring`` refuse an n-gram without smoothing: it scores an
-unseen token -inf, and a zero weight times -inf is NaN. The two searches
-also refuse an n-gram over a different number of labels than the model's.
+with the internal-LM (ILM) view read straight off the model's own decoder
+(zeroed encoder contribution) by its numpy head, ``HatModel.ilm_logprobs_np``.
+Rescoring's ``HatModel.internal_lm_log_prob`` replays these steps, so the
+search and rescoring rank by one ILM; the tape head of
+``HatModel.score_sequences`` serves the MWER loss and its gradients, and
+``exhaustive_search``. Fusion weights must be finite and nonnegative
+(``require_fusion_weights``). LM scores must be finite too, so
+``beam_search``, ``exhaustive_search`` and ``lfm.prepare_rescoring`` refuse
+an n-gram without smoothing: it scores an unseen token -inf, and a zero
+weight times -inf is NaN. The two searches also refuse an n-gram over a
+different number of labels than the model's.
 
 Each expansion stage is scored as one stack: one ``joint_np`` call on the
 frontier's (F, J) decoder projections, then a partition of the (F, V) score
@@ -59,6 +64,13 @@ def beam_call_count() -> int:
     return _COUNTERS["beam_search"]
 
 
+def require_fusion_weights(*weights) -> None:
+    """Each weight must be a finite number >= 0: a NaN weight ranks at
+    random, and an infinite one times a zero score is NaN."""
+    if not all(0 <= w < np.inf for w in weights):
+        raise ValueError(f"fusion weights must be finite and nonnegative, got {list(weights)}")
+
+
 @dataclass
 class BeamConfig:
     beam_size: int = 8
@@ -70,8 +82,7 @@ class BeamConfig:
     def __post_init__(self):
         if self.beam_size < 1:
             raise ValueError(f"beam size must be >= 1, got {self.beam_size}")
-        if self.ilm_weight < 0 or self.elm_weight < 0:
-            raise ValueError("fusion weights must be nonnegative")
+        require_fusion_weights(self.ilm_weight, self.elm_weight)
         if self.max_tokens < 0 or self.frame_cap < 1:
             raise ValueError("max_tokens must be >= 0 and frame_cap >= 1")
 
@@ -322,15 +333,15 @@ def save_nbest(lists, path) -> None:
             f.write(json.dumps(rec) + "\n")
 
 
-_NUM = (int, float)  # compared by type(), so a bool is no number
+NUMBER = (int, float)  # compared by type(), so a bool is no number
 # key -> its allowed types, or [types] for a list of such items
-_RECORD_KEYS = {"uid": (str,), "reference": [(int,)], "ilm_weight": _NUM, "elm_weight": _NUM,
-                "hyps": (list,)}
-_HYP_KEYS = {"tokens": [(int,)], "e2e_search": _NUM, "e2e_fullsum": _NUM + (type(None),),
-             "ilm": [_NUM], "elm": [_NUM], "combined": _NUM, "truncated": (bool,)}
+_RECORD_KEYS = {"uid": (str,), "reference": [(int,)], "ilm_weight": NUMBER,
+                "elm_weight": NUMBER, "hyps": (list,)}
+_HYP_KEYS = {"tokens": [(int,)], "e2e_search": NUMBER, "e2e_fullsum": NUMBER + (type(None),),
+             "ilm": [NUMBER], "elm": [NUMBER], "combined": NUMBER, "truncated": (bool,)}
 
 
-def _check_keys(rec, keys: dict) -> None:
+def check_keys(rec, keys: dict) -> None:
     if type(rec) is not dict:
         raise ValueError("not a JSON object")
     for key, kind in keys.items():
@@ -350,9 +361,9 @@ def load_nbest(path) -> list:
             continue
         try:
             rec = json.loads(line)
-            _check_keys(rec, _RECORD_KEYS)
+            check_keys(rec, _RECORD_KEYS)
             for h in rec["hyps"]:
-                _check_keys(h, _HYP_KEYS)
+                check_keys(h, _HYP_KEYS)
         except ValueError as e:
             raise ValueError(f"{path}:{lineno}: {e}") from None
         hyps = [

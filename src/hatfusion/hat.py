@@ -8,8 +8,9 @@ prediction network are tanh recurrences; on the tape each runs as one
 ``tensor.tanh_step_np``. The full-sum score of a label sequence
 marginalizes over every monotonic alignment: the model builds the log-blank
 and log-emit grids on the tape and hands them to one lattice primitive,
-``tensor.transducer_full_sum``. The internal LM view scores labels with the
-encoder contribution zeroed out.
+``tensor.transducer_full_sum``. The internal LM (ILM) zeroes the encoder
+term: ranking reads the numpy head ``_ilm_rows``, which the search and
+rescoring share, and gradients read the tape head of ``score_sequences``.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ import numpy as np
 from . import tensor as T
 
 _COUNTERS = {"lattice_sweeps": 0}
+# the weights of the two recurrences
+_ENC, _PRED = ("enc_wx", "enc_wh", "enc_b"), ("pred_wx", "pred_wh", "pred_b")
 
 
 def lattice_sweep_count() -> int:
@@ -93,7 +96,7 @@ class HatModel:
         if ids.size == 0:
             raise ValueError("encode: empty acoustic sequence")
         x = T.embedding_lookup(self._p("aemb"), ids[:, None])
-        return T.tanh_recurrence(x, self._p("enc_wx"), self._p("enc_wh"), self._p("enc_b"))[0]
+        return T.tanh_recurrence(x, *map(self._p, _ENC))[0]
 
     def encode_np(self, acoustics) -> np.ndarray:
         """``encode`` in numpy, recording nothing even under a tape."""
@@ -101,34 +104,22 @@ class HatModel:
         if ids.size == 0:
             raise ValueError("encode: empty acoustic sequence")
         x = self._p("aemb").data[ids[:, None]]
-        wx, wh, b = self._p("enc_wx").data, self._p("enc_wh").data, self._p("enc_b").data
-        rows = []
-        h = None
-        for xs in x:
-            h = T.tanh_step_np(xs, wx, wh, b, h)
-            rows.append(h)
-        return np.concatenate(rows)
+        return np.concatenate(T.tanh_states_np(x, *(self._p(n).data for n in _ENC)))
 
     # -- prediction network -------------------------------------------
 
-    def predict_states(self, seqs: list[list[int]]) -> T.Tensor:
-        """Prediction states for each sequence and prefix length: (K, U_max+1, H).
-
-        Row (k, u) conditions on the first u tokens of seqs[k]; sequences
-        shorter than U_max are padded and their trailing states are junk
-        the caller must mask. Each step's ids are looked up on their own
-        and the steps run as one ``T.tanh_recurrence`` over the K sequences.
+    def predict_states(self, pad: np.ndarray) -> T.Tensor:
+        """Prediction states for each row and prefix length of a ``pad_ids``
+        block (K, U_max): (K, U_max+1, H). Row (k, u) conditions on the first
+        u tokens of row k; a shorter sequence's trailing states read its
+        padding and are junk the caller must mask. Each step's ids are looked
+        up on their own and the steps run as one ``T.tanh_recurrence``.
         """
-        k = len(seqs)
-        lens = [len(s) for s in seqs]
-        u_max = max(lens) if lens else 0
-        pad = np.zeros((k, u_max), dtype=np.int64)
-        for i, s in enumerate(seqs):
-            pad[i, : lens[i]] = s
+        k, u_max = pad.shape
         ids = np.concatenate([np.full((k, 1), self.config.vocab_size), pad], axis=1)
         lemb = self._p("lemb")
         x = T.concat([T.embedding_lookup(lemb, ids[None, :, u]) for u in range(u_max + 1)])
-        return T.tanh_recurrence(x, self._p("pred_wx"), self._p("pred_wh"), self._p("pred_b"))
+        return T.tanh_recurrence(x, *map(self._p, _PRED))
 
     def pred_start_np(self) -> np.ndarray:
         return T.tanh_step_np(self._p("lemb").data[self.config.vocab_size],
@@ -156,7 +147,7 @@ class HatModel:
 
     def joint_locals(self, enc: T.Tensor, prefix) -> LatticeLocals:
         tokens = list(_check_ids(prefix, self.config.vocab_size, "label"))
-        blank_logit, label_lp, _ = self._grids(enc, self.predict_states([tokens]))
+        blank_logit, label_lp, _ = self._grids(enc, self.predict_states(pad_ids([tokens])))
         return LatticeLocals(blank_logit=blank_logit[0], label_logprob=label_lp[0])
 
     def eproj_np(self, enc: np.ndarray) -> np.ndarray:
@@ -177,8 +168,7 @@ class HatModel:
 
     def ilm_logprobs_np(self, dproj: np.ndarray) -> np.ndarray:
         """Internal-LM label log-probs (F, V) for stacked decoder projections (F, J)."""
-        z = np.tanh(dproj + self._p("joint_b").data)
-        return T.log_softmax_np(_row_products(z, self._p("label_w").data) + self._p("label_b").data)
+        return _ilm_rows(self.params, dproj)
 
     # -- exact scoring --------------------------------------------------
 
@@ -196,15 +186,12 @@ class HatModel:
             raise ValueError("score_sequences: no sequences")
         for s in seqs:
             _check_ids(s, self.config.vocab_size, "label")
-        k = len(seqs)
         t_len = enc.shape[0]
         lens = np.array([len(s) for s in seqs], dtype=np.int64)
-        u_max = int(lens.max())
-        pad = np.zeros((k, u_max), dtype=np.int64)
-        for i, s in enumerate(seqs):
-            pad[i, : lens[i]] = s
+        pad = pad_ids(seqs)
+        k, u_max = pad.shape
 
-        dstates = self.predict_states(seqs)
+        dstates = self.predict_states(pad)
         blank_logit, label_lp, dproj = self._grids(enc, dstates)
         lb = T.log_sigmoid(blank_logit)
         if u_max > 0:
@@ -226,10 +213,9 @@ class HatModel:
         ilm_lp = T.log_softmax(
             T.add(T.matmul(z_ilm, self._p("label_w")), self._p("label_b")), axis=-1
         )
-        kk2 = np.arange(k)[:, None]
-        uu2 = np.arange(u_max)[None, :]
-        per_tok = T.slice_(ilm_lp, (np.broadcast_to(kk2, pad.shape), np.broadcast_to(uu2, pad.shape), pad))
-        keep = (uu2 < lens[:, None]).astype(float)
+        kk, uu = np.indices(pad.shape)
+        per_tok = T.slice_(ilm_lp, (kk, uu, pad))
+        keep = (uu < lens[:, None]).astype(float)
         ilm_totals = T.matmul(T.multiply(per_tok, T.constant(keep)), T.constant(np.ones(u_max)))
         return full_sums, ilm_totals
 
@@ -242,20 +228,14 @@ class HatModel:
         return T.slice_(self.full_sum_log_probs(enc, [list(labels)]), 0)
 
     def internal_lm_log_prob(self, labels) -> np.ndarray:
-        """Per-token internal-LM log-probs s_l of ``labels``: (U,)."""
-        tokens = list(_check_ids(labels, self.config.vocab_size, "label"))
-        if not tokens:
-            return np.zeros(0)
-        dstates = self.predict_states([tokens])
-        dproj = T.matmul(dstates, self._p("joint_wd"))
-        lp = T.log_softmax(
-            T.add(
-                T.matmul(T.tanh(T.add(dproj, self._p("joint_b"))), self._p("label_w")),
-                self._p("label_b"),
-            ),
-            axis=-1,
-        )
-        return lp.data[0, np.arange(len(tokens)), tokens]
+        """Per-token internal-LM log-probs s_l of ``labels``: (U,). A numpy
+        replay of the fused search's steps, so it gives a fused hypothesis's
+        ``ilm_scores`` bit for bit, and it records nothing under a tape."""
+        tokens = _check_ids(labels, self.config.vocab_size, "label")
+        x = self._p("lemb").data[np.concatenate(([self.config.vocab_size], tokens[:-1]))[:, None]]
+        states = np.concatenate(T.tanh_states_np(x, *(self._p(n).data for n in _PRED)))
+        lp = _ilm_rows(self.params, _row_products(states, self._p("joint_wd").data))
+        return lp[np.arange(tokens.size), tokens]
 
     def mle_loss(self, batch: list[Utterance]) -> T.Tensor:
         if not batch:
@@ -293,6 +273,21 @@ def _init_params(cfg: HatConfig, seed: int) -> T.ParamSet:
     ps.add("label_w", normal(j, v, scale=j**-0.5))
     ps.add("label_b", np.zeros(v))
     return ps
+
+
+def pad_ids(seqs) -> np.ndarray:
+    """Token sequences as one (K, U_max) id block, each row right-padded with 0."""
+    ids = np.zeros((len(seqs), max(map(len, seqs), default=0)), dtype=np.int64)
+    for row, s in zip(ids, seqs):
+        row[:len(s)] = s
+    return ids
+
+
+def _ilm_rows(params: T.ParamSet, dproj: np.ndarray) -> np.ndarray:
+    """The numpy ILM head: label log-probs (F, V) of stacked decoder
+    projections (F, J), the joint with its encoder term removed."""
+    z = np.tanh(dproj + params["joint_b"].data)
+    return T.log_softmax_np(_row_products(z, params["label_w"].data) + params["label_b"].data)
 
 
 def _row_products(x: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -22,7 +22,9 @@ because a zeroed head emits exactly its bias at every position.
 
 ``prepare_rescoring`` is the one place that attaches the exact full sum and
 the per-token ILM and ELM scores to a list; it leaves the search scores
-alone, so a fused list still recombines to its stored ``combined``.
+alone, so a fused list still recombines to its stored ``combined``. Its ILM
+is ``HatModel.internal_lm_log_prob``, the numpy replay of the search's own
+steps, so a fused list's ILM scores come back bit for bit.
 Rescoring and fusion-module training read those scores off the hypotheses
 and never recompute them, so their lists must come from
 ``prepare_rescoring`` or ``hatfusion decode``; a list without one ILM and
@@ -38,8 +40,8 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .decode import NBestList, rescore_components
-from .hat import HatModel, Utterance
+from .decode import NBestList, require_fusion_weights, rescore_components
+from .hat import HatModel, Utterance, pad_ids
 from .lm import require_smoothing, score_tokens
 from .mwer import nwe, renormalized_expectation
 
@@ -238,8 +240,7 @@ def prepare_rescoring(utterance: Utterance, nbest: NBestList, hat: HatModel, elm
 
 def rescore_scalar(nbest: NBestList, mu: float, nu: float) -> NBestList:
     """Re-rank by constant fusion weights using the attached per-token scores."""
-    if min(mu, nu) < 0:
-        raise ValueError("fusion weights must be nonnegative")
+    require_fusion_weights(mu, nu)
     _require_lm_free(nbest)
     scores = []
     for h in nbest.hyps:
@@ -257,21 +258,13 @@ def rescore_with_lfm(utterance: Utterance, nbest: NBestList, hat: HatModel, elm,
     encodes the utterance, and ``elm`` is unused.
     """
     _require_lm_free(nbest)
-    w = lfm.forward(hat.encode_np(utterance.acoustics), _padded_ids(nbest.hyps)).data
+    w = lfm.forward(hat.encode_np(utterance.acoustics), pad_ids(nbest.token_lists())).data
     scores = []
     for h, wh in zip(nbest.hyps, w):
         n = len(h.tokens)
         scores.append(_weighted_score(h.e2e_fullsum, wh[:n, 0], h.ilm_scores,
                                       wh[:n, 1], h.elm_scores))
     return _reranked(nbest, scores)
-
-
-def _padded_ids(hyps: list) -> np.ndarray:
-    """The list's token ids as one (K, L_max) block, rows right-padded with 0."""
-    ids = np.zeros((len(hyps), max((len(h.tokens) for h in hyps), default=0)), dtype=np.int64)
-    for row, h in zip(ids, hyps):
-        row[:len(h.tokens)] = h.tokens
-    return ids
 
 
 def _freeze_batch(batch: list, hat: HatModel) -> list:
@@ -287,7 +280,7 @@ def _freeze_batch(batch: list, hat: HatModel) -> list:
         if not nbest.hyps:
             raise ValueError(f"lfm loss: empty hypothesis list for {nbest.uid!r}")
         reference = list(utterance.reference)
-        ids = _padded_ids(nbest.hyps)
+        ids = pad_ids(nbest.token_lists())
         pairs = np.zeros(ids.shape + (2,))
         for row, h in zip(pairs, nbest.hyps):
             row[:len(h.tokens), 0] = np.negative(h.ilm_scores)
@@ -359,7 +352,7 @@ def weight_stats(dataset: list, lfm: LfmModel, hat: HatModel) -> WeightStats:
         raise ValueError("weight_stats: empty dataset")
     mus, nus = [np.zeros(0)], [np.zeros(0)]
     for utterance, nbest in dataset:
-        w = lfm.forward(hat.encode_np(utterance.acoustics), _padded_ids(nbest.hyps)).data
+        w = lfm.forward(hat.encode_np(utterance.acoustics), pad_ids(nbest.token_lists())).data
         for h, wh in zip(nbest.hyps, w):
             mus.append(wh[:len(h.tokens), 0])
             nus.append(wh[:len(h.tokens), 1])

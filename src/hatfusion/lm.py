@@ -27,22 +27,21 @@ class NGramLm:
     smoothing: float
     vocab_size: int
     counts: dict
-    context_totals: dict
     _dists: dict = field(default_factory=dict, repr=False)
 
     def context_dist(self, ctx: tuple) -> np.ndarray:
-        """Log-probs over the labels for one context, cached."""
+        """Log-probs over the labels for one context, cached; the context's
+        total is the sum of its counts, taken here once."""
         cached = self._dists.get(ctx)
         if cached is not None:
             return cached
         v = self.vocab_size
         k = self.smoothing
         num = np.full(v, k)
-        table = self.counts.get(ctx)
-        if table:
-            for tok, c in table.items():
-                num[tok] += c
-        tot = self.context_totals.get(ctx, 0) + k * v
+        table = self.counts.get(ctx, {})
+        for tok, c in table.items():
+            num[tok] += c
+        tot = sum(table.values()) + k * v
         if tot == 0.0:
             dist = np.full(v, -np.log(v))
         else:
@@ -87,7 +86,6 @@ def train_ngram(corpus, order: int, smoothing: float = 0.1, *, vocab) -> NGramLm
         raise ValueError("empty corpus")
     v = _label_count(vocab)
     counts: dict = {}
-    totals: dict = {}
     pad = (BOS,) * (order - 1)
     for sentence in corpus:
         ctx = pad
@@ -95,11 +93,9 @@ def train_ngram(corpus, order: int, smoothing: float = 0.1, *, vocab) -> NGramLm
             _check_label(tok, v)
             counts.setdefault(ctx, {})
             counts[ctx][tok] = counts[ctx].get(tok, 0) + 1
-            totals[ctx] = totals.get(ctx, 0) + 1
             if order > 1:
                 ctx = (ctx + (tok,))[-(order - 1):]
-    return NGramLm(order=order, smoothing=float(smoothing), vocab_size=v,
-                   counts=counts, context_totals=totals)
+    return NGramLm(order=order, smoothing=float(smoothing), vocab_size=v, counts=counts)
 
 
 def initial_state(lm: NGramLm) -> LmState:
@@ -188,7 +184,6 @@ def load_lm(path) -> NGramLm:
     except ValueError as e:
         raise ValueError(f"{path}:2: {e}") from None
     counts: dict = {}
-    totals: dict = {}
     for lineno, line in enumerate(lines[2:], 3):
         if not line.strip():
             continue
@@ -199,6 +194,4 @@ def load_lm(path) -> NGramLm:
         if tok is None:
             continue
         counts.setdefault(ctx, {})[tok] = c
-        totals[ctx] = totals.get(ctx, 0) + c
-    return NGramLm(order=meta["order"], smoothing=meta["smoothing"], vocab_size=v,
-                   counts=counts, context_totals=totals)
+    return NGramLm(order=meta["order"], smoothing=meta["smoothing"], vocab_size=v, counts=counts)

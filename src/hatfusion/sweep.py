@@ -17,7 +17,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .data import wer
-from .decode import BeamConfig, beam_search, beam_search_plain
+from .decode import (NUMBER, BeamConfig, beam_search, beam_search_plain, check_keys,
+                     require_fusion_weights)
 from .hat import HatModel
 from .lfm import prepare_rescoring, rescore_scalar
 
@@ -44,8 +45,7 @@ class SweepSpec:
         for name, grid in (("ilm", self.ilm_grid), ("elm", self.elm_grid)):
             if not grid:
                 raise ValueError(f"empty {name} grid")
-            if min(grid) < 0:
-                raise ValueError(f"{name} grid has a negative weight")
+            require_fusion_weights(*grid)
 
     def points(self) -> list:
         return [(float(a), float(b)) for a in self.ilm_grid for b in self.elm_grid]
@@ -142,10 +142,34 @@ def save_sweep(result: SweepResult, path) -> None:
                            sort_keys=True) + "\n")
 
 
+_MAYBE = NUMBER + (type(None),)  # a failed point has no WER
+# the keys of the header, of a grid point and of the summary line
+_HEAD_KEYS = {"kind": (str,), "mode": (str,)}
+_ROW_KEYS = {"ilm": NUMBER, "elm": NUMBER, "wer_dev1": _MAYBE, "wer_dev2": _MAYBE,
+             "average": _MAYBE, "status": (str,)}
+_SUMMARY_KEYS = {"kind": (str,), "best_ilm": NUMBER, "best_elm": NUMBER,
+                 "best_average": NUMBER}
+
+
 def load_sweep(path) -> SweepResult:
-    lines = [json.loads(line) for line in Path(path).read_text().splitlines()]
-    head, rows, tail = lines[0], lines[1:-1], lines[-1]
-    if head.get("kind") != "sweep" or tail.get("kind") != "summary":
-        raise ValueError(f"{path} is not a sweep table")
+    """Read a sweep table: a header, one line per grid point, a summary. A
+    missing line or one off the schema raises ``ValueError`` naming the file
+    and line."""
+    lines = Path(path).read_text().splitlines()
+    if len(lines) < 2:
+        raise ValueError(f"{path}:{len(lines) + 1}: no {'summary' if lines else 'header'} line")
+    schemas = [(_HEAD_KEYS, "sweep"), *[(_ROW_KEYS, None)] * (len(lines) - 2),
+               (_SUMMARY_KEYS, "summary")]
+    recs = []
+    for lineno, (line, (keys, kind)) in enumerate(zip(lines, schemas), 1):
+        try:
+            rec = json.loads(line)
+            check_keys(rec, keys)
+            if rec.get("kind") != kind:
+                raise ValueError(f"'kind' is {rec.get('kind')!r}, not {kind!r}")
+        except ValueError as e:
+            raise ValueError(f"{path}:{lineno}: {e}") from None
+        recs.append(rec)
+    head, rows, tail = recs[0], recs[1:-1], recs[-1]
     return SweepResult(mode=head["mode"], rows=rows, best_ilm=tail["best_ilm"],
                        best_elm=tail["best_elm"], best_average=tail["best_average"])

@@ -478,18 +478,27 @@ def tanh_step_np(x: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray,
     return np.tanh(pre)
 
 
+def tanh_states_np(x: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray) -> list:
+    """The S (B, H) states that ``tanh_step_np`` gives over ``x`` (S, B, E)."""
+    hs, h = [], None
+    for xs in x:
+        h = tanh_step_np(xs, wx, wh, b, h)
+        hs.append(h)
+    return hs
+
+
 def tanh_recurrence(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
     """Every state of h_s = tanh(x[s] @ wx + b + h_{s-1} @ wh) as one tape entry.
 
     ``x`` (S, B, E) holds S steps of B inputs; the result (B, S, H) holds
     each input's states, step 0 having no state term. The forward is
-    ``tanh_step_np`` at each step. The backward is backpropagation through
-    time (Werbos, Proc. IEEE 1990): it walks s in reverse with the
-    arithmetic the tape does for the steps recorded op by op (matmul, add,
-    tanh) and gives each weight its per-step gradients as a list, latest
-    step first, which ``Tape.backward`` adds in that order. Its gradients
-    therefore equal that recording's bit for bit, also when a grad slot
-    already holds other contributions.
+    ``tanh_states_np``, the loop the numpy callers share. The backward is
+    backpropagation through time (Werbos, Proc. IEEE 1990): it walks s in
+    reverse with the arithmetic the tape does for the steps recorded op by
+    op (matmul, add, tanh) and gives each weight its per-step gradients as
+    a list, latest step first, which ``Tape.backward`` adds in that order.
+    Its gradients therefore equal that recording's bit for bit, also when a
+    grad slot already holds other contributions.
     """
     xd, wxd, whd, bd = x.data, wx.data, wh.data, b.data
     if xd.ndim != 3 or xd.shape[0] == 0 or wxd.ndim != 2 or xd.shape[2] != wxd.shape[0]:
@@ -499,11 +508,7 @@ def tanh_recurrence(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
     if wh.shape != (hdim, hdim) or b.shape != (hdim,):
         raise ValueError(f"tanh_recurrence: wh {wh.shape} and b {b.shape} must be "
                          f"({hdim}, {hdim}) and ({hdim},)")
-    hs = []
-    h = None
-    for s in range(s_len):
-        h = tanh_step_np(xd[s], wxd, whd, bd, h)
-        hs.append(h)
+    hs = tanh_states_np(xd, wxd, whd, bd)
     out = Tensor(np.stack(hs, axis=1))
 
     # Only the step-to-step product is sequential. The other products and

@@ -141,16 +141,11 @@ def op_by_op_encode(model, acoustics):
     return T.concat(rows, axis=0)
 
 
-def op_by_op_predict_states(model, seqs):
+def op_by_op_predict_states(model, pad):
     """``HatModel.predict_states`` recorded primitive by primitive: per label
     step one lookup of the step's ids, the step's matmuls, adds and tanh, and
     a slice; a concat joins the steps into (K, U_max+1, H)."""
-    k = len(seqs)
-    lens = [len(s) for s in seqs]
-    u_max = max(lens) if lens else 0
-    pad = np.zeros((k, u_max), dtype=np.int64)
-    for i, s in enumerate(seqs):
-        pad[i, : lens[i]] = s
+    k, u_max = pad.shape
     wx, wh, b = (model.params[n] for n in ("pred_wx", "pred_wh", "pred_b"))
     bos = np.full(k, model.config.vocab_size, dtype=np.int64)
     steps = []

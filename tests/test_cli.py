@@ -420,6 +420,31 @@ class TestConfigSections:
                      "--split", "dev-common", "--init", pipeline["mle"], "--k", k]) == 2
         assert not list(exp.glob("nbest/dev-common-*"))
 
+    @pytest.mark.parametrize("command", [
+        ["decode", "--split", "dev-common", "--lambda", "nan"],
+        ["decode", "--split", "dev-common", "--lambda", "inf"],
+        ["decode", "--split", "dev-common", "--gamma", "nan"],
+        ["sweep", "--mode", "rescoring", "--ilm-grid", "0,nan"],
+        ["sweep", "--elm-grid", "inf"],
+    ], ids=["decode-lambda-nan", "decode-lambda-inf", "decode-gamma-nan", "sweep-ilm-nan",
+            "sweep-elm-inf"])
+    def test_non_finite_fusion_weight_exits_2_before_writing(self, pipeline, tmp_path,
+                                                             capsys, command):
+        exp = copy_exp(pipeline, tmp_path)
+        before = tree(exp)
+        assert main([*command, "--config", str(pipeline["config"]), "--exp-dir", str(exp),
+                     "--init", pipeline["mle"]]) == 2
+        assert tree(exp) == before
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--mu", "nan"], ["--nu", "inf"]], ids=["mu", "nu"])
+    def test_rescore_non_finite_weight_exits_2_before_writing(self, pipeline, tmp_path, flags):
+        exp = copy_exp(pipeline, tmp_path)
+        before = tree(exp)
+        assert main(["rescore", "--exp-dir", str(exp), "--nbest", pipeline["nbest"],
+                     *flags]) == 2
+        assert tree(exp) == before
+
     @pytest.mark.parametrize("flag", ["--ilm-grid", "--elm-grid"])
     def test_bad_sweep_grid_exits_2(self, pipeline, tmp_path, flag):
         exp = copy_exp(pipeline, tmp_path)

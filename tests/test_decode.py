@@ -25,6 +25,12 @@ def random_utt(rng, a=4, t=3, uid="u0"):
     return H.Utterance(uid=uid, acoustics=list(rng.integers(0, a, size=t)), reference=[0, 1])
 
 
+def bench_scale_model(seed, v=12):
+    # the benchmark's layer widths, where a stacked product rounds unlike a row's
+    cfg = H.HatConfig(vocab_size=v, acoustic_size=8, embed_dim=8, hidden_dim=16, joint_dim=16)
+    return H.HatModel(cfg, seed=seed)
+
+
 def log_sigmoid(x):
     return -np.logaddexp(0.0, -np.asarray(x, dtype=float))
 
@@ -75,6 +81,11 @@ class TestBeamBasics:
             D.BeamConfig(beam_size=0)
         with pytest.raises(ValueError):
             D.BeamConfig(ilm_weight=-0.1)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                D.BeamConfig(ilm_weight=bad)
+            with pytest.raises(ValueError, match="finite"):
+                D.BeamConfig(elm_weight=bad)
         with pytest.raises(ValueError):
             D.BeamConfig(frame_cap=0)
 
@@ -188,6 +199,21 @@ class TestStackedSearch:
         D.beam_search(random_utt(rng, t=5), model, elm, cfg)
         assert steps
         assert len(queries) == len(steps) + 1
+
+
+class TestIlmReplay:
+    """Rescoring's per-token ILM is the fused search's, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_fused_search_ilm_scores(self, seed):
+        rng = np.random.default_rng(60 + seed)
+        model = bench_scale_model(seed)
+        elm = tiny_elm(rng, v=12)
+        cfg = D.BeamConfig(beam_size=8, ilm_weight=0.2, elm_weight=0.3, max_tokens=8)
+        for i in range(6):
+            nb = D.beam_search(random_utt(rng, a=8, t=6, uid=f"r{i}"), model, elm, cfg)
+            for h in nb.hyps:
+                np.testing.assert_array_equal(model.internal_lm_log_prob(h.tokens), h.ilm_scores)
 
 
 class TestUnsmoothedElm:

@@ -277,6 +277,12 @@ class TestInternalLm:
         after = m.internal_lm_log_prob([1, 0, 2])
         np.testing.assert_array_equal(before, after)
 
+    def test_records_nothing_under_a_tape(self):
+        m = tiny_model(seed=13)
+        with T.Tape() as tape:
+            s = m.internal_lm_log_prob([2, 0, 1])
+        assert len(tape) == 0 and s.shape == (3,)
+
     def test_batched_ilm_matches_single(self):
         m = tiny_model(v=3, seed=12)
         enc = m.encode([0, 1])

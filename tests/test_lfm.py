@@ -146,6 +146,21 @@ class TestRescoring:
         for h in nb.hyps:
             assert h.recombined(lam, gam) == h.combined
 
+    def test_prepare_keeps_the_fused_search_ilm_scores(self):
+        # rescoring reads the very ILM numbers the fused search ranked with
+        rng = np.random.default_rng(34)
+        cfg = H.HatConfig(vocab_size=V, acoustic_size=A, embed_dim=8, hidden_dim=16, joint_dim=16)
+        hat = H.HatModel(cfg, seed=35)
+        elm = tiny_elm(rng)
+        beam = D.BeamConfig(beam_size=8, ilm_weight=0.2, elm_weight=0.3, max_tokens=6)
+        for i in range(8):
+            utt = make_utt(rng, t=5, uid=f"f{i}")
+            nb = D.beam_search(utt, hat, elm, beam)
+            prepared = F.prepare_rescoring(utt, nb, hat, elm)
+            assert [h.tokens for h in prepared.hyps] == [h.tokens for h in nb.hyps]
+            for h, g in zip(nb.hyps, prepared.hyps):
+                np.testing.assert_array_equal(g.ilm_scores, h.ilm_scores)
+
     def test_zero_weights_rank_by_full_sum(self):
         rng = np.random.default_rng(9)
         hat = tiny_hat(11)
@@ -216,6 +231,13 @@ class TestRescoring:
         hat = tiny_hat(18)
         _, nb = prepared_list(rng, hat, tiny_elm(rng))
         with pytest.raises(ValueError, match="nonnegative"):
+            F.rescore_scalar(nb, mu, nu)
+
+    @pytest.mark.parametrize("mu,nu", [(np.nan, 0.0), (0.1, np.nan), (np.inf, 0.0), (0.0, np.inf)])
+    def test_non_finite_weight_refused(self, mu, nu):
+        rng = np.random.default_rng(17)
+        _, nb = prepared_list(rng, tiny_hat(18), tiny_elm(rng))
+        with pytest.raises(ValueError, match="finite"):
             F.rescore_scalar(nb, mu, nu)
 
     @pytest.mark.parametrize("ranker", ["rescore_scalar", "rescore_with_lfm", "lfm_loss"])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hatfusion import tensor as T
-from hatfusion.hat import HatConfig, HatModel, Utterance
+from hatfusion.hat import HatConfig, HatModel, Utterance, pad_ids
 
 from conftest import op_by_op_encode, op_by_op_predict_states, weighted_scalar
 
@@ -67,14 +67,14 @@ def test_prediction_batch_bit_identical_to_op_by_op(seed):
     rng = np.random.default_rng(300 + seed)
     model = _model(seed)
     seqs = [rng.integers(0, 5, size=n).tolist() for n in (3, 0, 5, 1, 5)]
-    _assert_same(_taped(model, lambda: model.predict_states(seqs)),
-                 _taped(model, lambda: op_by_op_predict_states(model, seqs)))
+    _assert_same(_taped(model, lambda: model.predict_states(pad_ids(seqs))),
+                 _taped(model, lambda: op_by_op_predict_states(model, pad_ids(seqs))))
 
 
 def test_search_steps_match_the_tape():
     # the search's one-row prediction steps give the tape's states bit for bit
     model = _model(4)
-    states = model.predict_states([[3, 1, 4]]).data[0]
+    states = model.predict_states(pad_ids([[3, 1, 4]])).data[0]
     h = model.pred_start_np()
     np.testing.assert_array_equal(h, states[0])
     for u, tok in enumerate([3, 1, 4], 1):

@@ -1,12 +1,12 @@
-"""Property tests: an unpruned beam is the exhaustive search, and no
-search returns an empty list."""
+"""Property tests: an unpruned beam is the exhaustive search, its ILM scores
+are ``internal_lm_log_prob``'s, and no search returns an empty list."""
 
 import numpy as np
 import pytest
 
 from hatfusion import decode as D
 
-from test_decode import random_utt, tiny_elm, tiny_model
+from test_decode import bench_scale_model, random_utt, tiny_elm, tiny_model
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -32,6 +32,23 @@ def test_unpruned_beam_matches_exhaustive_search(seed, v, max_tokens, extra_cap,
     assert list(nb.hyps[0].tokens) == want
     for h in D.rescore_components(nb, model, utt).hyps:
         assert abs(h.e2e_search - h.e2e_fullsum) < 1e-10
+
+
+@hypothesis.settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@hypothesis.given(seed=st.integers(0, 2**16), v=st.integers(2, 4), max_tokens=st.integers(1, 3),
+                  frames=st.integers(1, 3), weights=st.sampled_from([(0.2, 0.3), (0.8, 0.0)]))
+def test_unpruned_beam_ilm_scores_are_the_replay(seed, v, max_tokens, frames, weights):
+    # every sequence up to max_tokens is a hypothesis, so every prefix the
+    # search stepped is checked against the one-hypothesis replay
+    rng = np.random.default_rng(seed)
+    model = bench_scale_model(seed, v=v)
+    lam, gam = weights
+    cfg = D.BeamConfig(beam_size=sum(v**n for n in range(max_tokens + 1)), ilm_weight=lam,
+                       elm_weight=gam, max_tokens=max_tokens, frame_cap=max_tokens)
+    nb = D.beam_search(random_utt(rng, a=8, t=frames), model, tiny_elm(rng, v=v), cfg)
+    assert len(nb.hyps) == cfg.beam_size
+    for h in nb.hyps:
+        np.testing.assert_array_equal(model.internal_lm_log_prob(h.tokens), h.ilm_scores)
 
 
 @hypothesis.settings(max_examples=25, derandomize=True, database=None, deadline=None)

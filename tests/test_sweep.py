@@ -1,5 +1,7 @@
 """Weight-grid sweeps: table shape, argmin rule, rescoring reuse."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,12 @@ class TestSpec:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             SweepSpec(elm_grid=[0.0, -0.1])
+
+    @pytest.mark.parametrize("grid", ["ilm_grid", "elm_grid"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_weight_rejected(self, grid, bad):
+        with pytest.raises(ValueError, match="finite"):
+            SweepSpec(**{grid: [0.0, bad]})
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -122,6 +130,12 @@ class TestRescoringSweep:
         assert (res.best_ilm, res.best_elm) == (0.0, 0.0)
 
 
+_HEAD = '{"kind": "sweep", "mode": "rescoring"}\n'
+_ROW = ('{"average": 0.5, "elm": 0.0, "ilm": 0.0, "status": "ok", "wer_dev1": 0.5, '
+        '"wer_dev2": 0.5}\n')
+_SUMMARY = '{"best_average": 0.5, "best_elm": 0.0, "best_ilm": 0.0, "kind": "summary"}\n'
+
+
 class TestPersistence:
     def test_roundtrip(self, setup, tmp_path):
         task, model, elm = setup
@@ -131,6 +145,23 @@ class TestPersistence:
         save_sweep(res, tmp_path / "sweep.jsonl")
         back = load_sweep(tmp_path / "sweep.jsonl")
         assert back == res
+
+    @pytest.mark.parametrize("text,lineno", [
+        ("", 1),
+        (_HEAD, 2),
+        ('{"kind": "sweep"}\n' + _SUMMARY, 1),
+        (_HEAD + '{"ilm": 0.0, "elm": 0.0}\n' + _SUMMARY, 2),
+        (_HEAD + '["not", "a", "row"]\n' + _SUMMARY, 2),
+        (_HEAD + _ROW + '{"kind": "summary", "best_ilm": 0.0}\n', 3),
+        (_HEAD + _ROW + _ROW, 3),
+        (_HEAD + '{"ilm": 0.0, "elm": 0.0, "wer_dev1": 0.5, \n' + _SUMMARY, 2),
+    ], ids=["empty", "no-summary", "no-mode", "row-keys", "row-list", "summary-keys",
+            "row-for-summary", "truncated-row"])
+    def test_off_schema_line_names_file_and_line(self, tmp_path, text, lineno):
+        p = tmp_path / "sweep.jsonl"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=rf"sweep\.jsonl:{lineno}: "):
+            load_sweep(p)
 
     def test_rejects_non_sweep_file(self, tmp_path):
         p = tmp_path / "other.jsonl"
