@@ -78,9 +78,13 @@ def _load_config(path) -> dict:
             user = json.loads(p.read_text())
         except json.JSONDecodeError as e:
             raise CliError("usage", f"config file {p} is not valid JSON: {e}")
+        if type(user) is not dict:
+            raise CliError("usage", f"config file {p} is not a JSON object")
         for key, value in user.items():
             if key == "seed":
-                cfg["seed"] = int(value)
+                if type(value) is not int:  # a bool is no seed either
+                    raise CliError("usage", f"config seed must be an integer, got {value!r}")
+                cfg["seed"] = value
             elif key in cfg and isinstance(value, dict):
                 cfg[key].update(value)
             else:

@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .decode import check_keys
 from .hat import Utterance
 from .mwer import nwe
 
@@ -263,26 +264,54 @@ def save_task(task: SynthTask, directory) -> None:
             f.write(json.dumps({"uid": f"text-{i:05d}", "words": s}) + "\n")
 
 
-def load_task(directory) -> SynthTask:
-    directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
-    splits = {}
-    for split in _PAIRED_SPLITS:
-        utts = []
-        for line in (directory / f"{split}.jsonl").read_text().splitlines():
+# the keys of a split line, a text-only line and the manifest
+_UTT_KEYS = {"uid": (str,), "acoustics": [(int,)], "words": [(int,)]}
+_TEXT_KEYS = {"uid": (str,), "words": [(int,)]}
+_MANIFEST_KEYS = {"config": (dict,), "codebook": (dict,), "rare_words": [(int,)],
+                  "twins": (dict,), "marker": (int,)}
+
+
+def _records(path: Path, keys: dict) -> list:
+    """The records of a JSONL file; a line off the schema raises
+    ``ValueError`` naming the file and line."""
+    recs = []
+    for lineno, line in enumerate(path.read_text().splitlines(), 1):
+        try:
             rec = json.loads(line)
-            utts.append(Utterance(rec["uid"], rec["acoustics"], rec["words"]))
-        splits[split] = utts
-    text_only = [
-        json.loads(line)["words"]
-        for line in (directory / "text_only.jsonl").read_text().splitlines()
-    ]
-    return SynthTask(
-        config=TaskConfig(**manifest["config"]),
-        codebook={int(w): tuple(c) for w, c in manifest["codebook"].items()},
-        rare_words=manifest["rare_words"],
-        twins={int(w): t for w, t in manifest["twins"].items()},
-        marker=int(manifest["marker"]),
-        text_only=text_only,
-        **splits,
-    )
+            check_keys(rec, keys)
+        except ValueError as e:
+            raise ValueError(f"{path}:{lineno}: {e}") from None
+        recs.append(rec)
+    return recs
+
+
+def _manifest(path: Path) -> dict:
+    """The manifest's fields, built; a key off the schema or a ``config``
+    that builds no ``TaskConfig`` raises ``ValueError`` naming the file."""
+    try:
+        m = json.loads(path.read_text())
+        check_keys(m, _MANIFEST_KEYS)
+        check_keys(m["codebook"], dict.fromkeys(m["codebook"], [(int,)]))
+        check_keys(m["twins"], dict.fromkeys(m["twins"], (int,)))
+        try:
+            config = TaskConfig(**m["config"])
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"'config' builds no TaskConfig: {e}") from None
+        return dict(config=config, rare_words=m["rare_words"], marker=m["marker"],
+                    codebook={int(w): tuple(c) for w, c in m["codebook"].items()},
+                    twins={int(w): t for w, t in m["twins"].items()})
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+
+
+def load_task(directory) -> SynthTask:
+    """Read a task written by ``save_task``. A line of a split file or of
+    ``text_only.jsonl`` off the schema raises ``ValueError`` naming the file
+    and line, and a bad manifest one naming ``manifest.json``."""
+    directory = Path(directory)
+    manifest = _manifest(directory / "manifest.json")
+    splits = {split: [Utterance(r["uid"], r["acoustics"], r["words"])
+                      for r in _records(directory / f"{split}.jsonl", _UTT_KEYS)]
+              for split in _PAIRED_SPLITS}
+    text_only = [r["words"] for r in _records(directory / "text_only.jsonl", _TEXT_KEYS)]
+    return SynthTask(text_only=text_only, **manifest, **splits)

@@ -169,8 +169,8 @@ def _count_line(rec, v: int) -> tuple:
 
 def load_lm(path) -> NGramLm:
     """Read an ``ngram-lm v1`` file; sentence-end lines of older files are
-    skipped. A header or count line off the schema raises ``ValueError``
-    naming the file and line."""
+    skipped. A header or count line off the schema, or a second count for
+    one (context, token), raises ``ValueError`` naming the file and line."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no LM at {path}")
@@ -189,6 +189,8 @@ def load_lm(path) -> NGramLm:
             continue
         try:
             ctx, tok, c = _count_line(json.loads(line), v)
+            if tok in counts.get(ctx, {}):
+                raise ValueError(f"duplicate count for token {tok} after context {list(ctx)}")
         except ValueError as e:
             raise ValueError(f"{path}:{lineno}: {e}") from None
         if tok is None:

@@ -86,7 +86,9 @@ def _shallow_eval(point, model, elm, dev_sets, base: BeamConfig):
 
 
 def prepare_corpus(model: HatModel, elm, corpus: list, base: BeamConfig) -> list:
-    """LM-free decode plus score attachment; the one-off cost of rescoring."""
+    """LM-free decode plus score attachment; the one-off cost of rescoring.
+    Rescoring ``run_sweep`` calls it once per dev set. ``training.train_lfm``
+    prepares its lists the same way, once per list and call."""
     return [(utt, prepare_rescoring(utt, beam_search_plain(utt, model, base), model, elm))
             for utt in corpus]
 

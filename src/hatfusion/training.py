@@ -4,11 +4,11 @@ run logs.
 
 Each regime shares the same skeleton: sample a batch with the config's
 seed, build one loss on one tape, step Adam, log. The expected-error
-regime regenerates its hypothesis lists from the current model every step;
-nothing is cached across steps. A search never returns an empty list (see
-``decode``), so every step has a loss. Divergence (a non-finite loss)
-aborts the run and restores the last snapshot, taken every
-``_CHECKPOINT_EVERY`` steps.
+regime regenerates its lists from the current model every step; the
+fusion-weight regime's recognizer is frozen, so it prepares each list once
+per call. A search never returns an empty list (see ``decode``), so every
+step has a loss. Divergence (a non-finite loss) aborts the run and
+restores the last snapshot, taken every ``_CHECKPOINT_EVERY`` steps.
 
 A config field that its regime does not read must keep its default:
 ``mle`` reads neither the fusion weights nor the beam fields, and ``lfm``
@@ -244,11 +244,11 @@ def train_lfm(config: TrainConfig, train_data: list, hat: HatModel, elm,
     """Fit per-token fusion weights against a frozen recognizer and LM.
 
     The fusion module is built fresh from ``lfm_config`` (by default one
-    sized to ``hat``) and initialised from ``config.seed``. Hypothesis
-    lists are decoded LM-free from the frozen model each step.
-    At every logging step the emitted-weight statistics are recorded for
-    the step's batch and, when ``stats_data`` is given, for that fixed set
-    (decoded once up front; the frozen model makes reuse exact).
+    sized to ``hat``) and initialised from ``config.seed``. Each list is an
+    LM-free decode of the frozen model with scores attached, made once per
+    call: for a ``train_data`` position on its first draw, for ``stats_data``
+    up front. Each logging step records the emitted-weight statistics of the
+    step's batch and, when ``stats_data`` is given, of that fixed set.
     """
     if config.regime != "lfm":
         raise ValueError(f"train_lfm got a {config.regime!r} config")
@@ -261,16 +261,19 @@ def train_lfm(config: TrainConfig, train_data: list, hat: HatModel, elm,
     log = RunLog(config)
     rng = _batch_rng(config)
 
-    def decode_pairs(utts):
-        return [(utt, prepare_rescoring(utt, beam_search_plain(utt, hat, beam_cfg), hat, elm))
-                for utt in utts]
-
-    fixed_pairs = decode_pairs(stats_data) if stats_data else None
+    def prepare(utt):
+        return utt, prepare_rescoring(utt, beam_search_plain(utt, hat, beam_cfg), hat, elm)
+    fixed_pairs = [prepare(utt) for utt in stats_data] if stats_data else None
+    prepared: dict = {}  # train_data position -> its prepared pair, for this call
     batch_pairs: list = []
 
     def step_fn(step, optimizer):
         nonlocal batch_pairs
-        batch_pairs = decode_pairs(_sample(rng, train_data, config.batch_size))
+        batch = _sample(rng, range(len(train_data)), config.batch_size)
+        for i in batch:
+            if i not in prepared:  # a position's first draw
+                prepared[i] = prepare(train_data[i])
+        batch_pairs = [prepared[i] for i in batch]
         return train_lfm_step(batch_pairs, hat, lfm, optimizer)
 
     def extra_log(step):

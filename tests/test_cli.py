@@ -116,6 +116,17 @@ class TestParsing:
                          "--exp-dir", str(tmp_path / "e")]) == 2
         assert not (tmp_path / "e").exists()
 
+    @pytest.mark.parametrize("text", ['[{"seed": 1}]', '"seed"', "null", '{"seed": "abc"}',
+                                      '{"seed": 1.7}', '{"seed": true}', '{"seed": null}'],
+                             ids=["array", "string", "null", "string-seed", "float-seed",
+                                  "bool-seed", "null-seed"])
+    def test_bad_top_level_config_exits_2_before_writing(self, tmp_path, text):
+        # a fractional seed used to run as its floor and name artifacts by it
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["gen-data", "--config", str(bad), "--exp-dir", str(tmp_path / "e")]) == 2
+        assert not (tmp_path / "e").exists()
+
     @pytest.mark.parametrize("command,flag", [
         (["decode", "--split", "dev-common"], ["--seed", "7"]),
         (["sweep"], ["--seed", "7"]),
@@ -268,6 +279,25 @@ class TestMissingArtifacts:
         assert main(["decode", "--config", str(pipeline["config"]), "--exp-dir", str(exp),
                      "--split", "dev-common", "--init", pipeline["mle"]]) == 3
         assert elm.name in capsys.readouterr().err
+
+    def test_lm_duplicate_count_line_exits_3(self, pipeline, tmp_path, capsys):
+        exp = copy_exp(pipeline, tmp_path)
+        [elm] = exp.glob("models/elm-*.lm")
+        lines = elm.read_text().splitlines()
+        elm.write_text("\n".join([*lines, lines[2]]) + "\n")
+        assert main(["decode", "--config", str(pipeline["config"]), "--exp-dir", str(exp),
+                     "--split", "dev-common", "--init", pipeline["mle"]]) == 3
+        assert f"{elm.name}:{len(lines) + 1}: duplicate count" in capsys.readouterr().err
+
+    def test_task_line_without_acoustics_exits_3(self, pipeline, tmp_path, capsys):
+        exp = copy_exp(pipeline, tmp_path)
+        split = exp / "data" / "dev_common.jsonl"
+        lines = split.read_text().splitlines()
+        lines[1] = json.dumps({"uid": "x", "words": [1, 2]})
+        split.write_text("\n".join(lines) + "\n")
+        assert main(["decode", "--config", str(pipeline["config"]), "--exp-dir", str(exp),
+                     "--split", "dev-common", "--init", pipeline["mle"]]) == 3
+        assert "dev_common.jsonl:2: 'acoustics'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", ['{"step": 1, "train_st',
                                       '{"train_stats": {"mean_mu": 0.1}}',

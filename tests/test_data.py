@@ -234,3 +234,58 @@ class TestPersistence:
         manifest = json.loads((tmp_path / "t" / "manifest.json").read_text())
         assert manifest["config"]["noise_rate"] == 0.25
         assert manifest["config"]["seed"] == 5
+
+
+def _edit_line(path, lineno, edit):
+    lines = path.read_text().splitlines()
+    lines[lineno - 1] = json.dumps(edit(json.loads(lines[lineno - 1])))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _drop(key):
+    return lambda rec: {k: v for k, v in rec.items() if k != key}
+
+
+class TestLoadSchema:
+    """A saved task off the schema raises ValueError naming the file (and
+    line), never a bare KeyError or TypeError."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        data.save_task(generate_task(small_config()), tmp_path / "t")
+        return tmp_path / "t"
+
+    @pytest.mark.parametrize("name,lineno,edit,what", [
+        ("train.jsonl", 2, _drop("acoustics"), "'acoustics'"),
+        ("dev_rare.jsonl", 3, lambda r: {**r, "words": ["a", "b"]}, "'words'"),
+        ("test_common.jsonl", 1, lambda r: {**r, "uid": 7}, "'uid'"),
+        ("text_only.jsonl", 4, _drop("words"), "'words'"),
+        ("text_only.jsonl", 1, lambda r: [r], "not a JSON object"),
+    ], ids=["split-without-acoustics", "string-words", "int-uid", "text-without-words",
+            "text-array"])
+    def test_bad_line_names_file_and_line(self, saved, name, lineno, edit, what):
+        _edit_line(saved / name, lineno, edit)
+        with pytest.raises(ValueError, match=f"{name.replace('.', '[.]')}:{lineno}: {what}"):
+            data.load_task(saved)
+
+    def test_truncated_line_names_file_and_line(self, saved):
+        path = saved / "dev_common.jsonl"
+        path.write_text(path.read_text()[:40])
+        with pytest.raises(ValueError, match=r"dev_common[.]jsonl:1: "):
+            data.load_task(saved)
+
+    @pytest.mark.parametrize("edit,what", [
+        (_drop("marker"), "'marker'"),
+        (lambda m: {**m, "rare_words": "9"}, "'rare_words'"),
+        (lambda m: {**m, "codebook": {**m["codebook"], "0": "ab"}}, "'0'"),
+        (lambda m: {**m, "twins": {"x": 1}}, "invalid literal"),
+        (lambda m: {**m, "config": {**m["config"], "vocab": 12}}, "builds no TaskConfig"),
+        (lambda m: {**m, "config": {**m["config"], "rare_count": 6}}, "builds no TaskConfig"),
+        (lambda m: {**m, "config": {**m["config"], "vocab_size": "12"}}, "builds no TaskConfig"),
+    ], ids=["no-marker", "string-rare-words", "string-code", "non-integer-twin",
+            "unknown-config-key", "config-check", "string-config-value"])
+    def test_bad_manifest_names_the_manifest(self, saved, edit, what):
+        path = saved / "manifest.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(ValueError, match=f"manifest[.]json: .*{what}"):
+            data.load_task(saved)

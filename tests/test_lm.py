@@ -187,6 +187,16 @@ class TestPersistence:
         with pytest.raises(ValueError, match=f"off\\.lm:{where}: .*{what}"):
             L.load_lm(path)
 
+    def test_duplicate_count_line_rejected(self, tmp_path):
+        # a second count for one (context, token) used to overwrite the first
+        head = 'ngram-lm v1\n{"order": 2, "smoothing": 0.5, "vocab": [0, 1]}\n'
+        (tmp_path / "dup.lm").write_text(head + '[["<s>"], 0, 3]\n[[1], 0, 2]\n[["<s>"], 0, 5]\n')
+        with pytest.raises(ValueError, match=r"dup\.lm:5: duplicate count"):
+            L.load_lm(tmp_path / "dup.lm")
+        # the same token after another context is no duplicate
+        (tmp_path / "ok.lm").write_text(head + '[["<s>"], 0, 3]\n[[1], 0, 2]\n[["<s>"], 1, 5]\n')
+        assert L.load_lm(tmp_path / "ok.lm").counts == {("<s>",): {0: 3, 1: 5}, (1,): {0: 2}}
+
     def test_unrecognized_file_rejected(self, tmp_path):
         (tmp_path / "bad.lm").write_text("who knows\n")
         with pytest.raises(ValueError, match="unrecognized"):

@@ -1,6 +1,7 @@
 """Training loops: determinism, logging, divergence handling, freezing."""
 
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ import pytest
 from hatfusion import decode, hat, tensor as T, training
 from hatfusion.data import TaskConfig, generate_task
 from hatfusion.hat import HatConfig, HatModel
-from hatfusion.lfm import LfmConfig, LfmModel
+from hatfusion.lfm import LfmConfig, LfmModel, train_lfm_step, weight_stats
 from hatfusion.lm import train_ngram
+from hatfusion.sweep import prepare_corpus
 from hatfusion.training import RunLog, TrainConfig, train_lfm, train_mle, train_mwer
 
 
@@ -272,3 +274,54 @@ class TestLfm:
                                  lfm_config=self.lfm_cfg(task, frozen))
             outs.append((lfm.params.to_bytes(), log.to_bytes()))
         assert outs[0] == outs[1]
+
+    @staticmethod
+    def drawn_positions(cfg, data) -> set:
+        rng = training._batch_rng(cfg)
+        return {i for _ in range(cfg.steps)
+                for i in training._sample(rng, range(len(data)), cfg.batch_size)}
+
+    def test_prepares_each_position_once_per_call(self, task, frozen):
+        # the recognizer is frozen: a position drawn again reuses its list
+        hat_model, elm = frozen
+        data, stats = task.train[:5], task.dev_common[:3]
+        cfg = TrainConfig(regime="lfm", steps=6, batch_size=3, seed=8, beam_size=4)
+        before = decode.beam_call_count()
+        train_lfm(cfg, data, hat_model, elm, lfm_config=self.lfm_cfg(task, frozen),
+                  stats_data=stats)
+        drawn = self.drawn_positions(cfg, data)
+        assert len(drawn) < cfg.steps * cfg.batch_size
+        assert decode.beam_call_count() - before == len(drawn) + len(stats)
+
+    def test_keys_lists_by_position_not_uid(self, task, frozen):
+        # distinct utterances sharing a uid must not share a list
+        hat_model, elm = frozen
+        data = [hat.Utterance("u", u.acoustics, u.reference) for u in task.train[:4]]
+        cfg = TrainConfig(regime="lfm", steps=5, batch_size=2, seed=9, beam_size=4)
+        before = decode.beam_call_count()
+        train_lfm(cfg, data, hat_model, elm, lfm_config=self.lfm_cfg(task, frozen))
+        assert decode.beam_call_count() - before == len(self.drawn_positions(cfg, data)) > 1
+
+    @pytest.mark.parametrize("seed", [10, 11])
+    def test_equals_preparing_every_batch_afresh(self, task, frozen, seed):
+        # reference loop: prepare each sampled batch anew, step, log
+        hat_model, elm = frozen
+        data, stats = task.train[:6], task.dev_rare[:3]
+        lfm_cfg = self.lfm_cfg(task, frozen)
+        cfg = TrainConfig(regime="lfm", steps=8, batch_size=3, seed=seed, beam_size=4,
+                          log_every=1)
+        lfm, log = train_lfm(cfg, data, hat_model, elm, lfm_config=lfm_cfg,
+                             stats_data=stats)
+
+        ref, ref_log = LfmModel(lfm_cfg, seed=seed), RunLog(cfg)
+        optimizer, rng = T.Adam(cfg.lr), training._batch_rng(cfg)
+        fixed = prepare_corpus(hat_model, elm, stats, cfg.beam_config())
+        for step in range(1, cfg.steps + 1):
+            batch = training._sample(rng, data, cfg.batch_size)
+            pairs = prepare_corpus(hat_model, elm, batch, cfg.beam_config())
+            loss = train_lfm_step(pairs, hat_model, ref, optimizer)
+            ref_log.append(step=step, loss=loss,
+                           train_stats=asdict(weight_stats(pairs, ref, hat_model)),
+                           dev_stats=asdict(weight_stats(fixed, ref, hat_model)))
+        assert lfm.params.to_bytes() == ref.params.to_bytes()
+        assert log.to_bytes() == ref_log.to_bytes()
