@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .decode import check_keys
-from .hat import Utterance
+from .hat import Utterance, check_field_types
 from .mwer import nwe
 
 
@@ -47,6 +47,7 @@ class TaskConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.rare_count >= self.vocab_size // 2:
             raise ValueError(
                 f"need at least twice as many words as rare words, got "

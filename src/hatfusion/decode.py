@@ -20,14 +20,19 @@ an n-gram without smoothing: it scores an unseen token -inf, and a zero
 weight times -inf is NaN. The two searches also refuse an n-gram over a
 different number of labels than the model's.
 
+A prefix is an integer id into per-search tables (prediction state,
+decoder projection, ILM and ELM rows over the next label, the last token's
+ILM and ELM scores and their sums, a parent id), each made once per search.
 Each expansion stage is scored as one stack: one ``joint_np`` call on the
 frontier's (F, J) decoder projections, then a partition of the (F, V) score
-matrix that keeps every candidate tying the k-th score, and a sort of that
-shortlist by the (-score, tokens) key of a full sort. What depends on the
-tokens alone (prediction state, projection, ILM and ELM rows, per-token
-arrays and their sums) is made once per search and cached by token tuple.
-Stacked products go row by row (``hat._row_products``), so the lists equal
-those of a hypothesis-at-a-time search bit for bit.
+matrix that keeps every candidate tying the k-th score, sorted by score;
+tokens are built only where scores tie, which the (-score, tokens) key of a
+full sort breaks. A stage's new prefixes take one stacked prediction step,
+projection and ILM head; the ELM answers one query per new prefix. Score
+sums are taken as ``np.sum`` takes them, and the per-token ILM and ELM
+arrays are read off the parent links for the final beam alone. Stacked
+products go row by row (``hat._row_products``), so the lists equal those of
+a hypothesis-at-a-time search bit for bit.
 
 ``beam_search_plain`` is the fusion-free twin: it never touches LM
 machinery, and with lam = gam = 0 the fused search is bit-identical to it.
@@ -37,6 +42,8 @@ so a plain list cannot pass for one whose LM scores are attached.
 Both searches return at least one hypothesis: the acoustics are never
 empty, each frame's pool holds every frontier prefix, and the beam keeps
 the pool's best ``beam_size >= 1``. An empty list can come only from a file.
+Only NaN scores can empty a shortlist or a beam; the search then raises
+``ValueError`` naming the utterance and the frame.
 
 ``rescore_components`` only adds the exact full sum. The per-token ILM and
 ELM scores of a list are attached once, by ``lfm.prepare_rescoring``; every
@@ -48,10 +55,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
-from .hat import HatModel, Utterance
+from .hat import HatModel, Utterance, check_field_types
 from .lm import (advance_state, initial_state, next_token_logprobs, require_smoothing,
                  score_tokens)
 
@@ -80,6 +88,7 @@ class BeamConfig:
     frame_cap: int = 4
 
     def __post_init__(self):
+        check_field_types(self)
         if self.beam_size < 1:
             raise ValueError(f"beam size must be >= 1, got {self.beam_size}")
         require_fusion_weights(self.ilm_weight, self.elm_weight)
@@ -118,27 +127,6 @@ def _combine(e2e, lam, ilm_arr, gam, elm_arr) -> float:
     return (e2e - lam * float(np.sum(ilm_arr))) + gam * float(np.sum(elm_arr))
 
 
-class _Prefix:
-    """What the search knows about one token prefix; made once per search.
-
-    ``ilm_sum``/``elm_sum`` are ``np.sum`` of the per-token arrays, taken
-    when the prefix is made so no stage or sort re-sums them.
-    """
-
-    __slots__ = ("tokens", "dstate", "dproj", "ilm", "elm", "ilm_sum", "elm_sum",
-                 "elm_state", "ilm_vec", "elm_vec")
-
-    def __init__(self, tokens, dstate, ilm, elm, elm_state=None):
-        self.tokens = tokens
-        self.dstate = dstate
-        self.ilm = ilm
-        self.elm = elm
-        self.ilm_sum = float(np.sum(ilm))
-        self.elm_sum = float(np.sum(elm))
-        self.elm_state = elm_state
-        self.dproj = self.ilm_vec = self.elm_vec = None
-
-
 def _require_aligned_vocab(model: HatModel, elm) -> None:
     require_smoothing(elm.smoothing)
     if elm.vocab_size != model.config.vocab_size:
@@ -146,111 +134,143 @@ def _require_aligned_vocab(model: HatModel, elm) -> None:
                          f"{model.config.vocab_size}")
 
 
-def _make_prefix(model: HatModel, elm, parent: _Prefix, v: int, with_lm: bool) -> _Prefix:
-    """The prefix ``parent.tokens + (v,)``; its stacked rows (dproj, ilm_vec) come later."""
-    tokens = parent.tokens + (v,)
-    dstate = model.pred_step_np(parent.dstate, v)
-    if not with_lm:
-        return _Prefix(tokens, dstate, parent.ilm, parent.elm)
-    # the parent's ELM row already scores v; only the new state is queried
-    elm_state, r = (advance_state(elm, parent.elm_state, v, parent.elm_vec)
-                    if elm is not None else (None, 0.0))
-    p = _Prefix(tokens, dstate, np.append(parent.ilm, parent.ilm_vec[v]),
-                np.append(parent.elm, r), elm_state)
-    p.elm_vec = next_token_logprobs(elm, elm_state) if elm is not None else parent.elm_vec
-    return p
+_PAIRWISE_FROM = 8  # np.sum adds fewer terms than this one by one, more pairwise
+
+
+def _top(neg: np.ndarray, k: int, tokens_of, where: tuple) -> np.ndarray:
+    """Positions of the k lowest ``neg`` in the order of a full sort by
+    (neg, tokens). Tokens are built only where scores tie, for the candidates
+    up to the k-th score; NaNs sort last, and a NaN k-th score raises."""
+    order = neg.argsort(kind="stable")
+    s = neg[order[:k + 1]]
+    if neg.size > k and s[k - 1] != s[k - 1]:  # only a NaN differs from itself
+        raise ValueError(f"utterance {where[0]!r}, frame {where[1]}: NaN scores rank nothing")
+    if (s[1:] == s[:-1]).any():
+        short = (neg <= s[k - 1]).nonzero()[0] if neg.size > k else order
+        order = np.array(sorted(short.tolist(), key=lambda c: (neg[c], tokens_of(c))), dtype=int)
+    return order[:k]
+
+
+def _chain(last: np.ndarray, parent: np.ndarray, ids, n: int) -> np.ndarray:
+    """The (ILM, ELM) per-token scores (len(ids), 2, n) of prefixes of n
+    tokens, read off their own and their parents' last scores."""
+    out = np.empty((len(ids), 2, n))
+    for j in range(n - 1, -1, -1):
+        out[:, :, j] = last[ids]
+        ids = parent[ids]
+    return out
+
+
+def _reserve(tables: SimpleNamespace, n: int) -> None:
+    """Grow every table to at least n rows, by doubling."""
+    if len(tables.parent) < n:
+        for name, a in vars(tables).items():
+            more = np.zeros((max(n, 2 * len(a)) - len(a),) + a.shape[1:], a.dtype)
+            setattr(tables, name, np.concatenate([a, more]))
 
 
 def _search(utterance: Utterance, model: HatModel, elm, lam: float, gam: float,
             cfg: BeamConfig, with_lm: bool):
     _COUNTERS["beam_search"] += 1
-    vocab_size = model.config.vocab_size
+    vocab_size, k = model.config.vocab_size, cfg.beam_size
     enc = model.encode_np(utterance.acoustics)
     eproj = model.eproj_np(enc)
-    root = _Prefix((), model.pred_start_np(), np.zeros(0), np.zeros(0))
-    root.dproj = model.dproj_np(root.dstate[None])[0]
+    # a prefix id indexes each table and ``tokens`` and ``states`` (ELM
+    # states); lm_* hold (ILM, ELM) pairs, and ``child`` maps id * V + label
+    # to the child's id
+    tb = SimpleNamespace(dstate=np.zeros((1, model.config.hidden_dim)),
+                         dproj=np.zeros((1, model.config.joint_dim)),
+                         lm_rows=np.zeros((1, 2, vocab_size)), lm_last=np.zeros((1, 2)),
+                         lm_sum=np.zeros((1, 2)), parent=np.zeros(1, int), length=np.zeros(1, int))
+    tb.dstate[0] = model.pred_start_np()
+    tb.dproj[0] = model.dproj_np(tb.dstate[:1])[0]
+    tokens, states, child, n = [()], [None], {}, 1
     if with_lm:
-        root.ilm_vec = model.ilm_logprobs_np(root.dproj[None])[0]
+        tb.lm_rows[0, 0] = model.ilm_logprobs_np(tb.dproj[:1])[0]
         if elm is not None:
-            root.elm_state = initial_state(elm)
-            root.elm_vec = next_token_logprobs(elm, root.elm_state)
-        else:
-            root.elm_vec = np.zeros(vocab_size)
-    cache = {(): root}
+            states[0] = initial_state(elm)
+            tb.lm_rows[0, 1] = next_token_logprobs(elm, states[0])
 
-    # a hypothesis is [prefix, e2e]: the score belongs to the search, the
-    # rest is shared by every hypothesis with those tokens
-    beam = [[root, 0.0]]
-    k = cfg.beam_size
+    beam, beam_e2e = np.zeros(1, dtype=int), np.zeros(1)
     for t in range(enc.shape[0]):
-        pool: dict = {}
-        frontier = beam
+        _reserve(tb, n + cfg.frame_cap * k)
+        # the frame's pool: the logsumexp of the path scores reaching each id
+        pool, seen = np.full(len(tb.parent), -np.inf), np.zeros(len(tb.parent), dtype=bool)
+        ids, e2e = beam, beam_e2e
         for stage in range(cfg.frame_cap + 1):
-            prefixes = [p for p, _ in frontier]
-            e2e = np.array([s for _, s in frontier])
-            blank_logit, label_lp = model.joint_np(eproj[t], np.stack([p.dproj for p in prefixes]))
-            moved = e2e + (-np.logaddexp(0.0, -blank_logit))
-            for p, s in zip(prefixes, moved):
-                cur = pool.get(p.tokens)
-                if cur is None:
-                    pool[p.tokens] = [p, s]
-                else:
-                    cur[1] = np.logaddexp(cur[1], s)
-            rows = [i for i, p in enumerate(prefixes) if len(p.tokens) < cfg.max_tokens]
-            if stage == cfg.frame_cap or not rows:
+            blank_logit, label_lp = model.joint_np(eproj[t], tb.dproj[ids])
+            moved = e2e - np.logaddexp(0.0, -blank_logit)
+            # a stage holds an id once, so the merge is elementwise; an id
+            # not yet seen holds -inf, and logaddexp(-inf, s) is s
+            pool[ids] = np.logaddexp(pool[ids], moved)
+            seen[ids] = True
+            live = (tb.length[ids] < cfg.max_tokens).nonzero()[0]
+            if stage == cfg.frame_cap or not live.size:
                 break
-            e2e_new = (e2e + (-np.logaddexp(0.0, blank_logit)))[rows, None] + label_lp[rows]
+            if live.size == ids.size:  # a view, not a gather
+                live = slice(None)
+            e2e_new = (e2e - np.logaddexp(0.0, blank_logit))[live, None] + label_lp[live]
+            par = ids[live]
+            comb = e2e_new
             if with_lm:
-                live = [prefixes[i] for i in rows]
-                si = np.array([p.ilm_sum for p in live])[:, None]
-                sr = np.array([p.elm_sum for p in live])[:, None]
-                ilm_vec = np.stack([p.ilm_vec for p in live])
-                elm_vec = np.stack([p.elm_vec for p in live])
-                comb = (e2e_new - lam * (si + ilm_vec)) + gam * (sr + elm_vec)
-            else:
-                comb = e2e_new
-            # ties of the k-th score stay on the shortlist: a full sort's top k
-            neg = -comb.ravel()
-            short = range(neg.size)
-            if neg.size > k:
-                short = np.flatnonzero(neg <= neg[np.argpartition(neg, k - 1)[k - 1]]).tolist()
-            chosen = sorted((neg[c], prefixes[rows[c // vocab_size]].tokens + (c % vocab_size,), c)
-                            for c in short)[:k]
-            frontier, made = [], []
-            for _, tokens, c in chosen:
-                r, v = divmod(c, vocab_size)
-                p = cache.get(tokens)
-                if p is None:
-                    p = cache[tokens] = _make_prefix(model, elm, prefixes[rows[r]], v, with_lm)
-                    made.append(p)
-                frontier.append([p, e2e_new[r, v]])
-            if made:  # one stacked projection (and ILM head) for the new prefixes
-                dproj = model.dproj_np(np.stack([p.dstate for p in made]))
-                for p, d in zip(made, dproj):
-                    p.dproj = d
-                if with_lm:
-                    for p, iv in zip(made, model.ilm_logprobs_np(dproj)):
-                        p.ilm_vec = iv
+                lm = tb.lm_sum[par][:, :, None] + tb.lm_rows[par]
+                comb = (e2e_new - lam * lm[:, 0]) + gam * lm[:, 1]
+            top = _top(-comb.ravel(), k, lambda c: tokens[par[c // vocab_size]] + (c % vocab_size,),
+                       (utterance.uid, t))
+            rows, labels = np.divmod(top, vocab_size)
+            par, ids, made = par[rows], [], []
+            for i, key in enumerate((par * vocab_size + labels).tolist()):
+                j = child.get(key)
+                if j is None:
+                    j = child[key] = n + len(made)
+                    made.append(i)
+                ids.append(j)
+            ids, e2e = np.array(ids), e2e_new[rows, labels]
+            if made:
+                n = _extend(tb, model, elm, tokens, states, n, par[made], labels[made], with_lm)
 
-        merged = sorted(pool.values(), key=lambda h: (
-            -((h[1] - lam * h[0].ilm_sum) + gam * h[0].elm_sum), h[0].tokens))
-        beam = merged[:k]
+        merged = seen.nonzero()[0]
+        key = -((pool[merged] - lam * tb.lm_sum[merged, 0]) + gam * tb.lm_sum[merged, 1])
+        beam = merged[_top(key, k, lambda c: tokens[merged[c]], (utterance.uid, t))]
+        beam_e2e = pool[beam]
 
     out = []
-    for p, s in beam:
-        out.append(
-            Hypothesis(
-                tokens=p.tokens,
-                e2e_search=float(s),
-                ilm_scores=p.ilm,
-                elm_scores=p.elm,
-                combined=_combine(s, lam, p.ilm, gam, p.elm),
-                truncated=len(p.tokens) >= cfg.max_tokens,
-            )
-        )
+    for i, s in zip(beam.tolist(), beam_e2e):
+        # per-token arrays for the final beam only; a plain hypothesis has none
+        ilm, elm_arr = _chain(tb.lm_last, tb.parent, [i], tb.length[i])[0] if with_lm else (
+            np.zeros(0), np.zeros(0))
+        out.append(Hypothesis(tokens=tokens[i], e2e_search=float(s), ilm_scores=ilm,
+                              elm_scores=elm_arr, combined=_combine(s, lam, ilm, gam, elm_arr),
+                              truncated=len(tokens[i]) >= cfg.max_tokens))
     out.sort(key=lambda h: (-h.combined, h.tokens))
     return NBestList(uid=utterance.uid, reference=list(utterance.reference), hyps=out,
                      ilm_weight=lam, elm_weight=gam)
+
+
+def _extend(tb, model: HatModel, elm, tokens, states, n: int, par, labels, with_lm) -> int:
+    """Fill table rows n.. for the children ``par[i]`` + ``labels[i]``, whose
+    prediction step runs as one stack; returns the new prefix count."""
+    new = slice(n, n + par.size)
+    tb.parent[new], tb.length[new] = par, tb.length[par] + 1
+    tokens.extend(tokens[p] + (v,) for p, v in zip(par.tolist(), labels.tolist()))
+    tb.dstate[new] = model.pred_steps_np(tb.dstate[par], labels)
+    tb.dproj[new] = model.dproj_np(tb.dstate[new])
+    if not with_lm:
+        return new.stop
+    tb.lm_last[new, 0] = tb.lm_rows[par, 0, labels]
+    tb.lm_rows[new, 0] = model.ilm_logprobs_np(tb.dproj[new])
+    if elm is not None:  # the parent's ELM row already scores the label
+        for i, p, v in zip(range(n, new.stop), par.tolist(), labels.tolist()):
+            state, tb.lm_last[i, 1] = advance_state(elm, states[p], v, tb.lm_rows[p, 1])
+            states.append(state)
+            tb.lm_rows[i, 1] = next_token_logprobs(elm, state)
+    # the sums np.sum would take: one by one below _PAIRWISE_FROM tokens
+    tb.lm_sum[new] = tb.lm_sum[par] + tb.lm_last[new]
+    lens = tb.length[new]
+    for m in set(lens[lens >= _PAIRWISE_FROM].tolist()):
+        grp = (lens == m).nonzero()[0] + n
+        tb.lm_sum[grp] = np.sum(_chain(tb.lm_last, tb.parent, grp, m), axis=2)
+    return new.stop
 
 
 def beam_search(utterance: Utterance, model: HatModel, elm, config: BeamConfig) -> NBestList:

@@ -4,20 +4,22 @@ Factorized joint: each lattice node (t, u) carries a blank Bernoulli
 (sigmoid of a blank logit) and a label log-softmax over the vocabulary,
 with blank excluded from the label distribution. The encoder and the
 prediction network are tanh recurrences; on the tape each runs as one
-``tensor.tanh_recurrence`` entry, and the search steps the same numpy step,
-``tensor.tanh_step_np``. The full-sum score of a label sequence
-marginalizes over every monotonic alignment: the model builds the log-blank
-and log-emit grids on the tape and hands them to one lattice primitive,
-``tensor.transducer_full_sum``. The internal LM (ILM) zeroes the encoder
-term: ranking reads the numpy head ``_ilm_rows``, which the search and
-rescoring share, and gradients read the tape head of ``score_sequences``.
+``tensor.tanh_recurrence`` entry, and the search steps a stage's prefixes
+with the same arithmetic, row by row (``HatModel.pred_steps_np``). The
+full-sum score of a label sequence marginalizes over every monotonic
+alignment: the model builds the log-blank and log-emit grids on the tape
+and hands them to one lattice primitive, ``tensor.transducer_full_sum``.
+The internal LM (ILM) zeroes the encoder term: ranking reads the numpy head
+``_ilm_rows``, which the search and rescoring share, and gradients read the
+tape head of ``score_sequences``.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, asdict, fields
-from numbers import Integral
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +44,26 @@ class Utterance:
     reference: list[int]
 
 
+# annotation -> (what a field so annotated takes, its test); a bool is no number
+_FIELD_RULES = {
+    "int": ("an integer", lambda v: isinstance(v, Integral) and not isinstance(v, bool)),
+    "float": ("finite (an int or a float)", lambda v: isinstance(v, Real)
+              and not isinstance(v, bool) and abs(v) <= sys.float_info.max),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+}
+
+
+def check_field_types(config) -> None:
+    """Refuse a config whose field values do not fit their annotations; every
+    config dataclass calls it first in ``__post_init__``."""
+    for f in fields(config):
+        what, fits = _FIELD_RULES[f.type]
+        value = getattr(config, f.name)
+        if not fits(value):
+            raise ValueError(f"{f.name} must be {what}, got {value!r}")
+
+
 @dataclass
 class HatConfig:
     vocab_size: int
@@ -51,10 +73,10 @@ class HatConfig:
     joint_dim: int = 32
 
     def __post_init__(self):
+        check_field_types(self)
         for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
-                raise ValueError(f"hat {f.name} must be an integer >= 1, got {value!r}")
+            if getattr(self, f.name) < 1:
+                raise ValueError(f"hat {f.name} must be >= 1, got {getattr(self, f.name)!r}")
 
 
 @dataclass
@@ -126,9 +148,16 @@ class HatModel:
                               self._p("pred_wx").data, self._p("pred_wh").data,
                               self._p("pred_b").data)
 
+    def pred_steps_np(self, h: np.ndarray, tokens: np.ndarray) -> np.ndarray:
+        """One prediction step for F stacked states (F, H) and their next
+        tokens (F,): (F, H). Row products keep each row bit-equal to a
+        one-row ``T.tanh_step_np``."""
+        pre = _row_products(self._p("lemb").data[tokens], self._p("pred_wx").data)
+        pre = pre + self._p("pred_b").data
+        return np.tanh(pre + _row_products(h, self._p("pred_wh").data))
+
     def pred_step_np(self, h: np.ndarray, token: int) -> np.ndarray:
-        return T.tanh_step_np(self._p("lemb").data[token], self._p("pred_wx").data,
-                              self._p("pred_wh").data, self._p("pred_b").data, h)
+        return self.pred_steps_np(h[None], np.array([token]))[0]
 
     # -- factorized joint ---------------------------------------------
 

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import tensor as T
 from .decode import NBestList, require_fusion_weights, rescore_components
-from .hat import HatModel, Utterance, pad_ids
+from .hat import HatModel, Utterance, check_field_types, pad_ids
 from .lm import require_smoothing, score_tokens
 from .mwer import nwe, renormalized_expectation
 
@@ -60,6 +60,7 @@ class LfmConfig:
     ffn_dim: int = 32
 
     def __post_init__(self):
+        check_field_types(self)
         if self.model_dim % self.num_heads != 0:
             raise ValueError(
                 f"model_dim {self.model_dim} not divisible by {self.num_heads} heads"

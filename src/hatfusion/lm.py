@@ -151,13 +151,21 @@ def _check_header(meta) -> None:
         raise ValueError("'vocab' is missing or not a list")
 
 
-def _count_line(rec, v: int) -> tuple:
+def _count_line(rec, v: int, order: int) -> tuple:
     """(context, token, count) of one count line; the token is None on the
-    sentence-end lines of older files."""
+    sentence-end lines of older files. A context no query can reach (the
+    wrong length, a label out of range, ``<s>`` anywhere but the leading
+    pads) is refused rather than kept dead."""
     if (type(rec) is not list or len(rec) != 3 or type(rec[0]) is not list
             or not all(type(c) in (int, str) for c in rec[0])):
         raise ValueError("a count line must be a [context, token, count] triple")
     ctx, tok, c = rec
+    if len(ctx) != order - 1:
+        raise ValueError(f"context {ctx} is not {order - 1} long, as order {order} reads it")
+    pads = ctx.count(BOS)
+    if ctx[:pads] != [BOS] * pads or not all(type(x) is int and 0 <= x < v for x in ctx[pads:]):
+        raise ValueError(f"context {ctx} holds more than leading {BOS!r} pads and labels "
+                         f"0..{v - 1}")
     if tok is not None:
         if type(tok) is not int:
             raise ValueError(f"token {tok!r} not in vocabulary 0..{v - 1}")
@@ -188,7 +196,7 @@ def load_lm(path) -> NGramLm:
         if not line.strip():
             continue
         try:
-            ctx, tok, c = _count_line(json.loads(line), v)
+            ctx, tok, c = _count_line(json.loads(line), v, meta["order"])
             if tok in counts.get(ctx, {}):
                 raise ValueError(f"duplicate count for token {tok} after context {list(ctx)}")
         except ValueError as e:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import tensor as T
 from .decode import NBestList
-from .hat import HatModel, Utterance
+from .hat import HatModel, Utterance, check_field_types
 
 
 @dataclass
@@ -33,6 +33,7 @@ class MwerConfig:
     theta: float = 0.005
 
     def __post_init__(self):
+        check_field_types(self)
         if self.mu < 0 or self.nu < 0 or self.theta < 0:
             raise ValueError("mwer weights must be nonnegative")
 

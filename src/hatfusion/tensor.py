@@ -285,9 +285,8 @@ def exp(a: Tensor) -> Tensor:
 
 
 def log_softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    m = np.max(x, axis=axis, keepdims=True)
-    s = x - m
-    return s - np.log(np.sum(np.exp(s), axis=axis, keepdims=True))
+    s = x - x.max(axis=axis, keepdims=True)
+    return s - np.log(np.exp(s).sum(axis=axis, keepdims=True))
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import tensor as T
 from .decode import BeamConfig, beam_search, beam_search_plain
-from .hat import HatConfig, HatModel
+from .hat import HatConfig, HatModel, check_field_types
 from .lfm import LfmConfig, LfmModel, prepare_rescoring, train_lfm_step, weight_stats
 from .mwer import MwerConfig, composite_loss
 
@@ -58,11 +58,9 @@ class TrainConfig:
     log_every: int = 10
 
     def __post_init__(self):
+        check_field_types(self)
         if self.regime not in _REGIMES:
             raise ValueError(f"regime must be one of {_REGIMES}, got {self.regime!r}")
-        for name in ("lr", "lam", "gam", "mu", "nu", "theta"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         defaults = {f.name: f.default for f in fields(self)}
         for name in _UNREAD[self.regime]:
             if getattr(self, name) != defaults[name]:

@@ -1,10 +1,14 @@
-"""Shared test utilities: finite-difference gradient oracles and the op-by-op
+"""Shared test utilities: finite-difference gradient oracles, the op-by-op
 recordings that ``tensor.transducer_full_sum`` and ``tensor.tanh_recurrence``
-must equal bit for bit."""
+must equal bit for bit, and the prefix-object beam search that
+``decode._search`` must equal list for list."""
 
 import numpy as np
 
 from hatfusion import tensor as T
+from hatfusion.decode import _COUNTERS, BeamConfig, Hypothesis, NBestList, _combine
+from hatfusion.hat import HatModel, Utterance
+from hatfusion.lm import advance_state, initial_state, next_token_logprobs
 
 
 def fd_gradients(loss_fn, tensors, step=1e-4):
@@ -155,3 +159,138 @@ def op_by_op_predict_states(model, pad):
         h = _op_by_op_step(x, wx, wh, b, h)
         steps.append(h[:, None, :])
     return T.concat(steps, axis=1)
+
+
+# -- the reference search ----------------------------------------------------
+# ``decode._search`` as it was before its bookkeeping moved into per-search
+# tables: one Python object per prefix, its per-token ILM/ELM arrays built by
+# ``np.append`` and summed by ``np.sum`` when the prefix is made. Kept
+# verbatim as the oracle the table search must equal bit for bit.
+
+
+class _Prefix:
+    """What the search knows about one token prefix; made once per search.
+
+    ``ilm_sum``/``elm_sum`` are ``np.sum`` of the per-token arrays, taken
+    when the prefix is made so no stage or sort re-sums them.
+    """
+
+    __slots__ = ("tokens", "dstate", "dproj", "ilm", "elm", "ilm_sum", "elm_sum",
+                 "elm_state", "ilm_vec", "elm_vec")
+
+    def __init__(self, tokens, dstate, ilm, elm, elm_state=None):
+        self.tokens = tokens
+        self.dstate = dstate
+        self.ilm = ilm
+        self.elm = elm
+        self.ilm_sum = float(np.sum(ilm))
+        self.elm_sum = float(np.sum(elm))
+        self.elm_state = elm_state
+        self.dproj = self.ilm_vec = self.elm_vec = None
+
+
+def _make_prefix(model: HatModel, elm, parent: _Prefix, v: int, with_lm: bool) -> _Prefix:
+    """The prefix ``parent.tokens + (v,)``; its stacked rows (dproj, ilm_vec) come later."""
+    tokens = parent.tokens + (v,)
+    dstate = model.pred_step_np(parent.dstate, v)
+    if not with_lm:
+        return _Prefix(tokens, dstate, parent.ilm, parent.elm)
+    # the parent's ELM row already scores v; only the new state is queried
+    elm_state, r = (advance_state(elm, parent.elm_state, v, parent.elm_vec)
+                    if elm is not None else (None, 0.0))
+    p = _Prefix(tokens, dstate, np.append(parent.ilm, parent.ilm_vec[v]),
+                np.append(parent.elm, r), elm_state)
+    p.elm_vec = next_token_logprobs(elm, elm_state) if elm is not None else parent.elm_vec
+    return p
+
+
+def reference_search(utterance: Utterance, model: HatModel, elm, lam: float, gam: float,
+            cfg: BeamConfig, with_lm: bool):
+    _COUNTERS["beam_search"] += 1
+    vocab_size = model.config.vocab_size
+    enc = model.encode_np(utterance.acoustics)
+    eproj = model.eproj_np(enc)
+    root = _Prefix((), model.pred_start_np(), np.zeros(0), np.zeros(0))
+    root.dproj = model.dproj_np(root.dstate[None])[0]
+    if with_lm:
+        root.ilm_vec = model.ilm_logprobs_np(root.dproj[None])[0]
+        if elm is not None:
+            root.elm_state = initial_state(elm)
+            root.elm_vec = next_token_logprobs(elm, root.elm_state)
+        else:
+            root.elm_vec = np.zeros(vocab_size)
+    cache = {(): root}
+
+    # a hypothesis is [prefix, e2e]: the score belongs to the search, the
+    # rest is shared by every hypothesis with those tokens
+    beam = [[root, 0.0]]
+    k = cfg.beam_size
+    for t in range(enc.shape[0]):
+        pool: dict = {}
+        frontier = beam
+        for stage in range(cfg.frame_cap + 1):
+            prefixes = [p for p, _ in frontier]
+            e2e = np.array([s for _, s in frontier])
+            blank_logit, label_lp = model.joint_np(eproj[t], np.stack([p.dproj for p in prefixes]))
+            moved = e2e + (-np.logaddexp(0.0, -blank_logit))
+            for p, s in zip(prefixes, moved):
+                cur = pool.get(p.tokens)
+                if cur is None:
+                    pool[p.tokens] = [p, s]
+                else:
+                    cur[1] = np.logaddexp(cur[1], s)
+            rows = [i for i, p in enumerate(prefixes) if len(p.tokens) < cfg.max_tokens]
+            if stage == cfg.frame_cap or not rows:
+                break
+            e2e_new = (e2e + (-np.logaddexp(0.0, blank_logit)))[rows, None] + label_lp[rows]
+            if with_lm:
+                live = [prefixes[i] for i in rows]
+                si = np.array([p.ilm_sum for p in live])[:, None]
+                sr = np.array([p.elm_sum for p in live])[:, None]
+                ilm_vec = np.stack([p.ilm_vec for p in live])
+                elm_vec = np.stack([p.elm_vec for p in live])
+                comb = (e2e_new - lam * (si + ilm_vec)) + gam * (sr + elm_vec)
+            else:
+                comb = e2e_new
+            # ties of the k-th score stay on the shortlist: a full sort's top k
+            neg = -comb.ravel()
+            short = range(neg.size)
+            if neg.size > k:
+                short = np.flatnonzero(neg <= neg[np.argpartition(neg, k - 1)[k - 1]]).tolist()
+            chosen = sorted((neg[c], prefixes[rows[c // vocab_size]].tokens + (c % vocab_size,), c)
+                            for c in short)[:k]
+            frontier, made = [], []
+            for _, tokens, c in chosen:
+                r, v = divmod(c, vocab_size)
+                p = cache.get(tokens)
+                if p is None:
+                    p = cache[tokens] = _make_prefix(model, elm, prefixes[rows[r]], v, with_lm)
+                    made.append(p)
+                frontier.append([p, e2e_new[r, v]])
+            if made:  # one stacked projection (and ILM head) for the new prefixes
+                dproj = model.dproj_np(np.stack([p.dstate for p in made]))
+                for p, d in zip(made, dproj):
+                    p.dproj = d
+                if with_lm:
+                    for p, iv in zip(made, model.ilm_logprobs_np(dproj)):
+                        p.ilm_vec = iv
+
+        merged = sorted(pool.values(), key=lambda h: (
+            -((h[1] - lam * h[0].ilm_sum) + gam * h[0].elm_sum), h[0].tokens))
+        beam = merged[:k]
+
+    out = []
+    for p, s in beam:
+        out.append(
+            Hypothesis(
+                tokens=p.tokens,
+                e2e_search=float(s),
+                ilm_scores=p.ilm,
+                elm_scores=p.elm,
+                combined=_combine(s, lam, p.ilm, gam, p.elm),
+                truncated=len(p.tokens) >= cfg.max_tokens,
+            )
+        )
+    out.sort(key=lambda h: (-h.combined, h.tokens))
+    return NBestList(uid=utterance.uid, reference=list(utterance.reference), hyps=out,
+                     ilm_weight=lam, elm_weight=gam)

@@ -289,6 +289,16 @@ class TestMissingArtifacts:
                      "--split", "dev-common", "--init", pipeline["mle"]]) == 3
         assert f"{elm.name}:{len(lines) + 1}: duplicate count" in capsys.readouterr().err
 
+    def test_lm_dead_count_line_exits_3(self, pipeline, tmp_path, capsys):
+        # a context no query can reach used to load and sit in the counts
+        exp = copy_exp(pipeline, tmp_path)
+        [elm] = exp.glob("models/elm-*.lm")
+        lines = elm.read_text().splitlines()
+        elm.write_text("\n".join([*lines, '[["foo"], 0, 1]']) + "\n")
+        assert main(["decode", "--config", str(pipeline["config"]), "--exp-dir", str(exp),
+                     "--split", "dev-common", "--init", pipeline["mle"]]) == 3
+        assert f"{elm.name}:{len(lines) + 1}: context" in capsys.readouterr().err
+
     def test_task_line_without_acoustics_exits_3(self, pipeline, tmp_path, capsys):
         exp = copy_exp(pipeline, tmp_path)
         split = exp / "data" / "dev_common.jsonl"
@@ -363,6 +373,13 @@ BAD_SECTIONS = [
     # the weights come from the flags; a section may not set them too
     ("decode", {"ilm_weight": 0.3}, ["decode", "--split", "dev-common"]),
     ("sweep", {"grid": [0.0]}, ["sweep", "--mode", "rescoring"]),
+    # values of the wrong type that used to pass their config and fail later
+    ("task", {"seed": 1.5}, ["gen-data"]),
+    ("train_mle", {"batch_size": 1.5}, ["train-mle"]),
+    ("train_mwer", {"tie_weights": 1}, ["train-mwer"]),
+    ("train_lfm", {"steps": 2.0}, ["train-lfm"]),
+    ("lfm", {"num_heads": True}, ["train-lfm"]),
+    ("decode", {"beam_size": 2.5}, ["decode", "--split", "dev-common"]),
 ]
 
 

@@ -43,6 +43,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             TaskConfig(noise_rate=-0.1)
 
+    @pytest.mark.parametrize("field,value", [("seed", 1.5), ("train_size", 60.0),
+                                             ("noise_rate", "0.1"), ("code_len", True)])
+    def test_field_of_the_wrong_type_rejected(self, field, value):
+        # each used to pass, and generation failed later in numpy or not at all
+        with pytest.raises(ValueError, match=field):
+            TaskConfig(**{field: value})
+
     def test_tiny_alphabet_rejected(self):
         with pytest.raises(ValueError):
             TaskConfig(acoustic_symbols=6, code_len=1)

@@ -89,6 +89,13 @@ class TestBeamBasics:
         with pytest.raises(ValueError):
             D.BeamConfig(frame_cap=0)
 
+    @pytest.mark.parametrize("field,value", [("beam_size", 2.5), ("frame_cap", 1.5),
+                                             ("max_tokens", True), ("ilm_weight", "0.1")])
+    def test_config_field_of_the_wrong_type_rejected(self, field, value):
+        # beam_size=2.5 used to pass and the search then failed in np.argpartition
+        with pytest.raises(ValueError, match=field):
+            D.BeamConfig(**{field: value})
+
     def test_elm_required_when_weighted(self):
         rng = np.random.default_rng(4)
         with pytest.raises(ValueError):
@@ -103,6 +110,21 @@ class TestBeamBasics:
         elm = L.train_ngram([[0, 1]], order=1, vocab=[0, 1])
         with pytest.raises(ValueError):
             D.beam_search(random_utt(rng), tiny_model(1), elm, D.BeamConfig(elm_weight=0.3))
+
+    def test_nan_model_fails_with_a_named_error(self):
+        # NaN scores tie nothing and beat nothing, so the shortlist of the
+        # first stage comes out empty; the search names where, not np.stack
+        rng = np.random.default_rng(8)
+        model = tiny_model(8)
+        for name in ("label_w", "blank_w", "joint_wd"):
+            model.params[name].data[...] = np.nan
+        utt = random_utt(rng, uid="nan-7")
+        cfg = D.BeamConfig(beam_size=2, ilm_weight=0.2, elm_weight=0.3)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match="'nan-7', frame 0: NaN"):
+                D.beam_search_plain(utt, model, cfg)
+            with pytest.raises(ValueError, match="'nan-7', frame 0: NaN"):
+                D.beam_search(utt, model, tiny_elm(rng), cfg)
 
     def test_call_counter_increments(self):
         rng = np.random.default_rng(6)
@@ -122,9 +144,9 @@ class TestStackedSearch:
         for name in ("label_w", "label_b", "blank_w"):
             model.params[name].data[...] = 0.0
         tokens = []
-        step = H.HatModel.pred_step_np
-        monkeypatch.setattr(H.HatModel, "pred_step_np",
-                            lambda self, h, tok: tokens.append(tok) or step(self, h, tok))
+        step = H.HatModel.pred_steps_np
+        monkeypatch.setattr(H.HatModel, "pred_steps_np",
+                            lambda self, h, tok: tokens.extend(tok.tolist()) or step(self, h, tok))
         utt = H.Utterance("tie", [0, 1], [0])
         nb = D.beam_search_plain(utt, model, D.BeamConfig(beam_size=3, max_tokens=2, frame_cap=1))
         assert tokens[:3] == [0, 1, 2]
@@ -152,22 +174,30 @@ class TestStackedSearch:
         for c in children.values():
             assert sorted(c) == list(range(len(c)))
 
+    def test_shortlist_breaks_ties_by_tokens_not_position(self):
+        # the tied candidates sit in positions against their token order, so
+        # only the (score, tokens) key ranks them as a full sort would
+        tokens = [(3,), (2, 1), (0,), (2,), (1, 4)]
+        neg = np.array([0.5, 0.5, 0.5, -1.0, 0.5])
+        top = D._top(neg, 3, tokens.__getitem__, ("u", 0))
+        assert [tokens[c] for c in top] == [(2,), (0,), (1, 4)]
+
     def test_each_prefix_state_is_computed_once(self, monkeypatch):
         rng = np.random.default_rng(52)
         model = tiny_model(53)
         elm = tiny_elm(rng)
         steps, dproj_rows = [], set()
-        step, joint = H.HatModel.pred_step_np, H.HatModel.joint_np
+        step, joint = H.HatModel.pred_steps_np, H.HatModel.joint_np
 
-        def counting_step(self, h, token):
-            steps.append((h.tobytes(), int(token)))
-            return step(self, h, token)
+        def counting_step(self, h, toks):
+            steps.extend((row.tobytes(), int(tok)) for row, tok in zip(h, toks))
+            return step(self, h, toks)
 
         def recording_joint(self, eproj_t, dproj):
             dproj_rows.update(row.tobytes() for row in dproj)
             return joint(self, eproj_t, dproj)
 
-        monkeypatch.setattr(H.HatModel, "pred_step_np", counting_step)
+        monkeypatch.setattr(H.HatModel, "pred_steps_np", counting_step)
         monkeypatch.setattr(H.HatModel, "joint_np", recording_joint)
         cfg = D.BeamConfig(beam_size=4, ilm_weight=0.2, elm_weight=0.3, max_tokens=4, frame_cap=2)
         D.beam_search(random_utt(rng, t=5), model, elm, cfg)
@@ -183,17 +213,17 @@ class TestStackedSearch:
         model = tiny_model(55)
         elm = tiny_elm(rng)
         steps, queries = [], []
-        step, dist = H.HatModel.pred_step_np, L.NGramLm.context_dist
+        step, dist = H.HatModel.pred_steps_np, L.NGramLm.context_dist
 
-        def counting_step(self, h, token):
-            steps.append(int(token))
-            return step(self, h, token)
+        def counting_step(self, h, toks):
+            steps.extend(int(tok) for tok in toks)
+            return step(self, h, toks)
 
         def counting_dist(self, ctx):
             queries.append(ctx)
             return dist(self, ctx)
 
-        monkeypatch.setattr(H.HatModel, "pred_step_np", counting_step)
+        monkeypatch.setattr(H.HatModel, "pred_steps_np", counting_step)
         monkeypatch.setattr(L.NGramLm, "context_dist", counting_dist)
         cfg = D.BeamConfig(beam_size=4, ilm_weight=0.2, elm_weight=0.3, max_tokens=4, frame_cap=2)
         D.beam_search(random_utt(rng, t=5), model, elm, cfg)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import field, make_dataclass
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hatfusion.hat import (
     HatConfig,
     HatModel,
     Utterance,
+    check_field_types,
     load_checkpoint,
     save_checkpoint,
 )
@@ -72,6 +74,18 @@ class TestConfig:
 
     def test_numpy_integers_accepted(self):
         assert HatConfig(vocab_size=np.int64(3), acoustic_size=4).vocab_size == 3
+
+    def test_one_type_rule_for_every_config_field(self):
+        # string annotations, as under ``from __future__ import annotations``
+        Probe = make_dataclass("Probe", [("n", "int", field(default=1)),
+                                         ("x", "float", field(default=0.5)),
+                                         ("on", "bool", field(default=False)),
+                                         ("name", "str", field(default="a"))])
+        check_field_types(Probe(n=np.int64(2), x=3, on=True))  # an int is a finite float
+        for key, value in (("n", True), ("n", 2.0), ("x", False), ("x", math.nan),
+                           ("x", -math.inf), ("x", 10**400), ("on", 1), ("name", 3)):
+            with pytest.raises(ValueError, match=f"{key} must be"):
+                check_field_types(Probe(**{key: value}))
 
 
 class TestStackedHeads:

@@ -97,6 +97,9 @@ class TestForward:
             lfm.forward(rng.normal(size=(3, HID + 1)), [0])
         with pytest.raises(ValueError):
             F.LfmConfig(vocab_size=V, enc_dim=HID, model_dim=9, num_heads=2)
+        for field, value in (("num_heads", True), ("ffn_dim", 32.0)):
+            with pytest.raises(ValueError, match=field):  # both used to pass
+                F.LfmConfig(vocab_size=V, enc_dim=HID, **{field: value})
 
 
 class TestWeightedContribution:

@@ -197,6 +197,24 @@ class TestPersistence:
         (tmp_path / "ok.lm").write_text(head + '[["<s>"], 0, 3]\n[[1], 0, 2]\n[["<s>"], 1, 5]\n')
         assert L.load_lm(tmp_path / "ok.lm").counts == {("<s>",): {0: 3, 1: 5}, (1,): {0: 2}}
 
+    @pytest.mark.parametrize("order,line,what", [
+        (2, '[["foo", 7], 1, 3]', "is not 1 long"), (2, '[[], 1, 3]', "is not 1 long"),
+        (2, '[[9], 0, 2]', "holds more than"), (2, '[["foo"], 0, 2]', "holds more than"),
+        (3, '[[1, "<s>"], 0, 2]', "holds more than"), (3, '[["<s>", -1], 0, 2]', "holds more than"),
+    ], ids=["too-long", "too-short", "label-out-of-range", "unknown-string", "late-pad",
+            "negative-label"])
+    def test_dead_count_line_rejected(self, tmp_path, order, line, what):
+        # no query can reach such a context; it used to load into the counts
+        path = tmp_path / "dead.lm"
+        path.write_text(f'ngram-lm v1\n{{"order": {order}, "smoothing": 0.5, "vocab": [0, 1, 2]}}\n'
+                        f'{line}\n')
+        with pytest.raises(ValueError, match=f"dead\\.lm:3: context .*{what}"):
+            L.load_lm(path)
+        # the contexts train_ngram writes all load
+        m = L.train_ngram([[0, 1, 2, 1]], order=order, vocab=[0, 1, 2])
+        L.save_lm(m, path)
+        assert L.load_lm(path).counts == m.counts
+
     def test_unrecognized_file_rejected(self, tmp_path):
         (tmp_path / "bad.lm").write_text("who knows\n")
         with pytest.raises(ValueError, match="unrecognized"):

@@ -140,6 +140,10 @@ class TestMwerLoss:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             M.MwerConfig(mu=-0.1)
+        # a NaN passes "< 0" and a string raised TypeError there
+        for field, value in (("mu", float("nan")), ("nu", float("inf")), ("theta", "0.1")):
+            with pytest.raises(ValueError, match=field):
+                M.MwerConfig(**{field: value})
 
 
 class TestMwerLossScores:

@@ -1,11 +1,13 @@
 """Property tests: an unpruned beam is the exhaustive search, its ILM scores
-are ``internal_lm_log_prob``'s, and no search returns an empty list."""
+are ``internal_lm_log_prob``'s, no search returns an empty list, and every
+list equals the prefix-object reference search's bit for bit."""
 
 import numpy as np
 import pytest
 
 from hatfusion import decode as D
 
+from conftest import reference_search
 from test_decode import bench_scale_model, random_utt, tiny_elm, tiny_model
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -65,3 +67,40 @@ def test_every_search_returns_a_hypothesis(seed, beam, max_tokens, frame_cap, fr
                        frame_cap=frame_cap)
     assert D.beam_search(utt, model, tiny_elm(rng, smoothing=0.3), cfg).hyps
     assert D.beam_search_plain(utt, model, cfg).hyps
+
+
+@hypothesis.settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@hypothesis.given(seed=st.integers(0, 2**16), bench=st.booleans(), beam=st.integers(1, 16),
+                  max_tokens=st.integers(0, 10), frame_cap=st.integers(1, 4),
+                  frames=st.integers(1, 6),
+                  mode=st.sampled_from(["plain", (0.0, 0.0), (0.2, 0.3), (0.8, 0.8), (0.5, None)]))
+def test_search_equals_the_reference_bit_for_bit(seed, bench, beam, max_tokens, frame_cap,
+                                                  frames, mode):
+    # max_tokens 8 and up reach the lengths where np.sum adds pairwise; a
+    # (lam, None) mode fuses the ILM with no external LM
+    rng = np.random.default_rng(seed)
+    model = bench_scale_model(seed) if bench else tiny_model(seed, v=4)
+    v, a = model.config.vocab_size, model.config.acoustic_size
+    utt = random_utt(rng, a=a, t=frames, uid=f"b{seed}")
+    cfg = D.BeamConfig(beam_size=beam, max_tokens=max_tokens, frame_cap=frame_cap)
+    if mode == "plain":
+        got = D.beam_search_plain(utt, model, cfg)
+        want = reference_search(utt, model, None, 0.0, 0.0, cfg, with_lm=False)
+    else:
+        lam, gam = mode
+        elm = tiny_elm(rng, v=v, smoothing=0.3) if gam is not None else None
+        cfg = D.BeamConfig(beam_size=beam, ilm_weight=lam, elm_weight=gam or 0.0,
+                           max_tokens=max_tokens, frame_cap=frame_cap)
+        got = D.beam_search(utt, model, elm, cfg)
+        want = reference_search(utt, model, elm, lam, gam or 0.0, cfg, with_lm=True)
+    assert (got.uid, got.reference, got.ilm_weight, got.elm_weight) == (
+        want.uid, want.reference, want.ilm_weight, want.elm_weight)
+    assert len(got.hyps) == len(want.hyps)
+    for g, w in zip(got.hyps, want.hyps):
+        assert g.tokens == w.tokens
+        assert g.e2e_search == w.e2e_search
+        assert g.combined == w.combined
+        assert g.truncated == w.truncated
+        for x, y in ((g.ilm_scores, w.ilm_scores), (g.elm_scores, w.elm_scores)):
+            assert x.shape == y.shape
+            np.testing.assert_array_equal(x, y)

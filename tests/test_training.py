@@ -83,6 +83,13 @@ class TestConfig:
         assert TrainConfig(regime="lfm", steps=1).lr == 1e-4
         assert TrainConfig(regime="mle", steps=1, lr=0.5).lr == 0.5
 
+    @pytest.mark.parametrize("regime,field,value", [
+        ("mle", "steps", 2.0), ("mle", "batch_size", 1.5), ("mle", "seed", 0.0),
+        ("mwer", "tie_weights", 1), ("mwer", "beam_size", 4.0), ("lfm", "log_every", True)])
+    def test_field_of_the_wrong_type_rejected(self, regime, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(regime=regime, **{"steps": 1, field: value})
+
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(regime="mwer", steps=1, mu=-0.1)
