@@ -4,11 +4,16 @@ Factorized joint: each lattice node (t, u) carries a blank Bernoulli
 (sigmoid of a blank logit) and a label log-softmax over the vocabulary,
 with blank excluded from the label distribution. The encoder and the
 prediction network are tanh recurrences; on the tape each runs as one
-``tensor.tanh_recurrence`` entry, and the search steps a stage's prefixes
-with the same arithmetic, row by row (``HatModel.pred_steps_np``). The
-full-sum score of a label sequence marginalizes over every monotonic
-alignment: the model builds the log-blank and log-emit grids on the tape
-and hands them to one lattice primitive, ``tensor.transducer_full_sum``.
+``tensor.tanh_recurrence`` entry over a padded batch, and the search steps
+a stage's prefixes with the same arithmetic, row by row
+(``HatModel.pred_steps_np``). The full-sum score of a label sequence
+marginalizes over every monotonic alignment: the model builds the log-blank
+and log-emit grids on the tape and hands them to one lattice primitive,
+``tensor.transducer_full_sum``. ``HatModel.score_sequences`` is the one
+scoring path: an N-best list is K sequences against one utterance's
+encoder states, and an MLE batch is K references, each against its own
+utterance's row of a padded encoder block and its own frame count, so one
+batch is one graph whatever its size.
 The internal LM (ILM) zeroes the encoder term: ranking reads the numpy head
 ``_ilm_rows``, which the search and rescoring share, and gradients read the
 tape head of ``score_sequences``.
@@ -111,14 +116,28 @@ class HatModel:
     def encode(self, acoustics) -> T.Tensor:
         """Encoder states, one (hidden_dim,) row per frame: (T, H).
 
-        The frames are one batch-of-one recurrence, ``T.tanh_recurrence``:
-        one lookup and one tape entry for the whole recursion, whatever T is.
+        The batch of one of ``encode_batch``: a lookup, the recurrence and
+        the row slice are three tape entries, whatever T is.
         """
-        ids = _check_ids(acoustics, self.config.acoustic_size, "acoustic symbol")
-        if ids.size == 0:
+        return self.encode_batch([acoustics])[0][0]
+
+    def encode_batch(self, batch) -> tuple[T.Tensor, np.ndarray]:
+        """Encoder states of B acoustic sequences, (B, T_max, H), and their
+        frame counts (B,).
+
+        The sequences are right-padded to the longest and run as one padded
+        ``T.tanh_recurrence``: one lookup and one tape entry for the whole
+        batch. A shorter sequence's states past its frames read padding;
+        they are junk that its lattice never reaches.
+        """
+        ids = [_check_ids(a, self.config.acoustic_size, "acoustic symbol") for a in batch]
+        if not ids:
+            raise ValueError("encode: no acoustic sequences")
+        frames = np.array([a.size for a in ids])
+        if frames.min() == 0:
             raise ValueError("encode: empty acoustic sequence")
-        x = T.embedding_lookup(self._p("aemb"), ids[:, None])
-        return T.tanh_recurrence(x, *map(self._p, _ENC))[0]
+        x = T.embedding_lookup(self._p("aemb"), pad_ids(ids).T)
+        return T.tanh_recurrence(x, *map(self._p, _ENC)), frames
 
     def encode_np(self, acoustics) -> np.ndarray:
         """``encode`` in numpy, recording nothing even under a tape."""
@@ -162,12 +181,13 @@ class HatModel:
     # -- factorized joint ---------------------------------------------
 
     def _grids(self, enc: T.Tensor, dstates: T.Tensor):
-        """Blank-logit (K,T,U+1) and label log-prob (K,T,U+1,V) grids."""
+        """Blank-logit (K,T,U+1) and label log-prob (K,T,U+1,V) grids of K
+        prediction-state rows against shared (T, H) or per-row (K, T, H)
+        encoder states."""
+        ekey = np.s_[None, :, None, :] if enc.data.ndim == 2 else np.s_[:, :, None, :]
         eproj = T.matmul(enc, self._p("joint_we"))
         dproj = T.matmul(dstates, self._p("joint_wd"))
-        z = T.tanh(
-            T.add(T.add(eproj[None, :, None, :], dproj[:, None, :, :]), self._p("joint_b"))
-        )
+        z = T.tanh(T.add(T.add(eproj[ekey], dproj[:, None, :, :]), self._p("joint_b")))
         blank_logit = T.add(T.matmul(z, self._p("blank_w")), self._p("blank_b"))
         label_lp = T.log_softmax(
             T.add(T.matmul(z, self._p("label_w")), self._p("label_b")), axis=-1
@@ -201,13 +221,17 @@ class HatModel:
 
     # -- exact scoring --------------------------------------------------
 
-    def score_sequences(self, enc: T.Tensor, seqs, with_ilm: bool = True):
-        """Full-sum log P(Y|X) for each sequence against shared encoder states.
+    def score_sequences(self, enc: T.Tensor, seqs, with_ilm: bool = True, frames=None):
+        """Full-sum log P(Y|X) for each of K sequences.
 
-        Returns (full_sums (K,), ilm_totals (K,) or None). The joint grids
-        of all K sequences are built together and scored in one lattice
-        sweep, ``T.transducer_full_sum``: one tape entry for the whole
-        α recursion, whatever T and U are.
+        ``enc`` is one utterance's encoder states (T, H), which every
+        sequence is scored against (an N-best list), or a padded
+        ``encode_batch`` block (K, T_max, H), whose row k is sequence k's
+        own utterance (an MLE batch); ``frames`` (K,) gives each sequence's
+        frame count, all T when None. Returns (full_sums (K,), ilm_totals
+        (K,) or None). The joint grids of all K sequences are built together
+        and scored in one lattice sweep, ``T.transducer_full_sum``: one tape
+        entry for the whole α recursion, whatever T and U are.
         """
         _COUNTERS["lattice_sweeps"] += 1
         seqs = [list(s) for s in seqs]
@@ -215,7 +239,10 @@ class HatModel:
             raise ValueError("score_sequences: no sequences")
         for s in seqs:
             _check_ids(s, self.config.vocab_size, "label")
-        t_len = enc.shape[0]
+        if enc.data.ndim not in (2, 3) or enc.data.ndim == 3 and enc.shape[0] != len(seqs):
+            raise ValueError(f"score_sequences: encoder states {enc.shape} are neither (T, H) "
+                             f"nor one (T, H) row for each of {len(seqs)} sequences")
+        t_len = enc.shape[-2]
         lens = np.array([len(s) for s in seqs], dtype=np.int64)
         pad = pad_ids(seqs)
         k, u_max = pad.shape
@@ -232,7 +259,7 @@ class HatModel:
             le = T.add(l1mb[:, :, :u_max], label_tok)
         else:
             le = T.constant(np.zeros((k, t_len, 0)))
-        full_sums = T.transducer_full_sum(lb, le, lens)
+        full_sums = T.transducer_full_sum(lb, le, lens, frames)
 
         if not with_ilm:
             return full_sums, None
@@ -267,14 +294,16 @@ class HatModel:
         return lp[np.arange(tokens.size), tokens]
 
     def mle_loss(self, batch: list[Utterance]) -> T.Tensor:
+        """Mean negative full-sum log-likelihood of the references, as one
+        graph whatever the batch size: one padded ``encode_batch``, then one
+        ``score_sequences`` sweep that scores each reference against its own
+        utterance's row and frame count."""
         if not batch:
             raise ValueError("mle_loss: empty batch")
-        parts = []
-        for utt in batch:
-            enc = self.encode(utt.acoustics)
-            parts.append(self.full_sum_log_probs(enc, [utt.reference]))
-        stacked = T.concat(parts, axis=0)
-        return T.matmul(stacked, T.constant(np.full(len(batch), -1.0 / len(batch))))
+        enc, frames = self.encode_batch([utt.acoustics for utt in batch])
+        sums, _ = self.score_sequences(enc, [utt.reference for utt in batch], with_ilm=False,
+                                       frames=frames)
+        return T.matmul(sums, T.constant(np.full(len(batch), -1.0 / len(batch))))
 
 
 def _init_params(cfg: HatConfig, seed: int) -> T.ParamSet:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from numbers import Real
 from pathlib import Path
 
 from .data import wer
@@ -42,9 +43,13 @@ class SweepSpec:
     def __post_init__(self):
         if self.mode not in ("shallow-fusion", "rescoring"):
             raise ValueError(f"unknown sweep mode {self.mode!r}")
-        for name, grid in (("ilm", self.ilm_grid), ("elm", self.elm_grid)):
+        for name, grid in (("ilm_grid", self.ilm_grid), ("elm_grid", self.elm_grid)):
+            # a bool is no weight, though Python counts it as an int
+            if not isinstance(grid, list) or not all(
+                    isinstance(w, Real) and not isinstance(w, bool) for w in grid):
+                raise ValueError(f"{name} must be a list of numbers, got {grid!r}")
             if not grid:
-                raise ValueError(f"empty {name} grid")
+                raise ValueError(f"empty {name}")
             require_fusion_weights(*grid)
 
     def points(self) -> list:

@@ -341,14 +341,11 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             f"concat: shapes {[t.shape for t in tensors]} do not align on axis {axis}"
         )
     sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + sizes).tolist()
+    lead = (slice(None),) * (axis % out.data.ndim)
 
     def bw(g):
-        g = np.moveaxis(g, axis, 0)
-        pieces = []
-        for i in range(len(sizes)):
-            pieces.append(np.moveaxis(g[offsets[i]:offsets[i + 1]], 0, axis))
-        return tuple(pieces)
+        return tuple(g[lead + (slice(a, b),)] for a, b in zip(offsets, offsets[1:]))
 
     return _record(out, tuple(tensors), bw)
 
@@ -530,14 +527,17 @@ def tanh_recurrence(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
     return _record(out, (x, wx, wh, b), bw)
 
 
-def transducer_full_sum(lb: Tensor, le: Tensor, lens) -> Tensor:
+def transducer_full_sum(lb: Tensor, le: Tensor, lens, frames=None) -> Tensor:
     """Full-sum log-likelihood of K label sequences over transducer lattices.
 
     ``lb`` (K, T, U+1) holds log P(blank) at each node (t, u), ``le``
     (K, T, U) the log-probability of emitting label u+1 of sequence k at
-    (t, u), and ``lens`` (K,) the label counts, each at most U. Entry k sums
-    every monotonic path from (0, 0) through the final blank at
-    (T-1, lens[k]); cells past lens[k] never reach it.
+    (t, u), ``lens`` (K,) the label counts, each at most U, and ``frames``
+    (K,) the frame counts, each in [1, T]; None gives every sequence all T.
+    Entry k sums every monotonic path from (0, 0) through the final blank
+    at (frames[k]-1, lens[k]). Paths only move right and down, so cells
+    past frames[k] or lens[k] never reach that blank: they may hold any
+    finite junk (a padded batch's), and their gradient is exactly zero.
 
     The forward walks the T+U anti-diagonals t + u = d for all K lattices at
     once (the diagonal layout of Bagby et al., SLT 2018). Cells off the grid
@@ -553,11 +553,15 @@ def transducer_full_sum(lb: Tensor, le: Tensor, lens) -> Tensor:
         raise ValueError(f"transducer_full_sum: lb must be (K, T>=1, U+1), got {lb.shape}")
     k, t_len, width = lb.shape
     u_max = width - 1
-    if le.shape != (k, t_len, u_max) or lens.shape != (k,):
-        raise ValueError(f"transducer_full_sum: lb {lb.shape} needs le {(k, t_len, u_max)} "
-                         f"and lens ({k},), got {le.shape} and {lens.shape}")
+    frames = np.full(k, t_len) if frames is None else np.asarray(frames, dtype=np.int64)
+    if le.shape != (k, t_len, u_max) or lens.shape != (k,) or frames.shape != (k,):
+        raise ValueError(f"transducer_full_sum: lb {lb.shape} needs le {(k, t_len, u_max)}, "
+                         f"lens ({k},) and frames ({k},), got {le.shape}, {lens.shape} "
+                         f"and {frames.shape}")
     if lens.size and (lens.min() < 0 or lens.max() > u_max):
         raise ValueError(f"transducer_full_sum: lengths must lie in [0, {u_max}]")
+    if frames.size and (frames.min() < 1 or frames.max() > t_len):
+        raise ValueError(f"transducer_full_sum: frame counts must lie in [1, {t_len}]")
 
     n_diag = t_len + u_max
     us = np.arange(width)[None, :]
@@ -577,18 +581,24 @@ def transducer_full_sum(lb: Tensor, le: Tensor, lens) -> Tensor:
     alphas[0] = NEG
     alphas[0, :, 0] = 0.0
     blocks = np.empty((n_diag, 2, k, width))
+    blocks[:, 1, :, 0] = NEG
     for d in range(1, n_diag):
         t_blank = alphas[d - 1] + lb_diag[:, d - 1]
         if u_max == 0:
             alphas[d] = t_blank
             continue
         blocks[d, 0] = t_blank
-        blocks[d, 1, :, 0] = NEG
-        blocks[d, 1, :, 1:] = (alphas[d - 1] + le_diag[:, d - 1])[:, :u_max]
-        alphas[d] = _logsumexp_np(blocks[d], axis=0)
+        blocks[d, 1, :, 1:] = alphas[d - 1, :, :u_max] + le_diag[:, d - 1, :u_max]
+        # ``_logsumexp_np`` over the two rows, op for op
+        m = np.maximum(t_blank, blocks[d, 1])
+        m = np.where(np.isfinite(m), m, 0.0)
+        e = np.exp(blocks[d] - m)
+        with np.errstate(divide="ignore"):
+            alphas[d] = m + np.log(e[0] + e[1])
     k_idx = np.arange(k)
-    d_fin = t_len - 1 + lens
-    out = Tensor(alphas[d_fin, k_idx, lens] + lb.data[k_idx, t_len - 1, lens])
+    t_fin = frames - 1
+    d_fin = t_fin + lens
+    out = Tensor(alphas[d_fin, k_idx, lens] + lb.data[k_idx, t_fin, lens])
 
     # The backward adds in the tape's order, so gradients match bit for bit:
     # an alpha's gradient is its final-cell part, plus the label part, plus
@@ -599,20 +609,21 @@ def transducer_full_sum(lb: Tensor, le: Tensor, lens) -> Tensor:
         g_lb_diag = np.zeros((k, n_diag, width))
         g_le_diag = np.zeros((k, n_diag, width))
         g_alpha = fin[n_diag - 1]
+        if u_max > 0:  # every diagonal's logsumexp weights at once
+            out_k = alphas[1:, None]
+            with np.errstate(invalid="ignore"):
+                w = np.where(np.isfinite(out_k), np.exp(blocks[1:] - out_k), 0.0)
         for d in range(n_diag - 1, 0, -1):
             if u_max == 0:
                 g_lb_diag[:, d - 1] = g_alpha
                 g_alpha = fin[d - 1] + g_alpha
                 continue
-            out_k = alphas[d][None]
-            with np.errstate(invalid="ignore"):
-                w = np.where(np.isfinite(out_k), np.exp(blocks[d] - out_k), 0.0)
-            wg = w * g_alpha[None]
+            wg = w[d - 1] * g_alpha[None]
             g_lb_diag[:, d - 1] = wg[0]
             g_le_diag[:, d - 1, :u_max] = wg[1, :, 1:]
             g_alpha = (fin[d - 1] + g_le_diag[:, d - 1]) + wg[0]
         g_lb = np.zeros_like(lb.data)
-        g_lb[k_idx, t_len - 1, lens] += g
+        g_lb[k_idx, t_fin, lens] += g
         scattered = np.zeros_like(lb.data)
         np.add.at(scattered, lb_key, g_lb_diag)
         g_lb += scattered
@@ -819,12 +830,16 @@ _ADAM_EPS = 1e-8
 
 
 class Adam:
-    """Adaptive-moment estimation with bias correction."""
+    """Adaptive-moment estimation with bias correction.
+
+    The moments of every parameter are one flat vector, updated by one
+    elementwise op each; elementwise, that is the per-parameter update.
+    """
 
     def __init__(self, lr: float):
         self.lr = lr
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        self._m: np.ndarray | None = None
+        self._v: np.ndarray | None = None
         self._t = 0
 
     def step(self, params: ParamSet) -> None:
@@ -835,11 +850,17 @@ class Adam:
         for name, t in params.items():
             if t.grad is None:
                 raise ValueError(f"parameter {name!r} has no gradient")
-            m = self._m.setdefault(name, np.zeros_like(t.data))
-            v = self._v.setdefault(name, np.zeros_like(t.data))
-            m *= b1
-            m += (1.0 - b1) * t.grad
-            v *= b2
-            v += (1.0 - b2) * t.grad**2
-            t.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + _ADAM_EPS)
+        g = np.concatenate([t.grad.ravel() for t in params.tensors()])
+        if self._m is None:
+            self._m, self._v = np.zeros_like(g), np.zeros_like(g)
+        m, v = self._m, self._v
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g**2
+        update = self.lr * (m / c1) / (np.sqrt(v / c2) + _ADAM_EPS)
+        start = 0
+        for t in params.tensors():
+            t.data -= update[start:start + t.size].reshape(t.shape)
             t.grad[...] = 0.0
+            start += t.size

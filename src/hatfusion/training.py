@@ -171,7 +171,8 @@ def _run_steps(config: TrainConfig, params: T.ParamSet, step_fn, log: RunLog,
 
 def train_mle(config: TrainConfig, train_data: list, hat_config: HatConfig) -> tuple[HatModel, RunLog]:
     """Fit a fresh lattice model, built from ``hat_config`` and initialised
-    from ``config.seed``, by maximum likelihood on reference transcripts."""
+    from ``config.seed``, by maximum likelihood on reference transcripts;
+    each step's batch is one graph (``HatModel.mle_loss``)."""
     if config.regime != "mle":
         raise ValueError(f"train_mle got a {config.regime!r} config")
     if not train_data:

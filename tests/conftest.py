@@ -7,7 +7,7 @@ import numpy as np
 
 from hatfusion import tensor as T
 from hatfusion.decode import _COUNTERS, BeamConfig, Hypothesis, NBestList, _combine
-from hatfusion.hat import HatModel, Utterance
+from hatfusion.hat import HatModel, Utterance, pad_ids
 from hatfusion.lm import advance_state, initial_state, next_token_logprobs
 
 
@@ -72,17 +72,19 @@ def weighted_scalar(out, weights):
     return t
 
 
-def op_by_op_full_sum(lb, le, lens):
+def op_by_op_full_sum(lb, le, lens, frames=None):
     """``T.transducer_full_sum`` recorded primitive by primitive.
 
     The anti-diagonal alpha recursion on the tape: NEG-masked diagonal
     gathers, then per diagonal a blank add, a label add shifted one column
     by a NEG concat, and a two-row logsumexp; finally the final alpha plus
-    the final blank. About ten tape entries per diagonal, whose sums and
-    gradients the primitive's single entry must reproduce exactly.
+    the final blank, at (frames[k]-1, lens[k]). About ten tape entries per
+    diagonal, whose sums and gradients the primitive's single entry must
+    reproduce exactly.
     """
     lens = np.asarray(lens, dtype=np.int64)
     k, t_len, width = lb.shape
+    t_fin = np.full(k, t_len - 1) if frames is None else np.asarray(frames) - 1
     u_max = width - 1
     n_diag = t_len + u_max
     dd = np.arange(n_diag)[:, None]
@@ -118,8 +120,8 @@ def op_by_op_full_sum(lb, le, lens):
         alphas.append(alpha)
     stacked = T.concat([a[:, None, :] for a in alphas], axis=1)
     k_idx = np.arange(k)
-    a_fin = T.slice_(stacked, (k_idx, t_len - 1 + lens, lens))
-    lb_fin = T.slice_(lb, (k_idx, np.full(k, t_len - 1), lens))
+    a_fin = T.slice_(stacked, (k_idx, t_fin + lens, lens))
+    lb_fin = T.slice_(lb, (k_idx, t_fin, lens))
     return T.add(a_fin, lb_fin)
 
 
@@ -130,19 +132,25 @@ def _op_by_op_step(x, wx, wh, b, h):
     return T.tanh(pre)
 
 
-def op_by_op_encode(model, acoustics):
-    """``HatModel.encode`` recorded primitive by primitive: one lookup, then
-    per frame a row slice, two matmuls, two adds and a tanh, and a concat of
-    the rows; six tape entries per frame where the primitive has one."""
-    ids = np.asarray(acoustics, dtype=np.int64)
-    x = T.embedding_lookup(model.params["aemb"], ids)
+def op_by_op_encode_batch(model, batch):
+    """``HatModel.encode_batch`` recorded primitive by primitive: one lookup
+    of the padded (T_max, B) ids, then per frame a slice, two matmuls, two
+    adds, a tanh and a slice, and a concat of the frames into (B, T_max, H);
+    seven tape entries per frame where the primitive has one."""
+    frames = np.array([len(a) for a in batch])
+    x = T.embedding_lookup(model.params["aemb"], pad_ids(batch).T)
     wx, wh, b = (model.params[n] for n in ("enc_wx", "enc_wh", "enc_b"))
-    rows = []
+    steps = []
     h = None
-    for t in range(ids.size):
-        h = _op_by_op_step(x[t : t + 1, :], wx, wh, b, h)
-        rows.append(h)
-    return T.concat(rows, axis=0)
+    for t in range(frames.max()):
+        h = _op_by_op_step(x[t], wx, wh, b, h)
+        steps.append(h[:, None, :])
+    return T.concat(steps, axis=1), frames
+
+
+def op_by_op_encode(model, acoustics):
+    """``HatModel.encode``, the batch of one of ``op_by_op_encode_batch``."""
+    return op_by_op_encode_batch(model, [acoustics])[0][0]
 
 
 def op_by_op_predict_states(model, pad):

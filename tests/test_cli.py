@@ -380,6 +380,8 @@ BAD_SECTIONS = [
     ("train_lfm", {"steps": 2.0}, ["train-lfm"]),
     ("lfm", {"num_heads": True}, ["train-lfm"]),
     ("decode", {"beam_size": 2.5}, ["decode", "--split", "dev-common"]),
+    ("sweep", {"ilm_grid": [True]}, ["sweep", "--mode", "rescoring"]),
+    ("sweep", {"elm_grid": 0.2}, ["sweep", "--mode", "shallow-fusion"]),
 ]
 
 

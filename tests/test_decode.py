@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -205,6 +206,39 @@ class TestStackedSearch:
         # every expanded prefix reaches the joint at the next stage; the
         # root is the one prefix no step made
         assert len(steps) == len(dproj_rows) - 1
+
+    def test_extend_sums_lm_scores_as_np_sum_does(self):
+        # white box: ``_extend`` keeps each prefix's (ILM, ELM) score sums as
+        # np.sum of its chained per-token scores takes them, one by one below
+        # ``_PAIRWISE_FROM`` tokens and pairwise from there; ranking reads them
+        rng = np.random.default_rng(56)
+        model, elm = bench_scale_model(57), tiny_elm(rng, v=12, n=80)
+        v = model.config.vocab_size
+        tb = SimpleNamespace(dstate=model.pred_start_np()[None], dproj=None,
+                             lm_rows=np.zeros((1, 2, v)), lm_last=np.zeros((1, 2)),
+                             lm_sum=np.zeros((1, 2)), parent=np.zeros(1, int),
+                             length=np.zeros(1, int))
+        tb.dproj = model.dproj_np(tb.dstate)
+        tb.lm_rows[0, 0] = model.ilm_logprobs_np(tb.dproj)[0]
+        states = [L.initial_state(elm)]
+        tb.lm_rows[0, 1] = L.next_token_logprobs(elm, states[0])
+        tokens, n, frontier = [()], 1, np.zeros(1, int)
+        for _ in range(11):  # three children of each of up to four prefixes
+            par = np.repeat(frontier, 3)
+            D._reserve(tb, n + par.size)
+            n_new = D._extend(tb, model, elm, tokens, states, n, par,
+                              rng.integers(0, v, size=par.size), True)
+            frontier, n = np.arange(n, n_new)[:4], n_new
+        orders_differ = 0
+        for i in range(1, n):
+            chained = D._chain(tb.lm_last, tb.parent, [i], tb.length[i])
+            np.testing.assert_array_equal(tb.lm_sum[i], np.sum(chained, axis=2)[0])
+            one_by_one = 0.0
+            for j in range(tb.length[i]):
+                one_by_one = one_by_one + chained[0, :, j]
+            orders_differ += bool((one_by_one != tb.lm_sum[i]).any())
+        assert set(tb.length[1:n]) == set(range(1, 12))
+        assert orders_differ  # the scores tell the two summation orders apart
 
     def test_elm_is_queried_once_per_prefix(self, monkeypatch):
         # a new prefix reads its token's log-prob off the parent's ELM row,

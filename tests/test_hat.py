@@ -323,6 +323,34 @@ class TestMleLoss:
         with pytest.raises(ValueError, match="empty batch"):
             tiny_model().mle_loss([])
 
+    def test_empty_acoustics_in_batch_rejected(self):
+        batch = [Utterance("a", [0, 1], [2]), Utterance("b", [], [1])]
+        with pytest.raises(ValueError, match="empty acoustic"):
+            tiny_model().mle_loss(batch)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batch_is_mean_of_utterances(self, seed):
+        # the padded graph against one graph per utterance: unequal frames
+        # and labels, an empty reference among them
+        rng = np.random.default_rng(40 + seed)
+        m = tiny_model(v=4, a=5, seed=seed)
+        batch = [Utterance(f"u{i}", rng.integers(0, 5, size=rng.integers(1, 8)).tolist(),
+                           rng.integers(0, 4, size=n).tolist()) for i, n in enumerate([3, 0, 5, 1, 2])]
+
+        def taped(build):
+            m.params.clear_grads()
+            with T.Tape() as tape:
+                loss = build()
+            tape.backward(loss)
+            return loss.item(), [p.grad for p in m.params.tensors()]
+
+        loss, grads = taped(lambda: m.mle_loss(batch))
+        want, want_grads = taped(lambda: T.scale(T.mean_vec(T.concat(
+            [m.full_sum_log_prob(u, u.reference)[None] for u in batch])), -1.0))
+        assert loss == pytest.approx(want, rel=0, abs=1e-12)
+        for g, w in zip(grads, want_grads):
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
     def test_gradient_matches_finite_differences(self):
         m = tiny_model(v=3, seed=13)
         batch = [Utterance("a", [0, 2], [1, 0]), Utterance("b", [3, 1, 2], [2])]

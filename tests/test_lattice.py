@@ -54,6 +54,41 @@ def test_bit_identical_to_op_by_op_recursion(t_len, lens, seed):
     assert entries == 2  # the primitive and the weighting
 
 
+# (T, frames, lens): unequal frame counts in one call, with T = 1 rows, a
+# row shorter than its labels, and a grid no row fills
+FRAMED = [
+    (4, [4, 1, 3, 2], [3, 0, 1, 2]),
+    (5, [2, 5, 1], [5, 3, 0]),
+    (2, [1, 2], [2, 0]),
+    (6, [3, 2], [1, 4]),
+]
+
+
+@pytest.mark.parametrize("t_len,frames,lens", FRAMED)
+@pytest.mark.parametrize("seed", range(3))
+def test_unequal_frames_bit_identical_to_op_by_op_and_to_unpadded(t_len, frames, lens, seed):
+    rng = np.random.default_rng(seed * 1000 + zlib.crc32(repr(frames).encode()) % 1000)
+    lb, le = _grids(rng, t_len, lens)
+    w = rng.normal(size=len(lens))
+    sums, g_lb, g_le, entries = _taped(
+        lambda *a: T.transducer_full_sum(*a, frames), lb, le, lens, w)
+    want = _taped(lambda *a: op_by_op_full_sum(*a, frames), lb, le, lens, w)
+    for got_part, want_part in zip((sums, g_lb, g_le), want):
+        np.testing.assert_array_equal(got_part, want_part)
+    assert entries == 2
+    # each row equals its own sweep over its own frames and labels, and
+    # the cells past them take exact zeros
+    for k, (f, n) in enumerate(zip(frames, lens)):
+        one_lb = T.Tensor(lb.data[k:k + 1, :f, :n + 1], trainable=True)
+        one_le = T.Tensor(le.data[k:k + 1, :f, :n], trainable=True)
+        s, glb, gle, _ = _taped(T.transducer_full_sum, one_lb, one_le, [n], w[k:k + 1])
+        assert s[0] == sums[k]
+        np.testing.assert_array_equal(g_lb[k, :f, :n + 1], glb[0])
+        np.testing.assert_array_equal(g_le[k, :f, :n], gle[0])
+        assert not g_lb[k, f:].any() and not g_le[k, f:].any()
+        assert not g_lb[k, :, n + 1:].any() and not g_le[k, :, n:].any()
+
+
 def _model(seed):
     cfg = HatConfig(vocab_size=4, acoustic_size=5, embed_dim=3, hidden_dim=5, joint_dim=4)
     return HatModel(cfg, seed=seed)
@@ -84,8 +119,16 @@ def test_model_gradients_bit_identical_to_op_by_op_recursion(seed, monkeypatch):
         return T.matmul(T.add(sums, T.scale(ilm, -0.3)), T.constant(w))
 
     got = [_param_grads(model, lambda: model.mle_loss(batch)), _param_grads(model, ilm_loss)]
-    monkeypatch.setattr(T, "transducer_full_sum", op_by_op_full_sum)
+    frames = []
+
+    def recorded(lb, le, lens, f):
+        frames.append(None if f is None else list(f))
+        return op_by_op_full_sum(lb, le, lens, f)
+
+    monkeypatch.setattr(T, "transducer_full_sum", recorded)
     want = [_param_grads(model, lambda: model.mle_loss(batch)), _param_grads(model, ilm_loss)]
+    # one sweep per loss: the MLE batch's with each utterance's frame count
+    assert frames == [[len(u.acoustics) for u in batch], None]
     for (loss, grads), (want_loss, want_grads) in zip(got, want):
         np.testing.assert_array_equal(loss, want_loss)
         for name, g in grads.items():
@@ -120,6 +163,12 @@ class TestInputChecks:
         with pytest.raises(ValueError, match=r"\(2, 3, 2\)"):
             T.transducer_full_sum(T.constant(np.zeros((2, 3, 3))),
                                   T.constant(np.zeros((2, 2, 2))), [1, 2])
+
+    @pytest.mark.parametrize("frames", [[0, 2], [1, 4], [3]])
+    def test_frame_count_off_grid_rejected(self, frames):
+        with pytest.raises(ValueError, match="frame"):
+            T.transducer_full_sum(T.constant(np.zeros((2, 3, 3))),
+                                  T.constant(np.zeros((2, 3, 2))), [1, 2], frames)
 
     def test_empty_frame_axis_rejected(self):
         with pytest.raises(ValueError, match="T>=1"):

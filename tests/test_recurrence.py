@@ -8,7 +8,8 @@ import pytest
 from hatfusion import tensor as T
 from hatfusion.hat import HatConfig, HatModel, Utterance, pad_ids
 
-from conftest import op_by_op_encode, op_by_op_predict_states, weighted_scalar
+from conftest import (op_by_op_encode, op_by_op_encode_batch, op_by_op_predict_states,
+                      weighted_scalar)
 
 
 def _model(seed):
@@ -49,16 +50,27 @@ def test_encode_bit_identical_to_op_by_op(t_len, seed):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_mle_batch_bit_identical_to_op_by_op(seed, monkeypatch):
-    # four utterances on one tape: each recurrence adds its per-step weight
-    # gradients into slots that already hold the later utterances' parts
+    # four utterances of unequal frames as one padded graph: each recurrence
+    # gives its weights per-step gradients, and the padded encoder states
+    # past an utterance's frames take exact zeros from its lattice
     rng = np.random.default_rng(200 + seed)
     model = _model(seed)
     batch = [Utterance(f"u{i}", rng.integers(0, 6, size=rng.integers(1, 9)).tolist(),
                        rng.integers(0, 5, size=rng.integers(0, 5)).tolist()) for i in range(4)]
     got = _taped(model, lambda: model.mle_loss(batch))
-    monkeypatch.setattr(HatModel, "encode", op_by_op_encode)
-    monkeypatch.setattr(HatModel, "predict_states", op_by_op_predict_states)
+    calls = []
+
+    def recorded(oracle):
+        def run(*args):
+            calls.append(oracle.__name__)
+            return oracle(*args)
+        return run
+
+    monkeypatch.setattr(HatModel, "encode_batch", recorded(op_by_op_encode_batch))
+    monkeypatch.setattr(HatModel, "predict_states", recorded(op_by_op_predict_states))
     _assert_same(got, _taped(model, lambda: model.mle_loss(batch)))
+    # the recordings stood in for the loss's one batched graph
+    assert calls == ["op_by_op_encode_batch", "op_by_op_predict_states"]
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -98,6 +110,20 @@ def test_encode_tape_length_does_not_grow_with_frames():
             model.encode([1] * t_len)
         lengths.append(len(tape))
     assert lengths == [3, 3]
+
+
+def test_mle_tape_length_does_not_grow_with_batch():
+    # one padded graph per batch, not one per utterance: at fixed frames and
+    # labels, an MLE step records as many entries at B = 8 as at B = 1
+    model = _model(0)
+    lengths = []
+    for b in (1, 4, 8):
+        batch = [Utterance(f"u{i}", [i % 6, 2, 5], [i % 5, 3]) for i in range(b)]
+        model.params.zero_grads()
+        with T.Tape() as tape:
+            tape.backward(model.mle_loss(batch))
+        lengths.append(len(tape))
+    assert lengths == [lengths[0]] * 3
 
 
 class TestContributionLists:

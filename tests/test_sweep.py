@@ -48,6 +48,13 @@ class TestSpec:
         with pytest.raises(ValueError, match="finite"):
             SweepSpec(**{grid: [0.0, bad]})
 
+    @pytest.mark.parametrize("grid", ["ilm_grid", "elm_grid"])
+    @pytest.mark.parametrize("bad", [[True, 0], [0.1, False], 0.2, (0.1,), ["0.1"], [None]],
+                             ids=repr)
+    def test_grid_of_non_numbers_rejected(self, grid, bad):
+        with pytest.raises(ValueError, match=grid):
+            SweepSpec(**{grid: bad})
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             SweepSpec(mode="oracle")

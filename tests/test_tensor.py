@@ -411,6 +411,31 @@ class TestOptimizers:
         T.Adam(1e-3).step(ps)
         assert np.all(np.sign(p.data) == -np.sign(g))
 
+    def test_adam_equals_per_parameter_update(self):
+        # the flat moments give each parameter, 0-d ones too, the textbook
+        # per-parameter update bit for bit, step after step
+        rng = np.random.default_rng(12)
+        shapes = [(3, 4), (), (5,), (2, 1, 3)]
+        ps = T.ParamSet()
+        for i, shape in enumerate(shapes):
+            ps.add(f"p{i}", rng.normal(size=shape))
+        want = {n: t.data.copy() for n, t in ps.items()}
+        m = {n: np.zeros_like(d) for n, d in want.items()}
+        v = {n: np.zeros_like(d) for n, d in want.items()}
+        opt = T.Adam(1e-2)
+        for step in range(1, 4):
+            grads = {n: rng.normal(size=d.shape) for n, d in want.items()}
+            for n, t in ps.items():
+                t.grad = grads[n].copy()
+            opt.step(ps)
+            c1, c2 = 1.0 - 0.9**step, 1.0 - 0.999**step
+            for n, g in grads.items():
+                m[n] = m[n] * 0.9 + (1.0 - 0.9) * g
+                v[n] = v[n] * 0.999 + (1.0 - 0.999) * g**2
+                want[n] = want[n] - 1e-2 * (m[n] / c1) / (np.sqrt(v[n] / c2) + 1e-8)
+                np.testing.assert_array_equal(ps[n].data, want[n], err_msg=n)
+                assert not ps[n].grad.any()
+
     def test_missing_grad_rejected(self):
         ps = T.ParamSet()
         ps.add("p", np.zeros(2))
