@@ -32,12 +32,12 @@ from pathlib import Path
 from . import data as data_mod
 from .data import TaskConfig, generate_task, load_task, save_task, wer
 from .decode import BeamConfig, beam_search, beam_search_plain, load_nbest, save_nbest
-from .hat import HatConfig, load_checkpoint, save_checkpoint
+from .hat import HatConfig, check_keys, load_checkpoint, read_jsonl, save_checkpoint
 from .lfm import (LfmConfig, load_lfm, prepare_rescoring, rescore_scalar,
                   rescore_with_lfm, save_lfm)
 from .lm import load_lm, require_smoothing, save_lm, train_ngram
 from .sweep import SweepSpec, load_sweep, run_sweep, save_sweep
-from .training import RunLog, TrainConfig, train_lfm, train_mle, train_mwer
+from .training import TrainConfig, train_lfm, train_mle, train_mwer
 
 _CODES = {"usage": 2, "missing-artifact": 3, "numerical": 4}
 
@@ -479,19 +479,22 @@ def cmd_eval(args) -> int:
 
 
 def _lfm_stats_rows(log_path: Path) -> list:
-    rows = []
-    for rec in RunLog.load(log_path).records:
-        if "train_stats" in rec:
-            row = {"log": log_path.name, "step": rec["step"]}
-            for side in ("train", "dev"):
-                stats = rec.get(f"{side}_stats") or {}
-                if not (isinstance(stats, dict)
-                        and all(isinstance(v, (int, float)) for v in stats.values())):
-                    raise ValueError(f"{side}_stats is not a record of numbers")
-                for k, v in stats.items():
-                    row[f"{side}_{k}"] = v
-            rows.append(row)
-    return rows
+    """The weight-statistics rows of a fusion-module run log; a line off
+    the schema raises ``ValueError`` naming the file and line."""
+    def row(rec) -> dict | None:
+        if "train_stats" not in rec:
+            return None
+        check_keys(rec, {"step": (int,)})
+        out = {"log": log_path.name, "step": rec["step"]}
+        for side in ("train", "dev"):
+            stats = rec.get(f"{side}_stats") or {}
+            if not (isinstance(stats, dict)
+                    and all(isinstance(v, (int, float)) for v in stats.values())):
+                raise ValueError(f"{side}_stats is not a record of numbers")
+            for k, v in stats.items():
+                out[f"{side}_{k}"] = v
+        return out
+    return [r for _, r in read_jsonl(log_path, {}, row) if r is not None]
 
 
 def _lfm_stats_series(exp: ExpDir) -> list:

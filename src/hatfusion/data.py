@@ -25,8 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .decode import check_keys
-from .hat import Utterance, check_field_types
+from .hat import Utterance, check_field_types, check_keys, read_jsonl
 from .mwer import nwe
 
 
@@ -272,20 +271,6 @@ _MANIFEST_KEYS = {"config": (dict,), "codebook": (dict,), "rare_words": [(int,)]
                   "twins": (dict,), "marker": (int,)}
 
 
-def _records(path: Path, keys: dict) -> list:
-    """The records of a JSONL file; a line off the schema raises
-    ``ValueError`` naming the file and line."""
-    recs = []
-    for lineno, line in enumerate(path.read_text().splitlines(), 1):
-        try:
-            rec = json.loads(line)
-            check_keys(rec, keys)
-        except ValueError as e:
-            raise ValueError(f"{path}:{lineno}: {e}") from None
-        recs.append(rec)
-    return recs
-
-
 def _manifest(path: Path) -> dict:
     """The manifest's fields, built; a key off the schema or a ``config``
     that builds no ``TaskConfig`` raises ``ValueError`` naming the file."""
@@ -312,7 +297,7 @@ def load_task(directory) -> SynthTask:
     directory = Path(directory)
     manifest = _manifest(directory / "manifest.json")
     splits = {split: [Utterance(r["uid"], r["acoustics"], r["words"])
-                      for r in _records(directory / f"{split}.jsonl", _UTT_KEYS)]
+                      for _, r in read_jsonl(directory / f"{split}.jsonl", _UTT_KEYS)]
               for split in _PAIRED_SPLITS}
-    text_only = [r["words"] for r in _records(directory / "text_only.jsonl", _TEXT_KEYS)]
+    text_only = [r["words"] for _, r in read_jsonl(directory / "text_only.jsonl", _TEXT_KEYS)]
     return SynthTask(text_only=text_only, **manifest, **splits)

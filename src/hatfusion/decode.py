@@ -54,12 +54,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
-from .hat import HatModel, Utterance, check_field_types
+from .hat import HatModel, Utterance, check_field_types, check_keys, read_jsonl
 from .lm import (advance_state, initial_state, next_token_logprobs, require_smoothing,
                  score_tokens)
 
@@ -361,43 +360,25 @@ _HYP_KEYS = {"tokens": [(int,)], "e2e_search": NUMBER, "e2e_fullsum": NUMBER + (
              "ilm": [NUMBER], "elm": [NUMBER], "combined": NUMBER, "truncated": (bool,)}
 
 
-def check_keys(rec, keys: dict) -> None:
-    if type(rec) is not dict:
-        raise ValueError("not a JSON object")
-    for key, kind in keys.items():
-        value = rec.get(key)
-        ok = (type(value) is list and all(type(v) in kind[0] for v in value)
-              if isinstance(kind, list) else type(value) in kind)
-        if key not in rec or not ok:
-            raise ValueError(f"{key!r} is missing or of the wrong type")
+def _nbest_list(rec: dict) -> NBestList:
+    for h in rec["hyps"]:
+        check_keys(h, _HYP_KEYS)
+    hyps = [
+        Hypothesis(
+            tokens=tuple(h["tokens"]),
+            e2e_search=h["e2e_search"],
+            ilm_scores=np.array(h["ilm"]),
+            elm_scores=np.array(h["elm"]),
+            combined=h["combined"],
+            truncated=h["truncated"],
+            e2e_fullsum=h["e2e_fullsum"],
+        )
+        for h in rec["hyps"]
+    ]
+    return NBestList(rec["uid"], rec["reference"], hyps, rec["ilm_weight"], rec["elm_weight"])
 
 
 def load_nbest(path) -> list:
     """Read an N-best file; a record that breaks the schema (keys and their
     types) raises ``ValueError`` naming the file and line."""
-    out = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-            check_keys(rec, _RECORD_KEYS)
-            for h in rec["hyps"]:
-                check_keys(h, _HYP_KEYS)
-        except ValueError as e:
-            raise ValueError(f"{path}:{lineno}: {e}") from None
-        hyps = [
-            Hypothesis(
-                tokens=tuple(h["tokens"]),
-                e2e_search=h["e2e_search"],
-                ilm_scores=np.array(h["ilm"]),
-                elm_scores=np.array(h["elm"]),
-                combined=h["combined"],
-                truncated=h["truncated"],
-                e2e_fullsum=h["e2e_fullsum"],
-            )
-            for h in rec["hyps"]
-        ]
-        out.append(NBestList(rec["uid"], rec["reference"], hyps,
-                             rec["ilm_weight"], rec["elm_weight"]))
-    return out
+    return [nb for _, nb in read_jsonl(path, _RECORD_KEYS, _nbest_list)]

@@ -69,6 +69,40 @@ def check_field_types(config) -> None:
             raise ValueError(f"{f.name} must be {what}, got {value!r}")
 
 
+def check_keys(rec, keys: dict) -> None:
+    """Refuse a record that is not a JSON object holding each of ``keys``
+    with a value of its allowed types (a [types] kind: a list of such)."""
+    if type(rec) is not dict:
+        raise ValueError("not a JSON object")
+    for key, kind in keys.items():
+        value = rec.get(key)
+        ok = (type(value) is list and all(type(v) in kind[0] for v in value)
+              if isinstance(kind, list) else type(value) in kind)
+        if key not in rec or not ok:
+            raise ValueError(f"{key!r} is missing or of the wrong type")
+
+
+def read_jsonl(path, keys: dict | None = None, build=None, start: int = 1) -> list:
+    """The (line number, value) pairs of a file of JSON lines, from line
+    ``start`` on; blank lines are skipped. Each line is parsed, checked with
+    ``check_keys`` against ``keys`` when given, and turned into its value by
+    ``build`` when given (the record itself otherwise). Any ``ValueError``
+    on the way, the parser's or ``build``'s, is re-raised as
+    ``<path>:<line>: ...``. Every line-delimited artifact is read here."""
+    out = []
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+        if lineno < start or not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+            if keys is not None:
+                check_keys(rec, keys)
+            out.append((lineno, rec if build is None else build(rec)))
+        except ValueError as e:
+            raise ValueError(f"{path}:{lineno}: {e}") from None
+    return out
+
+
 @dataclass
 class HatConfig:
     vocab_size: int

@@ -14,11 +14,15 @@ The transformer is pre-norm: each sublayer adds its output to the residual
 stream after layer normalization. Encoder states enter as constants; only
 LFM parameters ever receive gradients here.
 
-Training, rescoring and the weight statistics run the module once per
-N-best list, not once per hypothesis, on the right-padded id block that
-``LfmModel.forward`` describes, and drop the padded positions afterwards.
-The constant-head identity with scalar rescoring still holds bit for bit,
-because a zeroed head emits exactly its bias at every position.
+The module never runs once per hypothesis. Rescoring runs it once per
+N-best list, on the list's right-padded id block against the utterance's
+encoder states. Training and the weight statistics run it once per batch
+or dataset: every hypothesis of every list is a row of one stacked block,
+each row reading its own utterance's encoder states with a frame count
+that masks the padded frames in cross-attention (``LfmModel.forward``).
+Padded positions are dropped afterwards. The constant-head identity with
+scalar rescoring still holds bit for bit, because a zeroed head emits
+exactly its bias at every position.
 
 ``prepare_rescoring`` is the one place that attaches the exact full sum and
 the per-token ILM and ELM scores to a list; it leaves the search scores
@@ -43,7 +47,7 @@ from . import tensor as T
 from .decode import NBestList, require_fusion_weights, rescore_components
 from .hat import HatModel, Utterance, check_field_types, pad_ids
 from .lm import require_smoothing, score_tokens
-from .mwer import nwe, renormalized_expectation
+from .mwer import nwe
 
 # softplus(x) underflows to exactly 0.0 near -7e2; this preimage makes a
 # "zero output" head genuinely zero rather than merely small
@@ -102,7 +106,8 @@ class LfmModel:
     def _p(self, name: str) -> T.Tensor:
         return self.params[name]
 
-    def _attend(self, x: T.Tensor, kv: T.Tensor, prefix: str, causal: bool) -> T.Tensor:
+    def _attend(self, x: T.Tensor, kv: T.Tensor, prefix: str, causal: bool,
+                frames=None) -> T.Tensor:
         q = T.matmul(x, self._p(prefix + "q"))
         k = T.matmul(kv, self._p(prefix + "k"))
         v = T.matmul(kv, self._p(prefix + "v"))
@@ -110,26 +115,31 @@ class LfmModel:
         heads = []
         for h in range(self.config.num_heads):
             s = slice(h * dh, (h + 1) * dh)
-            heads.append(T.scaled_dot_attention(q[..., s], k[..., s], v[..., s], causal=causal))
+            heads.append(T.scaled_dot_attention(q[..., s], k[..., s], v[..., s], causal=causal,
+                                                frames=frames))
         return T.matmul(T.concat(heads, axis=-1), self._p(prefix + "o"))
 
     def _ln(self, x: T.Tensor, name: str) -> T.Tensor:
         return T.layer_normalize(x, self._p(name + "_g"), self._p(name + "_b"))
 
-    def forward(self, enc_states: np.ndarray, ids) -> T.Tensor:
+    def forward(self, enc_states: np.ndarray, ids, frames=None) -> T.Tensor:
         """Weight pairs (..., L, 2) for token ids (..., L); column 0 is mu, 1 is nu.
 
-        A 1-D sequence is one hypothesis. A (K, L) block holds the K
-        hypotheses of one N-best list, each right-padded to L with id 0, all
-        read against the one utterance's encoder states (T, enc_dim), so the
-        input projection and every layer's cross-attention keys and values
-        are computed once per call. A real position's weights do not depend
-        on the padding, so no key-padding mask is needed: the causal mask
-        keeps every real position from seeing the later padding,
-        cross-attention reads only the utterance's frames, and layer norm,
-        the FFN and the head act row by row. Weights at padded positions are
-        meaningless; callers drop them. A block row equals the row's own
-        1-D forward up to the last bits of the stacked matrix products.
+        A 1-D sequence is one hypothesis. A (K, L) block holds K
+        hypotheses, each right-padded to L with id 0. With shared encoder
+        states (T, enc_dim) every row reads the one utterance's frames, so
+        the input projection and every layer's cross-attention keys and
+        values are computed once per call, and no key-padding mask is
+        needed. With a per-row block (K, T_max, enc_dim), row i reads its
+        own utterance's states, right-padded to T_max, and ``frames[i]`` of
+        them are real (None: all T_max); cross-attention masks the rest, so
+        lists of different utterances run as one block. Either way a real
+        position's weights do not depend on the padding: the causal mask
+        keeps it from seeing the later padded tokens, cross-attention reads
+        only its utterance's frames, and layer norm, the FFN and the head
+        act row by row. Weights at padded positions are meaningless;
+        callers drop them. A block row equals the row's own 1-D forward up
+        to the last bits of the stacked matrix products.
         """
         ids = np.asarray(ids, dtype=np.int64)
         if ids.size == 0:
@@ -137,9 +147,13 @@ class LfmModel:
         if ids.min() < 0 or ids.max() >= self.config.vocab_size:
             raise ValueError("token id out of range for the fusion module")
         enc_states = np.asarray(enc_states, dtype=float)
-        if enc_states.ndim != 2 or enc_states.shape[1] != self.config.enc_dim:
+        shared = enc_states.ndim == 2 and frames is None
+        per_row = enc_states.ndim == 3 and ids.ndim == 2 and len(ids) == len(enc_states)
+        if not (shared or per_row) or enc_states.shape[-1] != self.config.enc_dim:
             raise ValueError(
-                f"encoder states must be (T, {self.config.enc_dim}), got {enc_states.shape}"
+                f"encoder states must be (T, {self.config.enc_dim}), or (K, T_max, "
+                f"{self.config.enc_dim}) with frame counts for ids (K, L); got states "
+                f"{enc_states.shape} for ids {ids.shape}"
             )
         x = T.add(
             T.embedding_lookup(self._p("emb"), ids),
@@ -149,7 +163,8 @@ class LfmModel:
         for i in range(self.config.num_layers):
             p = f"l{i}_"
             x = T.add(x, self._attend(self._ln(x, p + "ln1"), x, p + "s", causal=True))
-            x = T.add(x, self._attend(self._ln(x, p + "ln2"), encf, p + "c", causal=False))
+            x = T.add(x, self._attend(self._ln(x, p + "ln2"), encf, p + "c", causal=False,
+                                      frames=frames))
             y = self._ln(x, p + "ln3")
             y = T.tanh(T.add(T.matmul(y, self._p(p + "ffn_w1")), self._p(p + "ffn_b1")))
             x = T.add(x, T.add(T.matmul(y, self._p(p + "ffn_w2")), self._p(p + "ffn_b2")))
@@ -268,34 +283,55 @@ def rescore_with_lfm(utterance: Utterance, nbest: NBestList, hat: HatModel, elm,
     return _reranked(nbest, scores)
 
 
-def _freeze_batch(batch: list, hat: HatModel) -> list:
+def _stack_lists(pairs: list, hat: HatModel) -> tuple:
+    """The hypotheses of many (utterance, N-best) pairs as one block.
+
+    Returns the inputs of one per-row ``LfmModel.forward``: each row's
+    utterance encoder states (N, T_max, H), right-padded with zeros, its
+    frame counts (N,) and the (N, L_max) id block, with N the number of
+    hypotheses over all lists and rows in list order.
+    """
+    encs = [hat.encode_np(utterance.acoustics) for utterance, _ in pairs]
+    states = np.zeros((len(encs), max(map(len, encs), default=0), hat.config.hidden_dim))
+    for block, enc in zip(states, encs):
+        block[:len(enc)] = enc
+    rows = np.repeat(np.arange(len(pairs)), [len(nbest.hyps) for _, nbest in pairs])
+    ids = pad_ids([h.tokens for _, nbest in pairs for h in nbest.hyps])
+    return states[rows], np.array([len(enc) for enc in encs], dtype=np.int64)[rows], ids
+
+
+def _freeze_batch(batch: list, hat: HatModel) -> tuple:
     """Frozen-model scores are plain numbers; gather them before taping.
 
-    Each list becomes its padded id block and the matching (K, L_max, 2)
-    block of per-token score pairs [-s_l, r_l], zero at padded positions.
-    An empty list is refused: its expected error is undefined.
+    Besides ``_stack_lists``'s block, returns the (N, L_max, 2) block of
+    per-token score pairs [-s_l, r_l], zero at padded positions, and three
+    (B, K_max) arrays, one row per list, right-padded to the longest list:
+    ``index``, each cell's row in the block (a padded cell repeats its
+    list's first row), ``e2e``, the full sums with -inf at padding, and
+    ``errors``, the word errors with 0 at padding. An empty list is
+    refused: its expected error is undefined.
     """
-    prepared = []
-    for utterance, nbest in batch:
+    for _, nbest in batch:
         _require_lm_free(nbest)
         if not nbest.hyps:
             raise ValueError(f"lfm loss: empty hypothesis list for {nbest.uid!r}")
-        reference = list(utterance.reference)
-        ids = pad_ids(nbest.token_lists())
-        pairs = np.zeros(ids.shape + (2,))
-        for row, h in zip(pairs, nbest.hyps):
-            row[:len(h.tokens), 0] = np.negative(h.ilm_scores)
-            row[:len(h.tokens), 1] = h.elm_scores
-        prepared.append(
-            (
-                hat.encode_np(utterance.acoustics),
-                [nwe(h.tokens, reference) for h in nbest.hyps],
-                np.array([h.e2e_fullsum for h in nbest.hyps]),
-                ids,
-                pairs,
-            )
-        )
-    return prepared
+    states, frames, ids = _stack_lists(batch, hat)
+    hyps = [h for _, nbest in batch for h in nbest.hyps]
+    pairs = np.zeros(ids.shape + (2,))
+    for row, h in zip(pairs, hyps):
+        row[:len(h.tokens), 0] = np.negative(h.ilm_scores)
+        row[:len(h.tokens), 1] = h.elm_scores
+    counts = np.array([len(nbest.hyps) for _, nbest in batch])
+    starts = (np.cumsum(counts) - counts)[:, None]
+    cols = np.arange(counts.max())
+    real = cols < counts[:, None]  # row-major order is the block's row order
+    index = np.where(real, starts + cols, starts)
+    e2e = np.full(real.shape, -np.inf)
+    e2e[real] = [h.e2e_fullsum for h in hyps]
+    errors = np.zeros(real.shape)
+    errors[real] = [nwe(h.tokens, list(utterance.reference))
+                    for utterance, nbest in batch for h in nbest.hyps]
+    return states, frames, ids, pairs, index, e2e, errors
 
 
 def lfm_loss(batch: list, hat: HatModel, lfm: LfmModel) -> T.Tensor:
@@ -303,22 +339,29 @@ def lfm_loss(batch: list, hat: HatModel, lfm: LfmModel) -> T.Tensor:
 
     Raw score per hypothesis: e2e_fullsum - Σ mu_l s_l + Σ nu_l r_l. Only
     the weights are tensor-valued; the scores are read off the prepared
-    lists as constants. ``hat`` only encodes the utterances. Each list takes
-    one fusion-module pass over its padded block, and its weighted sums are
-    three tape entries whatever its size: multiply by the score pairs,
-    contract the pair axis, contract the token axis (padding adds zeros).
-    An empty batch, or a batch holding an empty list, is refused.
+    lists as constants. ``hat`` only encodes the utterances. The whole
+    batch takes one fusion-module pass over its stacked block, and its
+    weighted sums are three tape entries whatever its size: multiply by the
+    score pairs, contract the pair axis, contract the token axis (padding
+    adds zeros). The raw scores are then laid out one list per row of a
+    (B, K_max) block, padded hypotheses at -inf, and each row's expectation
+    Σ softmax(raw)_k · errors_k is taken as ``mwer.renormalized_expectation``
+    takes it, over the row's log-sum-exp. A padded hypothesis has
+    probability exactly zero, so its cell adds nothing and gets exactly
+    zero gradient. An empty batch, or a batch holding an empty list, is
+    refused.
     """
     if not batch:
         raise ValueError("lfm loss: empty batch")
-    per_utt = []
-    for enc, errors, e2e, ids, pairs in _freeze_batch(batch, hat):
-        w = lfm.forward(enc, ids)
-        per_token = T.matmul(T.multiply(w, T.constant(pairs)), T.constant(np.ones(2)))
-        contrib = T.matmul(per_token, T.constant(np.ones(ids.shape[1])))
-        raw = T.add(T.constant(e2e), contrib)
-        per_utt.append(renormalized_expectation(raw, errors)[None])
-    return T.mean_vec(T.concat(per_utt, axis=0))
+    states, frames, ids, pairs, index, e2e, errors = _freeze_batch(batch, hat)
+    w = lfm.forward(states, ids, frames)
+    per_token = T.matmul(T.multiply(w, T.constant(pairs)), T.constant(np.ones(2)))
+    contrib = T.matmul(per_token, T.constant(np.ones(ids.shape[1])))
+    raw = T.add(T.constant(e2e), contrib[(index,)])
+    log_phat = T.add(raw, T.scale(T.logsumexp(raw, axis=1)[:, None], -1.0))
+    expected = T.matmul(T.multiply(T.exp(log_phat), T.constant(errors)),
+                        T.constant(np.ones(index.shape[1])))
+    return T.mean_vec(expected)
 
 
 def train_lfm_step(batch: list, hat: HatModel, lfm: LfmModel, optimizer) -> float:
@@ -345,20 +388,16 @@ def train_lfm_step(batch: list, hat: HatModel, lfm: LfmModel, optimizer) -> floa
 def weight_stats(dataset: list, lfm: LfmModel, hat: HatModel) -> WeightStats:
     """Mean and spread of emitted weights over all tokens of all hypotheses.
 
-    One fusion-module pass per list; padded positions are dropped, so an
-    empty hypothesis adds nothing. A dataset without a single token is
-    refused.
+    One fusion-module pass over the whole dataset as one stacked block;
+    padded positions are dropped, so an empty hypothesis adds nothing. A
+    dataset without a single token is refused.
     """
     if not dataset:
         raise ValueError("weight_stats: empty dataset")
-    mus, nus = [np.zeros(0)], [np.zeros(0)]
-    for utterance, nbest in dataset:
-        w = lfm.forward(hat.encode_np(utterance.acoustics), pad_ids(nbest.token_lists())).data
-        for h, wh in zip(nbest.hyps, w):
-            mus.append(wh[:len(h.tokens), 0])
-            nus.append(wh[:len(h.tokens), 1])
-    mu = np.concatenate(mus)
-    nu = np.concatenate(nus)
+    states, frames, ids = _stack_lists(dataset, hat)
+    lengths = np.array([len(h.tokens) for _, nbest in dataset for h in nbest.hyps], dtype=np.int64)
+    w = lfm.forward(states, ids, frames).data[np.arange(ids.shape[1]) < lengths[:, None]]
+    mu, nu = w[:, 0], w[:, 1]
     if mu.size == 0:
         raise ValueError("weight_stats: no tokens to summarize")
     return WeightStats(

@@ -18,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .hat import read_jsonl
+
 BOS = "<s>"
 
 
@@ -182,26 +184,25 @@ def load_lm(path) -> NGramLm:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no LM at {path}")
-    lines = path.read_text().splitlines()
-    if not lines or lines[0] != "ngram-lm v1":
-        raise ValueError(f"unrecognized LM file {path}")
-    try:
-        meta = json.loads(lines[1]) if len(lines) > 1 else None
-        _check_header(meta)
-        v = _label_count(meta["vocab"])
-    except ValueError as e:
-        raise ValueError(f"{path}:2: {e}") from None
+    with path.open() as f:
+        if f.readline().rstrip("\r\n") != "ngram-lm v1":
+            raise ValueError(f"unrecognized LM file {path}")
+    meta: dict = {}  # the header, read from the first line after the tag
     counts: dict = {}
-    for lineno, line in enumerate(lines[2:], 3):
-        if not line.strip():
-            continue
-        try:
-            ctx, tok, c = _count_line(json.loads(line), v, meta["order"])
-            if tok in counts.get(ctx, {}):
-                raise ValueError(f"duplicate count for token {tok} after context {list(ctx)}")
-        except ValueError as e:
-            raise ValueError(f"{path}:{lineno}: {e}") from None
-        if tok is None:
-            continue
-        counts.setdefault(ctx, {})[tok] = c
-    return NGramLm(order=meta["order"], smoothing=meta["smoothing"], vocab_size=v, counts=counts)
+
+    def line(rec) -> None:
+        if not meta:
+            _check_header(rec)
+            meta.update(rec, vocab_size=_label_count(rec["vocab"]))
+            return
+        ctx, tok, c = _count_line(rec, meta["vocab_size"], meta["order"])
+        if tok in counts.get(ctx, {}):
+            raise ValueError(f"duplicate count for token {tok} after context {list(ctx)}")
+        if tok is not None:
+            counts.setdefault(ctx, {})[tok] = c
+
+    read_jsonl(path, build=line, start=2)
+    if not meta:
+        raise ValueError(f"{path}:2: no header line")
+    return NGramLm(order=meta["order"], smoothing=meta["smoothing"],
+                   vocab_size=meta["vocab_size"], counts=counts)

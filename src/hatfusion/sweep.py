@@ -15,12 +15,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from numbers import Real
-from pathlib import Path
 
 from .data import wer
-from .decode import (NUMBER, BeamConfig, beam_search, beam_search_plain, check_keys,
-                     require_fusion_weights)
-from .hat import HatModel
+from .decode import NUMBER, BeamConfig, beam_search, beam_search_plain, require_fusion_weights
+from .hat import HatModel, check_keys, read_jsonl
 from .lfm import prepare_rescoring, rescore_scalar
 
 _DEFAULT_GRID = [round(0.1 * i, 1) for i in range(9)]  # 0.0 .. 0.8
@@ -158,25 +156,25 @@ _SUMMARY_KEYS = {"kind": (str,), "best_ilm": NUMBER, "best_elm": NUMBER,
                  "best_average": NUMBER}
 
 
+def _sweep_line(rec) -> dict:
+    kind = rec.get("kind") if type(rec) is dict else None
+    if kind not in ("sweep", None, "summary"):
+        raise ValueError(f"'kind' is {kind!r}, not 'sweep', None or 'summary'")
+    check_keys(rec, {"sweep": _HEAD_KEYS, None: _ROW_KEYS, "summary": _SUMMARY_KEYS}[kind])
+    return rec
+
+
 def load_sweep(path) -> SweepResult:
     """Read a sweep table: a header, one line per grid point, a summary. A
-    missing line or one off the schema raises ``ValueError`` naming the file
-    and line."""
-    lines = Path(path).read_text().splitlines()
-    if len(lines) < 2:
-        raise ValueError(f"{path}:{len(lines) + 1}: no {'summary' if lines else 'header'} line")
-    schemas = [(_HEAD_KEYS, "sweep"), *[(_ROW_KEYS, None)] * (len(lines) - 2),
-               (_SUMMARY_KEYS, "summary")]
-    recs = []
-    for lineno, (line, (keys, kind)) in enumerate(zip(lines, schemas), 1):
-        try:
-            rec = json.loads(line)
-            check_keys(rec, keys)
-            if rec.get("kind") != kind:
-                raise ValueError(f"'kind' is {rec.get('kind')!r}, not {kind!r}")
-        except ValueError as e:
-            raise ValueError(f"{path}:{lineno}: {e}") from None
-        recs.append(rec)
-    head, rows, tail = recs[0], recs[1:-1], recs[-1]
+    missing line, one off the schema or one out of place raises
+    ``ValueError`` naming the file and line."""
+    recs = read_jsonl(path, build=_sweep_line)
+    if len(recs) < 2:
+        raise ValueError(f"{path}:{recs[-1][0] + 1 if recs else 1}: "
+                         f"no {'summary' if recs else 'header'} line")
+    for (lineno, rec), kind in zip(recs, ["sweep"] + [None] * (len(recs) - 2) + ["summary"]):
+        if rec.get("kind") != kind:
+            raise ValueError(f"{path}:{lineno}: 'kind' is {rec.get('kind')!r}, not {kind!r}")
+    head, rows, tail = recs[0][1], [rec for _, rec in recs[1:-1]], recs[-1][1]
     return SweepResult(mode=head["mode"], rows=rows, best_ilm=tail["best_ilm"],
                        best_elm=tail["best_elm"], best_average=tail["best_average"])

@@ -426,14 +426,22 @@ def layer_normalize(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return _record(out, (x, gain, bias), bw)
 
 
-def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False) -> Tensor:
-    """softmax(q kᵀ / sqrt(d)) v with optional causal masking.
+def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False,
+                         frames=None) -> Tensor:
+    """softmax(q kᵀ / sqrt(d)) v with optional causal and key-padding masks.
 
     q: (..., Lq, d), k: (..., Lk, d), v: (..., Lk, dv) -> (..., Lq, dv).
     The leading axes stack independent attentions; k and v carry the same
     leading axes as q, or are one 2-D pair shared by every stacked query
     block (their gradients then sum over the stack). With ``causal`` set,
-    query position i attends to key positions j <= i only.
+    query position i attends to key positions j <= i only. ``frames``, an
+    integer array shaped like q's leading axes, holds each stacked block's
+    number of valid keys, in [1, Lk]; keys at or past it are padding (the
+    key-padding mask of Vaswani et al., 2017). Masked keys score -inf, as
+    the causal mask's do, so their softmax weight is exactly zero and a
+    block equals the attention over its first ``frames`` keys alone; the
+    backward then gives masked key and value rows exactly zero gradient.
+    Key 0 is never masked, so every softmax row keeps a finite score.
     """
     qd, kd, vd = q.data, k.data, v.data
     if (qd.ndim < 2 or kd.ndim not in (2, qd.ndim) or kd.shape[:-2] not in ((), qd.shape[:-2])
@@ -443,10 +451,18 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False) 
         )
     inv_sqrt_d = 1.0 / np.sqrt(qd.shape[-1])
     scores = (qd @ np.swapaxes(kd, -1, -2)) * inv_sqrt_d
+    lq, lk = scores.shape[-2:]
     if causal:
-        lq, lk = scores.shape[-2:]
         mask = np.triu(np.ones((lq, lk), dtype=bool), k=1)
         scores = np.where(mask, -np.inf, scores)
+    if frames is not None:
+        frames = np.asarray(frames)
+        if frames.dtype.kind not in "iu" or frames.shape != qd.shape[:-2]:
+            raise ValueError(f"scaled_dot_attention: frames must be integers of shape "
+                             f"{qd.shape[:-2]}, got {frames.dtype} {frames.shape}")
+        if frames.size and (frames.min() < 1 or frames.max() > lk):
+            raise ValueError(f"scaled_dot_attention: frame counts must lie in [1, {lk}]")
+        scores = np.where(np.arange(lk) >= frames[..., None, None], -np.inf, scores)
     m = np.max(scores, axis=-1, keepdims=True)
     e = np.exp(scores - m)
     attn = e / e.sum(axis=-1, keepdims=True)

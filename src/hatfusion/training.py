@@ -27,7 +27,7 @@ import numpy as np
 
 from . import tensor as T
 from .decode import BeamConfig, beam_search, beam_search_plain
-from .hat import HatConfig, HatModel, check_field_types
+from .hat import HatConfig, HatModel, check_field_types, read_jsonl
 from .lfm import LfmConfig, LfmModel, prepare_rescoring, train_lfm_step, weight_stats
 from .mwer import MwerConfig, composite_loss
 
@@ -113,8 +113,7 @@ class RunLog:
 
     @classmethod
     def load(cls, path) -> "RunLog":
-        records = [json.loads(line) for line in Path(path).read_text().splitlines()]
-        return cls(records=records)
+        return cls(records=[rec for _, rec in read_jsonl(path, {})])
 
 
 def _batch_rng(config: TrainConfig) -> np.random.Generator:

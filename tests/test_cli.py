@@ -322,6 +322,19 @@ class TestMissingArtifacts:
         assert main(["report", "--exp-dir", str(exp)]) == 3
         assert log.name in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,what", [('{"step": 2, "train_st', ""),
+                                           ('{"step": 2, "train_stats": [0.1]}', "train_stats"),
+                                           ('{"train_stats": {"mean_mu": 0.1}}', "'step'")],
+                             ids=["truncated", "list-stats", "no-step"])
+    def test_corrupt_lfm_log_line_is_named(self, lfm_exp, tmp_path, capsys, text, what):
+        exp = tmp_path / "exp"
+        shutil.copytree(lfm_exp["exp"], exp)
+        [log] = exp.glob("logs/lfm-*.jsonl")
+        config, record = log.read_text().splitlines()[:2]
+        log.write_text("\n".join([config, "", record, text]) + "\n")
+        assert main(["report", "--exp-dir", str(exp)]) == 3
+        assert f"{log.name}:4: {what}" in capsys.readouterr().err
+
     def test_lfm_params_unlike_header_exit_3(self, pipeline, lfm_exp, tmp_path, capsys):
         exp = tmp_path / "exp"
         shutil.copytree(lfm_exp["exp"], exp)

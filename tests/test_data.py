@@ -275,6 +275,16 @@ class TestLoadSchema:
         with pytest.raises(ValueError, match=f"{name.replace('.', '[.]')}:{lineno}: {what}"):
             data.load_task(saved)
 
+    @pytest.mark.parametrize("name", ["train.jsonl", "text_only.jsonl"])
+    def test_blank_lines_are_skipped(self, saved, name):
+        # every line-delimited artifact reads blank lines alike; split files
+        # used to fail on one
+        want = data.load_task(saved)
+        path = saved / name
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([lines[0], "", *lines[1:], "  "]) + "\n\n")
+        assert data.load_task(saved) == want
+
     def test_truncated_line_names_file_and_line(self, saved):
         path = saved / "dev_common.jsonl"
         path.write_text(path.read_text()[:40])

@@ -1,4 +1,6 @@
-"""The fusion module over a whole N-best list: one padded (K, L) block."""
+"""The fusion module over padded blocks: a whole N-best list as one (K, L)
+block against its utterance's states, and a whole batch of lists as one
+(N, L_max) block against per-row states with frame counts."""
 
 from dataclasses import replace
 
@@ -9,7 +11,9 @@ from hatfusion import decode as D
 from hatfusion import lfm as F
 from hatfusion import mwer as M
 from hatfusion import tensor as T
+from hatfusion.hat import pad_ids
 
+from conftest import check_gradients
 from test_lfm import HID, V, prepared_list, tiny_elm, tiny_hat, tiny_lfm
 
 
@@ -115,3 +119,165 @@ def test_loss_tape_length_does_not_grow_with_list_size():
             F.lfm_loss([(utt, replace(nb, hyps=nb.hyps[:k]))], hat, lfm)
         lengths.add(len(tape))
     assert len(lengths) == 1
+
+
+def mixed_batch(rng, hat, elm):
+    """Lists that differ in hypothesis count K, token length L and frames T."""
+    batch = [prepared_list(rng, hat, elm, t=t, uid=f"m{i}", k=k)
+             for i, (t, k) in enumerate(((3, 2), (7, 5), (5, 1), (4, 4)))]
+    assert len({len(nb.hyps) for _, nb in batch}) > 1
+    assert len({max(len(h.tokens) for h in nb.hyps) for _, nb in batch}) > 1
+    return batch
+
+
+def one_list_loss(utt, nb, hat, lfm):
+    """A list's expected word errors from its own 2-D forward, the
+    one-list graph that a batch block must reproduce."""
+    w = lfm.forward(hat.encode_np(utt.acoustics), pad_ids(nb.token_lists()))
+    pairs = np.zeros(w.shape)
+    for row, h in zip(pairs, nb.hyps):
+        row[:len(h.tokens), 0] = np.negative(h.ilm_scores)
+        row[:len(h.tokens), 1] = h.elm_scores
+    per_token = T.matmul(T.multiply(w, T.constant(pairs)), T.constant(np.ones(2)))
+    contrib = T.matmul(per_token, T.constant(np.ones(w.shape[1])))
+    raw = T.add(T.constant([h.e2e_fullsum for h in nb.hyps]), contrib)
+    return M.renormalized_expectation(raw, [M.nwe(h.tokens, utt.reference) for h in nb.hyps])
+
+
+class TestBatchBlock:
+    def test_rows_match_each_lists_own_forward(self):
+        rng = np.random.default_rng(50)
+        for seed in range(4):
+            hat, lfm = tiny_hat(90 + seed), tiny_lfm(95 + seed)
+            batch = mixed_batch(rng, hat, tiny_elm(rng))
+            states, frames, ids = F._stack_lists(batch, hat)
+            assert len(set(frames.tolist())) > 1
+            w = lfm.forward(states, ids, frames).data
+            start = 0
+            for utt, nb in batch:
+                own = lfm.forward(hat.encode_np(utt.acoustics), pad_ids(nb.token_lists())).data
+                for k, h in enumerate(nb.hyps):
+                    n = len(h.tokens)
+                    np.testing.assert_allclose(w[start + k, :n], own[k, :n], rtol=1e-12, atol=0)
+                start += len(nb.hyps)
+            assert start == len(ids)
+
+    def test_single_unpadded_list_equals_shared_states_bit_for_bit(self):
+        rng = np.random.default_rng(51)
+        for seed in range(6):
+            hat, lfm = tiny_hat(100 + seed), tiny_lfm(110 + seed)
+            utt, nb = prepared_list(rng, hat, tiny_elm(rng), t=int(rng.integers(1, 7)), k=4)
+            states, frames, ids = F._stack_lists([(utt, nb)], hat)
+            enc = hat.encode_np(utt.acoustics)
+            np.testing.assert_array_equal(frames, len(enc))
+            np.testing.assert_array_equal(lfm.forward(states, ids, frames).data,
+                                          lfm.forward(enc, ids).data)
+            # frames=None reads every row's states in full
+            np.testing.assert_array_equal(lfm.forward(states, ids).data,
+                                          lfm.forward(enc, ids).data)
+
+    def test_loss_is_the_mean_of_one_list_losses(self):
+        rng = np.random.default_rng(52)
+        for seed in range(4):
+            hat, lfm = tiny_hat(120 + seed), tiny_lfm(125 + seed)
+            batch = mixed_batch(rng, hat, tiny_elm(rng))
+            got = float(F.lfm_loss(batch, hat, lfm).data)
+            want = np.mean([float(one_list_loss(u, nb, hat, lfm).data) for u, nb in batch])
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_batch_gradients_match_one_list_graphs(self):
+        rng = np.random.default_rng(53)
+        hat, lfm = tiny_hat(130), tiny_lfm(131)
+        batch = mixed_batch(rng, hat, tiny_elm(rng))
+        grads = []
+        for build in (lambda: F.lfm_loss(batch, hat, lfm),
+                      lambda: T.mean_vec(T.concat([one_list_loss(u, nb, hat, lfm)[None]
+                                                   for u, nb in batch]))):
+            lfm.params.zero_grads()
+            with T.Tape() as tape:
+                loss = build()
+            tape.backward(loss)
+            grads.append(np.concatenate([p.grad.ravel() for p in lfm.params.tensors()]))
+        np.testing.assert_allclose(grads[0], grads[1], rtol=1e-9, atol=1e-14)
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(54)
+        hat, lfm = tiny_hat(132), tiny_lfm(133)
+        batch = mixed_batch(rng, hat, tiny_elm(rng))
+        subset = [lfm.params[n] for n in ("head_w", "head_b", "emb", "enc_in", "l0_ck", "l1_cv",
+                                          "l1_cq", "l0_sq", "ln_f_g")]
+        check_gradients(lambda: F.lfm_loss(batch, hat, lfm), subset)
+
+    def test_padded_hypotheses_get_exactly_zero_gradient(self):
+        rng = np.random.default_rng(55)
+        hat, lfm = tiny_hat(134), tiny_lfm(135)
+        batch = mixed_batch(rng, hat, tiny_elm(rng))
+        counts = np.array([len(nb.hyps) for _, nb in batch])
+        padded = np.arange(counts.max())[None, :] >= counts[:, None]
+        assert padded.any()
+        with T.Tape() as tape:
+            loss = F.lfm_loss(batch, hat, lfm)
+        tape.backward(loss)
+        # the (B, K_max) nodes of the expectation tail, from the gathered
+        # contributions to the probabilities (the last node, the product
+        # with the errors, is zero at padding and takes the mean's weight)
+        blocks = [out for out, _, _ in tape._entries if out.shape == padded.shape]
+        assert len(blocks) == 5
+        assert np.all(blocks[-1].data[padded] == 0)
+        for out in blocks[:-1]:
+            assert np.all(out.grad[padded] == 0)
+
+    def test_one_graph_whatever_the_batch_size(self):
+        rng = np.random.default_rng(56)
+        hat, lfm = tiny_hat(136), tiny_lfm(137)
+        batch = mixed_batch(rng, hat, tiny_elm(rng))
+        lengths = set()
+        for b in range(1, len(batch) + 1):
+            with T.Tape() as tape:
+                F.lfm_loss(batch[:b], hat, lfm)
+            lengths.add(len(tape))
+        assert len(lengths) == 1
+
+    def test_weight_stats_equal_per_list_statistics(self):
+        rng = np.random.default_rng(57)
+        hat, lfm = tiny_hat(138), tiny_lfm(139)
+        dataset = mixed_batch(rng, hat, tiny_elm(rng))
+        utt, nb = dataset[0]
+        dataset.append((utt, replace(nb, hyps=[])))  # adds nothing
+        mus, nus = [], []
+        for utt, nb in dataset:
+            if not nb.hyps:
+                continue
+            w = lfm.forward(hat.encode_np(utt.acoustics), pad_ids(nb.token_lists())).data
+            for h, wh in zip(nb.hyps, w):
+                mus.append(wh[:len(h.tokens), 0])
+                nus.append(wh[:len(h.tokens), 1])
+        mu, nu = np.concatenate(mus), np.concatenate(nus)
+        stats = F.weight_stats(dataset, lfm, hat)
+        assert stats.token_count == mu.size
+        for got, want in ((stats.mean_mu, np.mean(mu)), (stats.std_mu, np.std(mu)),
+                          (stats.mean_nu, np.mean(nu)), (stats.std_nu, np.std(nu))):
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_empty_list_in_a_batch_is_refused(self):
+        rng = np.random.default_rng(58)
+        hat, lfm = tiny_hat(140), tiny_lfm(141)
+        batch = mixed_batch(rng, hat, tiny_elm(rng))
+        utt, nb = batch[2]
+        batch[2] = (utt, replace(nb, hyps=[]))
+        with pytest.raises(ValueError, match="empty hypothesis list"):
+            F.lfm_loss(batch, hat, lfm)
+
+    def test_per_row_states_are_checked(self):
+        rng = np.random.default_rng(59)
+        lfm = tiny_lfm(142)
+        ids = rng.integers(0, V, size=(3, 2))
+        states = rng.normal(size=(3, 4, HID))
+        # a row short, the wrong state width, and shared states with counts
+        for bad_states, frames in ((states[:2], [4, 4]), (states[..., :-1], [4, 4, 4]),
+                                   (states[0], [4, 4, 4])):
+            with pytest.raises(ValueError, match="encoder states"):
+                lfm.forward(bad_states, ids, frames)
+        for frames in ([0, 1, 4], [1, 5, 2], [1, 2]):
+            with pytest.raises(ValueError, match="frame"):
+                lfm.forward(states, ids, frames)

@@ -1,6 +1,7 @@
 """Weight-grid sweeps: table shape, argmin rule, rescoring reuse."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -165,6 +166,28 @@ class TestPersistence:
     ], ids=["empty", "no-summary", "no-mode", "row-keys", "row-list", "summary-keys",
             "row-for-summary", "truncated-row"])
     def test_off_schema_line_names_file_and_line(self, tmp_path, text, lineno):
+        p = tmp_path / "sweep.jsonl"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=rf"sweep\.jsonl:{lineno}: "):
+            load_sweep(p)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        # a blank line used to be read as the next grid point
+        p = tmp_path / "sweep.jsonl"
+        p.write_text(_HEAD + _ROW + _SUMMARY)
+        want = load_sweep(p)
+        p.write_text("\n" + _HEAD + "\n" + _ROW + "  \n" + _ROW + "\n" + _SUMMARY + "\n")
+        back = load_sweep(p)
+        assert back.rows == want.rows * 2
+        assert replace(back, rows=want.rows) == want
+
+    @pytest.mark.parametrize("text,lineno", [
+        ("\n" + _HEAD + "\n", 3), (_HEAD + _SUMMARY + _ROW, 2), (_HEAD + _HEAD + _SUMMARY, 2),
+        (_HEAD + _ROW + '{"kind": "row"}\n' + _SUMMARY, 3),
+        (_HEAD + '{"kind": ["sweep"]}\n' + _SUMMARY, 2),
+    ], ids=["no-summary-after-blank", "summary-before-row", "second-header", "unknown-kind",
+            "list-kind"])
+    def test_out_of_place_line_names_file_and_line(self, tmp_path, text, lineno):
         p = tmp_path / "sweep.jsonl"
         p.write_text(text)
         with pytest.raises(ValueError, match=rf"sweep\.jsonl:{lineno}: "):

@@ -128,6 +128,15 @@ class TestRunLog:
         assert back.records == log.records
         assert back.losses() == [2.5]
 
+    def test_load_skips_blank_lines_and_names_bad_ones(self, tmp_path):
+        log = RunLog(TrainConfig(regime="mle", steps=1))
+        log.append(step=1, loss=2.5)
+        (tmp_path / "run.jsonl").write_bytes(log.to_bytes().replace(b"\n", b"\n\n"))
+        assert RunLog.load(tmp_path / "run.jsonl").records == log.records
+        (tmp_path / "run.jsonl").write_bytes(log.to_bytes() + b"[1, 2]\n")
+        with pytest.raises(ValueError, match=r"run\.jsonl:3: not a JSON object"):
+            RunLog.load(tmp_path / "run.jsonl")
+
 
 class TestMle:
     def test_zero_steps_is_init(self, task):
