@@ -31,9 +31,9 @@ from pathlib import Path
 
 from . import data as data_mod
 from .data import TaskConfig, generate_task, load_task, save_task, wer
-from .decode import BeamConfig, beam_search, beam_search_plain, load_nbest, save_nbest
+from .decode import NUMBER, BeamConfig, beam_search, beam_search_plain, load_nbest, save_nbest
 from .hat import HatConfig, check_keys, load_checkpoint, read_jsonl, save_checkpoint
-from .lfm import (LfmConfig, load_lfm, prepare_rescoring, rescore_scalar,
+from .lfm import (LfmConfig, WeightStats, load_lfm, prepare_rescoring, rescore_scalar,
                   rescore_with_lfm, save_lfm)
 from .lm import load_lm, require_smoothing, save_lm, train_ngram
 from .sweep import SweepSpec, load_sweep, run_sweep, save_sweep
@@ -478,21 +478,29 @@ def cmd_eval(args) -> int:
     return 0
 
 
+# a weight-statistics record: its ``token_count`` an int, the rest numbers
+_STATS_KEYS = {f.name: (int,) if f.type == "int" else NUMBER for f in fields(WeightStats)}
+
+
 def _lfm_stats_rows(log_path: Path) -> list:
     """The weight-statistics rows of a fusion-module run log; a line off
-    the schema raises ``ValueError`` naming the file and line."""
+    the schema raises ``ValueError`` naming the file and line. Each
+    ``*_stats`` record must hold every ``WeightStats`` field, checked by
+    type, so a bool is no number; ``dev_stats`` may be absent."""
     def row(rec) -> dict | None:
         if "train_stats" not in rec:
             return None
         check_keys(rec, {"step": (int,)})
         out = {"log": log_path.name, "step": rec["step"]}
         for side in ("train", "dev"):
-            stats = rec.get(f"{side}_stats") or {}
-            if not (isinstance(stats, dict)
-                    and all(isinstance(v, (int, float)) for v in stats.values())):
-                raise ValueError(f"{side}_stats is not a record of numbers")
-            for k, v in stats.items():
-                out[f"{side}_{k}"] = v
+            stats = rec.get(f"{side}_stats")
+            if side == "dev" and stats is None:
+                continue
+            try:
+                check_keys(stats, _STATS_KEYS)
+            except ValueError as e:
+                raise ValueError(f"{side}_stats: {e}") from None
+            out.update({f"{side}_{k}": stats[k] for k in _STATS_KEYS})
         return out
     return [r for _, r in read_jsonl(log_path, {}, row) if r is not None]
 

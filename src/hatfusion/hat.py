@@ -11,9 +11,11 @@ marginalizes over every monotonic alignment: the model builds the log-blank
 and log-emit grids on the tape and hands them to one lattice primitive,
 ``tensor.transducer_full_sum``. ``HatModel.score_sequences`` is the one
 scoring path: an N-best list is K sequences against one utterance's
-encoder states, and an MLE batch is K references, each against its own
-utterance's row of a padded encoder block and its own frame count, so one
-batch is one graph whatever its size.
+encoder states; an MLE batch is K references and an MWER batch is every
+list's hypotheses and reference, each against its own utterance's row of a
+padded encoder block and its own frame count, so one batch is one graph
+whatever its size. The joint is built once per distinct (utterance, prefix)
+and each sequence's lattice gathers its cells from that block.
 The internal LM (ILM) zeroes the encoder term: ranking reads the numpy head
 ``_ilm_rows``, which the search and rescoring share, and gradients read the
 tape head of ``score_sequences``.
@@ -187,13 +189,12 @@ class HatModel:
         """Prediction states for each row and prefix length of a ``pad_ids``
         block (K, U_max): (K, U_max+1, H). Row (k, u) conditions on the first
         u tokens of row k; a shorter sequence's trailing states read its
-        padding and are junk the caller must mask. Each step's ids are looked
-        up on their own and the steps run as one ``T.tanh_recurrence``.
+        padding and are junk the caller must mask. The padded (U_max+1, K)
+        ids take one lookup and run as one ``T.tanh_recurrence``, as
+        ``encode_batch``'s frames do.
         """
-        k, u_max = pad.shape
-        ids = np.concatenate([np.full((k, 1), self.config.vocab_size), pad], axis=1)
-        lemb = self._p("lemb")
-        x = T.concat([T.embedding_lookup(lemb, ids[None, :, u]) for u in range(u_max + 1)])
+        ids = np.concatenate([np.full((len(pad), 1), self.config.vocab_size), pad], axis=1)
+        x = T.embedding_lookup(self._p("lemb"), ids.T)
         return T.tanh_recurrence(x, *map(self._p, _PRED))
 
     def pred_start_np(self) -> np.ndarray:
@@ -255,45 +256,64 @@ class HatModel:
 
     # -- exact scoring --------------------------------------------------
 
-    def score_sequences(self, enc: T.Tensor, seqs, with_ilm: bool = True, frames=None):
+    def score_sequences(self, enc: T.Tensor, seqs, with_ilm: bool = True, frames=None,
+                        rows=None):
         """Full-sum log P(Y|X) for each of K sequences.
 
         ``enc`` is one utterance's encoder states (T, H), which every
         sequence is scored against (an N-best list), or a padded
-        ``encode_batch`` block (K, T_max, H), whose row k is sequence k's
-        own utterance (an MLE batch); ``frames`` (K,) gives each sequence's
-        frame count, all T when None. Returns (full_sums (K,), ilm_totals
-        (K,) or None). The joint grids of all K sequences are built together
-        and scored in one lattice sweep, ``T.transducer_full_sum``: one tape
-        entry for the whole α recursion, whatever T and U are.
+        ``encode_batch`` block (B, T_max, H) with each utterance's frame
+        count in ``frames`` (B,), all T_max when None. ``rows`` (K,) names
+        each sequence's utterance row of the block; by default sequence k
+        reads row k (an MLE batch, B = K). Returns (full_sums (K,),
+        ilm_totals (K,) or None).
+
+        Sequences of one utterance share most of their prefixes (a list's
+        hypotheses and its reference). Each distinct (utterance, prefix) is
+        one node of a (B, P_max) block: its prediction state is gathered
+        once, and its joint against every frame of its utterance and its
+        ILM head are built once. Each sequence then gathers its lattice's
+        cells by a (K, U_max+1) table of node ids, and all K lattices are
+        scored in one sweep, ``T.transducer_full_sum``: one tape entry for
+        the whole alpha recursion, whatever T and U are.
         """
         _COUNTERS["lattice_sweeps"] += 1
         seqs = [list(s) for s in seqs]
         if not seqs:
             raise ValueError("score_sequences: no sequences")
-        for s in seqs:
-            _check_ids(s, self.config.vocab_size, "label")
-        if enc.data.ndim not in (2, 3) or enc.data.ndim == 3 and enc.shape[0] != len(seqs):
+        pad = pad_ids(seqs)
+        _check_ids(pad.ravel(), self.config.vocab_size, "label")
+        shared = enc.data.ndim == 2
+        n_rows = 1 if shared else enc.shape[0] if enc.data.ndim == 3 else 0
+        if rows is None:
+            rows = np.zeros(len(seqs)) if shared else np.arange(len(seqs))
+        rows = np.asarray(rows, dtype=np.int64)
+        if not n_rows or rows.shape != (len(seqs),) or rows.min() < 0 or rows.max() >= n_rows:
             raise ValueError(f"score_sequences: encoder states {enc.shape} are neither (T, H) "
-                             f"nor one (T, H) row for each of {len(seqs)} sequences")
+                             f"nor a (B, T, H) block with a row for each of {len(seqs)} "
+                             f"sequences")
         t_len = enc.shape[-2]
         lens = np.array([len(s) for s in seqs], dtype=np.int64)
-        pad = pad_ids(seqs)
         k, u_max = pad.shape
+        table, src = _prefix_nodes(seqs, rows, n_rows, u_max)
 
         dstates = self.predict_states(pad)
-        blank_logit, label_lp, dproj = self._grids(enc, dstates)
+        nodes = T.slice_(dstates, (src[..., None] // (u_max + 1), src[..., None] % (u_max + 1),
+                                   np.arange(dstates.shape[-1])))
+        blank_nodes, label_lp, dproj = self._grids(enc, nodes)
+        # each sequence's (K, T, U_max+1) lattice cells in the node block
+        at = (rows[:, None, None], np.arange(t_len)[None, :, None], table[:, None, :])
+        blank_logit = T.slice_(blank_nodes, at)
         lb = T.log_sigmoid(blank_logit)
         if u_max > 0:
             # le[k, t, u]: leave the blank, then emit label u+1 of sequence k
             l1mb = T.log_one_minus_sigmoid(blank_logit)
-            label_tok = T.slice_(label_lp, (np.arange(k)[:, None, None],
-                                            np.arange(t_len)[None, :, None],
-                                            np.arange(u_max)[None, None, :], pad[:, None, :]))
+            label_tok = T.slice_(label_lp, (at[0], at[1], at[2][:, :, :u_max], pad[:, None, :]))
             le = T.add(l1mb[:, :, :u_max], label_tok)
         else:
             le = T.constant(np.zeros((k, t_len, 0)))
-        full_sums = T.transducer_full_sum(lb, le, lens, frames)
+        full_sums = T.transducer_full_sum(lb, le, lens, None if frames is None
+                                          else np.asarray(frames)[rows])
 
         if not with_ilm:
             return full_sums, None
@@ -303,9 +323,8 @@ class HatModel:
         ilm_lp = T.log_softmax(
             T.add(T.matmul(z_ilm, self._p("label_w")), self._p("label_b")), axis=-1
         )
-        kk, uu = np.indices(pad.shape)
-        per_tok = T.slice_(ilm_lp, (kk, uu, pad))
-        keep = (uu < lens[:, None]).astype(float)
+        per_tok = T.slice_(ilm_lp, (rows[:, None], table[:, :u_max], pad))
+        keep = (np.arange(u_max)[None, :] < lens[:, None]).astype(float)
         ilm_totals = T.matmul(T.multiply(per_tok, T.constant(keep)), T.constant(np.ones(u_max)))
         return full_sums, ilm_totals
 
@@ -373,6 +392,33 @@ def pad_ids(seqs) -> np.ndarray:
     for row, s in zip(ids, seqs):
         row[:len(s)] = s
     return ids
+
+
+def _prefix_nodes(seqs, rows: np.ndarray, n_rows: int, u_max: int):
+    """The distinct (utterance, prefix) nodes of K sequences.
+
+    Returns ``table`` (K, U_max+1), the node of sequence k's first u tokens
+    within its utterance (past its length, the node of the whole sequence),
+    and ``src`` (B, P_max), the position k * (U_max+1) + u in the padded
+    (K, U_max+1) grid of each node's first occurrence. An utterance with
+    fewer than P_max nodes is padded with position 0, which no table entry
+    names.
+    """
+    table = np.empty((len(seqs), u_max + 1), dtype=np.int64)
+    child = [{} for _ in range(n_rows)]  # per utterance: (node, token) -> child node
+    first: list = [[] for _ in range(n_rows)]  # per utterance: node -> grid position
+    for k, (s, r) in enumerate(zip(seqs, rows)):
+        node, known, where = -1, child[r], first[r]
+        for u in range(len(s) + 1):
+            node = known.setdefault((node, s[u - 1] if u else -1), len(known))
+            if node == len(where):
+                where.append(k * (u_max + 1) + u)
+            table[k, u] = node
+        table[k, len(s) + 1:] = node
+    src = np.zeros((n_rows, max(map(len, first))), dtype=np.int64)
+    for row, where in zip(src, first):
+        row[:len(where)] = where
+    return table, src
 
 
 def _ilm_rows(params: T.ParamSet, dproj: np.ndarray) -> np.ndarray:

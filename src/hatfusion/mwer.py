@@ -9,6 +9,10 @@ and minimizes sum_k p_k * NWE(Y_k, Y*) plus a small MLE anchor on the
 reference. Word-error counts come from a unit-cost Levenshtein distance.
 The tensor path recomputes e2e and ILM scores on tape so gradients reach
 model parameters; ELM scores enter as constants (the external LM is frozen).
+A training step's lists are one graph (``composite_batch_loss``): one
+encoder recurrence over the batch's utterances and one lattice sweep over
+every list's hypotheses and reference, whose shared prefixes are built once
+per utterance; ``composite_loss`` is its batch of one.
 
 There is one objective. Regular MWER (Prabhavalkar et al., 2018) is its
 mu = nu = 0 case: both LM terms are then exact zeros, so loss and gradients
@@ -121,28 +125,62 @@ def mwer_loss_scores(e2e: T.Tensor, errors, ilm: T.Tensor | None = None,
     return renormalized_expectation(raw, errors)
 
 
+def composite_batch_loss(pairs: list, model: HatModel, config: MwerConfig) -> T.Tensor:
+    """Mean over (utterance, N-best) pairs of the MWER term plus
+    -theta * log P(Y*|X), as one graph whatever the batch size.
+
+    The utterances take one padded ``encode_batch``. Every list's
+    hypotheses and its reference take one ``score_sequences`` sweep, each
+    sequence against its own utterance's row and frame count, which yields
+    the e2e and ILM totals together. The ELM totals are read off the
+    hypotheses (empty arrays, as a plain search leaves them, sum to zero).
+    The raw scores are laid out one list per row of a (B, K_max) block,
+    padded hypotheses at -inf, and each row is renormalized over its own
+    log-sum-exp: a padded hypothesis has probability exactly zero, so it
+    adds nothing and gets exactly zero gradient. A term weighted by zero is
+    left out: at mu = 0 the sweep skips the ILM head, at nu = 0 the ELM
+    totals are not read. Adding a zero changes no bit of the loss, and the
+    gradients lose only exact-zero addends, so regular MWER records the
+    tape of the e2e scores alone. For one list the tail's arithmetic is
+    ``mwer_loss_scores``' bit for bit. An empty batch, or one holding an
+    empty list, is refused.
+    """
+    if not pairs:
+        raise ValueError("mwer loss: empty batch")
+    for utterance, nbest in pairs:
+        if not nbest.hyps:
+            raise ValueError(f"mwer loss: empty hypothesis list for {utterance.uid!r}")
+    counts = np.array([len(nbest.hyps) for _, nbest in pairs])
+    seqs = [s for utterance, nbest in pairs
+            for s in nbest.token_lists() + [list(utterance.reference)]]
+    enc, frames = model.encode_batch([utterance.acoustics for utterance, _ in pairs])
+    full, ilm = model.score_sequences(enc, seqs, with_ilm=config.mu != 0, frames=frames,
+                                      rows=np.repeat(np.arange(len(pairs)), counts + 1))
+    # row b of the (B, K_max) block holds list b's hypotheses; its padded
+    # cells repeat list b's reference, and their raw scores become -inf
+    refs = np.cumsum(counts + 1) - 1
+    cols = np.arange(counts.max())
+    real = cols < counts[:, None]
+    index = np.where(real, (refs - counts)[:, None] + cols, refs[:, None])
+    raw = full[(index,)]
+    if ilm is not None:
+        raw = T.add(raw, T.scale(ilm[(index,)], -float(config.mu)))
+    shift = np.full(real.shape, -np.inf)
+    shift[real] = 0.0
+    if config.nu != 0:
+        shift[real] = float(config.nu) * np.array(
+            [float(np.sum(h.elm_scores)) for _, nbest in pairs for h in nbest.hyps])
+    raw = T.add(raw, T.constant(shift))
+    log_phat = T.add(raw, T.scale(T.logsumexp(raw, axis=1), -1.0)[:, None])
+    errors = [nwe(h.tokens, utterance.reference) for utterance, nbest in pairs
+              for h in nbest.hyps]
+    term = T.dot(T.exp(log_phat)[np.nonzero(real)], T.constant(np.array(errors, dtype=float)))
+    anchor = T.dot(full[(refs,)], T.constant(np.full(len(pairs), -float(config.theta))))
+    return T.scale(T.add(term, anchor), 1.0 / len(pairs))
+
+
 def composite_loss(utterance: Utterance, nbest: NBestList, model: HatModel,
                    config: MwerConfig) -> T.Tensor:
-    """MWER term plus -theta * log P(Y*|X), scored in one lattice sweep.
-
-    The sweep yields the e2e and ILM totals together; the ELM totals are
-    read off the hypotheses (empty arrays, as a plain search leaves them,
-    sum to zero). A term weighted by zero is left out: at mu = 0 the sweep
-    skips the ILM head, at nu = 0 no ELM constant is added. Adding a zero
-    changes no bit of the loss, and the gradients lose only exact-zero
-    addends, so regular MWER records the tape of the e2e scores alone.
-    """
-    if not nbest.hyps:
-        raise ValueError("composite_loss: empty hypothesis list")
-    reference = list(utterance.reference)
-    seqs = nbest.token_lists() + [reference]
-    k = len(nbest.hyps)
-    errors = np.array([nwe(h.tokens, reference) for h in nbest.hyps], dtype=float)
-    enc = model.encode(utterance.acoustics)
-    full, ilm = model.score_sequences(enc, seqs, with_ilm=config.mu != 0)
-    elm_totals = None
-    if config.nu != 0:
-        elm_totals = np.array([float(np.sum(h.elm_scores)) for h in nbest.hyps])
-    term = mwer_loss_scores(full[:k], errors, None if ilm is None else ilm[:k], elm_totals,
-                            config.mu, config.nu)
-    return T.add(term, T.scale(full[k], -float(config.theta)))
+    """MWER term plus -theta * log P(Y*|X) of one list: the batch of one of
+    ``composite_batch_loss``."""
+    return composite_batch_loss([(utterance, nbest)], model, config)

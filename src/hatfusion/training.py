@@ -29,7 +29,7 @@ from . import tensor as T
 from .decode import BeamConfig, beam_search, beam_search_plain
 from .hat import HatConfig, HatModel, check_field_types, read_jsonl
 from .lfm import LfmConfig, LfmModel, prepare_rescoring, train_lfm_step, weight_stats
-from .mwer import MwerConfig, composite_loss
+from .mwer import MwerConfig, composite_batch_loss
 
 _REGIMES = ("mle", "mwer", "lfm")
 _DEFAULT_LR = {"mle": 1e-3, "mwer": 1e-4, "lfm": 1e-4}
@@ -204,7 +204,9 @@ def train_mwer(config: TrainConfig, train_data: list, model: HatModel,
     weight is given, and from the LM-free search otherwise, which at zero
     weights gives the same lists. gamma or nu > 0 without an external LM is
     refused, as its term would silently read zeros. Every search returns
-    at least one hypothesis, so each utterance of a batch adds one list.
+    at least one hypothesis, so each utterance of a batch adds one list. A
+    step's lists are scored as one graph (``mwer.composite_batch_loss``):
+    one encoder recurrence and one lattice sweep, whatever the batch size.
     """
     if config.regime != "mwer":
         raise ValueError(f"train_mwer got a {config.regime!r} config")
@@ -224,8 +226,7 @@ def train_mwer(config: TrainConfig, train_data: list, model: HatModel,
                   else beam_search_plain(utt, model, beam_cfg)) for utt in batch]
         model.params.zero_grads()
         with T.Tape() as tape:
-            parts = [composite_loss(u, nb, model, mwer_cfg)[None] for u, nb in pairs]
-            loss = T.mean_vec(T.concat(parts, axis=0))
+            loss = composite_batch_loss(pairs, model, mwer_cfg)
             tape.backward(loss)
         value = float(loss.data)
         if np.isfinite(value):

@@ -1,13 +1,15 @@
 """Shared test utilities: finite-difference gradient oracles, the op-by-op
 recordings that ``tensor.transducer_full_sum`` and ``tensor.tanh_recurrence``
-must equal bit for bit, and the prefix-object beam search that
-``decode._search`` must equal list for list."""
+must equal bit for bit, the padded-grid scorer that
+``HatModel.score_sequences`` must equal, and the prefix-object beam search
+that ``decode._search`` must equal list for list."""
 
 import numpy as np
 
 from hatfusion import tensor as T
 from hatfusion.decode import _COUNTERS, BeamConfig, Hypothesis, NBestList, _combine
-from hatfusion.hat import HatModel, Utterance, pad_ids
+from hatfusion.hat import _COUNTERS as _HAT_COUNTERS
+from hatfusion.hat import HatModel, Utterance, _check_ids, pad_ids
 from hatfusion.lm import advance_state, initial_state, next_token_logprobs
 
 
@@ -154,19 +156,81 @@ def op_by_op_encode(model, acoustics):
 
 
 def op_by_op_predict_states(model, pad):
-    """``HatModel.predict_states`` recorded primitive by primitive: per label
-    step one lookup of the step's ids, the step's matmuls, adds and tanh, and
-    a slice; a concat joins the steps into (K, U_max+1, H)."""
-    k, u_max = pad.shape
+    """``HatModel.predict_states`` recorded primitive by primitive: one
+    lookup of the padded (U_max+1, K) ids, then per label step a slice, the
+    step's matmuls, adds and tanh, and a slice; a concat joins the steps into
+    (K, U_max+1, H)."""
+    ids = np.concatenate([np.full((len(pad), 1), model.config.vocab_size), pad], axis=1)
+    x = T.embedding_lookup(model.params["lemb"], ids.T)
     wx, wh, b = (model.params[n] for n in ("pred_wx", "pred_wh", "pred_b"))
-    bos = np.full(k, model.config.vocab_size, dtype=np.int64)
     steps = []
     h = None
-    for u in range(u_max + 1):
-        x = T.embedding_lookup(model.params["lemb"], bos if u == 0 else pad[:, u - 1])
-        h = _op_by_op_step(x, wx, wh, b, h)
+    for u in range(ids.shape[1]):
+        h = _op_by_op_step(x[u], wx, wh, b, h)
         steps.append(h[:, None, :])
     return T.concat(steps, axis=1)
+
+
+# -- the padded-grid scorer ----------------------------------------------------
+# ``HatModel.score_sequences`` as it was before sequences shared their
+# prefixes: the joint built for every (sequence, frame, prefix length) cell
+# of a padded (K, T, U_max+1) grid. Kept verbatim as the oracle the
+# prefix-node scorer must equal.
+
+
+def padded_score_sequences(self, enc: T.Tensor, seqs, with_ilm: bool = True, frames=None):
+    """Full-sum log P(Y|X) for each of K sequences.
+
+    ``enc`` is one utterance's encoder states (T, H), which every
+    sequence is scored against (an N-best list), or a padded
+    ``encode_batch`` block (K, T_max, H), whose row k is sequence k's
+    own utterance (an MLE batch); ``frames`` (K,) gives each sequence's
+    frame count, all T when None. Returns (full_sums (K,), ilm_totals
+    (K,) or None). The joint grids of all K sequences are built together
+    and scored in one lattice sweep, ``T.transducer_full_sum``: one tape
+    entry for the whole α recursion, whatever T and U are.
+    """
+    _HAT_COUNTERS["lattice_sweeps"] += 1
+    seqs = [list(s) for s in seqs]
+    if not seqs:
+        raise ValueError("score_sequences: no sequences")
+    for s in seqs:
+        _check_ids(s, self.config.vocab_size, "label")
+    if enc.data.ndim not in (2, 3) or enc.data.ndim == 3 and enc.shape[0] != len(seqs):
+        raise ValueError(f"score_sequences: encoder states {enc.shape} are neither (T, H) "
+                         f"nor one (T, H) row for each of {len(seqs)} sequences")
+    t_len = enc.shape[-2]
+    lens = np.array([len(s) for s in seqs], dtype=np.int64)
+    pad = pad_ids(seqs)
+    k, u_max = pad.shape
+
+    dstates = self.predict_states(pad)
+    blank_logit, label_lp, dproj = self._grids(enc, dstates)
+    lb = T.log_sigmoid(blank_logit)
+    if u_max > 0:
+        # le[k, t, u]: leave the blank, then emit label u+1 of sequence k
+        l1mb = T.log_one_minus_sigmoid(blank_logit)
+        label_tok = T.slice_(label_lp, (np.arange(k)[:, None, None],
+                                        np.arange(t_len)[None, :, None],
+                                        np.arange(u_max)[None, None, :], pad[:, None, :]))
+        le = T.add(l1mb[:, :, :u_max], label_tok)
+    else:
+        le = T.constant(np.zeros((k, t_len, 0)))
+    full_sums = T.transducer_full_sum(lb, le, lens, frames)
+
+    if not with_ilm:
+        return full_sums, None
+    if u_max == 0:
+        return full_sums, T.constant(np.zeros(k))
+    z_ilm = T.tanh(T.add(dproj, self._p("joint_b")))
+    ilm_lp = T.log_softmax(
+        T.add(T.matmul(z_ilm, self._p("label_w")), self._p("label_b")), axis=-1
+    )
+    kk, uu = np.indices(pad.shape)
+    per_tok = T.slice_(ilm_lp, (kk, uu, pad))
+    keep = (uu < lens[:, None]).astype(float)
+    ilm_totals = T.matmul(T.multiply(per_tok, T.constant(keep)), T.constant(np.ones(u_max)))
+    return full_sums, ilm_totals
 
 
 # -- the reference search ----------------------------------------------------

@@ -322,6 +322,19 @@ class TestMissingArtifacts:
         assert main(["report", "--exp-dir", str(exp)]) == 3
         assert log.name in capsys.readouterr().err
 
+    def test_bool_weight_statistic_exits_3(self, lfm_exp, tmp_path, capsys):
+        # a bool is no number: it used to print as t.mean_mu=1.0000
+        exp = tmp_path / "exp"
+        shutil.copytree(lfm_exp["exp"], exp)
+        [log] = exp.glob("logs/lfm-*.jsonl")
+        lines = log.read_text().splitlines()
+        record = json.loads(lines[1])
+        record["train_stats"]["mean_mu"] = True
+        lines[1] = json.dumps(record)
+        log.write_text("\n".join(lines) + "\n")
+        assert main(["report", "--exp-dir", str(exp)]) == 3
+        assert f"{log.name}:2: train_stats: 'mean_mu'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text,what", [('{"step": 2, "train_st', ""),
                                            ('{"step": 2, "train_stats": [0.1]}', "train_stats"),
                                            ('{"train_stats": {"mean_mu": 0.1}}', "'step'")],
