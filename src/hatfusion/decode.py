@@ -20,9 +20,20 @@ an n-gram without smoothing: it scores an unseen token -inf, and a zero
 weight times -inf is NaN. The two searches also refuse an n-gram over a
 different number of labels than the model's.
 
-A prefix is an integer id into per-search tables (prediction state,
-decoder projection, ILM and ELM rows over the next label, the last token's
-ILM and ELM scores and their sums, a parent id), each made once per search.
+A prefix is an integer id into a prefix table (prediction state, decoder
+projection, ILM and ELM rows over the next label, the last token's ILM and
+ELM scores and their sums, a parent id, a length, its tokens, its ELM state
+and a child map). No row depends on the utterance or the fusion weights, so
+every search of one model shares a table: one per ELM object for the fused
+search, and one for the plain search. The tables live as long as the model
+(a weak reference keys them) and start afresh once any parameter differs
+in any bit from when they were made: an in-place edit, ``set_values`` or an
+optimizer step. A NaN parameter never matches, and a search that raises
+drops its model's tables, so no id names a row left unfilled. Only a
+prefix no earlier search of that parameter state made costs a prediction
+step, projection, ILM head and ELM query. The frame pool, the beam and the
+joint rows belong to the search.
+
 Each expansion stage is scored as one stack: one ``joint_np`` call on the
 frontier's (F, J) decoder projections, then a partition of the (F, V) score
 matrix that keeps every candidate tying the k-th score, sorted by score;
@@ -31,8 +42,9 @@ full sort breaks. A stage's new prefixes take one stacked prediction step,
 projection and ILM head; the ELM answers one query per new prefix. Score
 sums are taken as ``np.sum`` takes them, and the per-token ILM and ELM
 arrays are read off the parent links for the final beam alone. Stacked
-products go row by row (``hat._row_products``), so the lists equal those of
-a hypothesis-at-a-time search bit for bit.
+products go row by row (``hat._row_products``), so a row is the same bits
+whichever search made it, and the lists equal those of a
+hypothesis-at-a-time search bit for bit.
 
 ``beam_search_plain`` is the fusion-free twin: it never touches LM
 machinery, and with lam = gam = 0 the fused search is bit-identical to it.
@@ -42,8 +54,8 @@ so a plain list cannot pass for one whose LM scores are attached.
 Both searches return at least one hypothesis: the acoustics are never
 empty, each frame's pool holds every frontier prefix, and the beam keeps
 the pool's best ``beam_size >= 1``. An empty list can come only from a file.
-Only NaN scores can empty a shortlist or a beam; the search then raises
-``ValueError`` naming the utterance and the frame.
+A NaN score that a shortlist or a beam would keep makes the search raise
+``ValueError`` naming the utterance and the frame, whatever the beam width.
 
 ``rescore_components`` only adds the exact full sum. The per-token ILM and
 ELM scores of a list are attached once, by ``lfm.prepare_rescoring``; every
@@ -53,6 +65,7 @@ later stage reads them off the hypotheses.
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
@@ -139,10 +152,12 @@ _PAIRWISE_FROM = 8  # np.sum adds fewer terms than this one by one, more pairwis
 def _top(neg: np.ndarray, k: int, tokens_of, where: tuple) -> np.ndarray:
     """Positions of the k lowest ``neg`` in the order of a full sort by
     (neg, tokens). Tokens are built only where scores tie, for the candidates
-    up to the k-th score; NaNs sort last, and a NaN k-th score raises."""
+    up to the k-th score; NaNs sort last, so a NaN among those kept is the
+    last kept score, and it raises."""
     order = neg.argsort(kind="stable")
     s = neg[order[:k + 1]]
-    if neg.size > k and s[k - 1] != s[k - 1]:  # only a NaN differs from itself
+    last = s[min(k, neg.size) - 1]
+    if last != last:  # only a NaN differs from itself
         raise ValueError(f"utterance {where[0]!r}, frame {where[1]}: NaN scores rank nothing")
     if (s[1:] == s[:-1]).any():
         short = (neg <= s[k - 1]).nonzero()[0] if neg.size > k else order
@@ -168,41 +183,99 @@ def _reserve(tables: SimpleNamespace, n: int) -> None:
             setattr(tables, name, np.concatenate([a, more]))
 
 
-def _search(utterance: Utterance, model: HatModel, elm, lam: float, gam: float,
-            cfg: BeamConfig, with_lm: bool):
-    _COUNTERS["beam_search"] += 1
-    vocab_size, k = model.config.vocab_size, cfg.beam_size
-    enc = model.encode_np(utterance.acoustics)
-    eproj = model.eproj_np(enc)
-    # a prefix id indexes each table and ``tokens`` and ``states`` (ELM
-    # states); lm_* hold (ILM, ELM) pairs, and ``child`` maps id * V + label
-    # to the child's id
+# model -> the parameter bytes its prefix tables were made at, and the tables
+# by (fused, ELM id); an ELM stays alive while its table does, so its id
+# names it alone. The entry goes with the model.
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# a table past this many prefixes starts afresh, so a frozen model decoding
+# a long corpus holds bounded memory; criterion 07's sweep of 120
+# utterances at 9 points makes about 12,000
+_MAX_ROWS = 1 << 16
+
+
+def _prefix_table(model: HatModel, elm, with_lm: bool) -> SimpleNamespace:
+    """The prefix table searches of ``model`` with ``elm`` (fused) or without
+    LMs (plain) share. Every table of the model starts afresh once any
+    parameter differs in any bit from when they were made; a NaN parameter
+    never matches, as NaN equals nothing. A table grown past ``_MAX_ROWS``
+    starts afresh too."""
+    values = b"".join(t.data.tobytes() for t in model.params.tensors())
+    entry = _TABLES.get(model)
+    if entry is None or entry.values != values:
+        nan = any(np.isnan(t.data).any() for t in model.params.tensors())
+        entry = _TABLES[model] = SimpleNamespace(values=None if nan else values, tables={})
+    key = (with_lm, id(elm))
+    table = entry.tables.get(key)
+    if table is None or table.n > _MAX_ROWS:
+        table = entry.tables[key] = _root_table(model, elm, with_lm)
+    return table
+
+
+def _root_table(model: HatModel, elm, with_lm: bool) -> SimpleNamespace:
+    """A table holding the empty prefix alone. A prefix id indexes each array
+    of ``rows``, ``tokens`` and ``states`` (ELM states); lm_* hold (ILM, ELM)
+    pairs, and ``child`` maps id * V + label to the child's id."""
+    vocab_size = model.config.vocab_size
     tb = SimpleNamespace(dstate=np.zeros((1, model.config.hidden_dim)),
                          dproj=np.zeros((1, model.config.joint_dim)),
                          lm_rows=np.zeros((1, 2, vocab_size)), lm_last=np.zeros((1, 2)),
                          lm_sum=np.zeros((1, 2)), parent=np.zeros(1, int), length=np.zeros(1, int))
     tb.dstate[0] = model.pred_start_np()
     tb.dproj[0] = model.dproj_np(tb.dstate[:1])[0]
-    tokens, states, child, n = [()], [None], {}, 1
+    table = SimpleNamespace(rows=tb, tokens=[()], states=[None], child={}, n=1, elm=elm)
     if with_lm:
         tb.lm_rows[0, 0] = model.ilm_logprobs_np(tb.dproj[:1])[0]
         if elm is not None:
-            states[0] = initial_state(elm)
-            tb.lm_rows[0, 1] = next_token_logprobs(elm, states[0])
+            table.states[0] = initial_state(elm)
+            tb.lm_rows[0, 1] = next_token_logprobs(elm, table.states[0])
+    return table
+
+
+def _search(utterance: Utterance, model: HatModel, elm, lam: float, gam: float,
+            cfg: BeamConfig, with_lm: bool):
+    _COUNTERS["beam_search"] += 1
+    table = _prefix_table(model, elm, with_lm)
+    try:
+        beam, beam_e2e = _frames(utterance, model, elm, lam, gam, cfg, with_lm, table)
+    except BaseException:
+        _TABLES.pop(model, None)  # ``child`` may name rows never filled
+        raise
+    tb, tokens = table.rows, table.tokens
+    out = []
+    for i, s in zip(beam.tolist(), beam_e2e):
+        # per-token arrays for the final beam only; a plain hypothesis has none
+        ilm, elm_arr = _chain(tb.lm_last, tb.parent, [i], tb.length[i])[0] if with_lm else (
+            np.zeros(0), np.zeros(0))
+        out.append(Hypothesis(tokens=tokens[i], e2e_search=float(s), ilm_scores=ilm,
+                              elm_scores=elm_arr, combined=_combine(s, lam, ilm, gam, elm_arr),
+                              truncated=len(tokens[i]) >= cfg.max_tokens))
+    out.sort(key=lambda h: (-h.combined, h.tokens))
+    return NBestList(uid=utterance.uid, reference=list(utterance.reference), hyps=out,
+                     ilm_weight=lam, elm_weight=gam)
+
+
+def _frames(utterance, model, elm, lam, gam, cfg, with_lm, table):
+    """The frame loop: the final beam's prefix ids and search scores. New
+    prefixes go into ``table``; the pool and the beam are this search's."""
+    vocab_size, k = model.config.vocab_size, cfg.beam_size
+    tb, tokens, states, child = table.rows, table.tokens, table.states, table.child
+    enc = model.encode_np(utterance.acoustics)
+    eproj = model.eproj_np(enc)
 
     beam, beam_e2e = np.zeros(1, dtype=int), np.zeros(1)
     for t in range(enc.shape[0]):
-        _reserve(tb, n + cfg.frame_cap * k)
-        # the frame's pool: the logsumexp of the path scores reaching each id
-        pool, seen = np.full(len(tb.parent), -np.inf), np.zeros(len(tb.parent), dtype=bool)
+        _reserve(tb, table.n + cfg.frame_cap * k)
+        # the frame's pool: the logsumexp of the path scores reaching each
+        # prefix, at the slot it took on arrival; ``at`` holds the stage's slots
+        slot = dict(zip(beam.tolist(), range(beam.size)))
+        pool, at = np.full((cfg.frame_cap + 1) * k, -np.inf), np.arange(beam.size)
         ids, e2e = beam, beam_e2e
         for stage in range(cfg.frame_cap + 1):
             blank_logit, label_lp = model.joint_np(eproj[t], tb.dproj[ids])
             moved = e2e - np.logaddexp(0.0, -blank_logit)
-            # a stage holds an id once, so the merge is elementwise; an id
-            # not yet seen holds -inf, and logaddexp(-inf, s) is s
-            pool[ids] = np.logaddexp(pool[ids], moved)
-            seen[ids] = True
+            # a stage holds a prefix once, so the merge is elementwise; an
+            # empty slot holds -inf, and logaddexp(-inf, s) is s
+            pool[at] = np.logaddexp(pool[at], moved)
             live = (tb.length[ids] < cfg.max_tokens).nonzero()[0]
             if stage == cfg.frame_cap or not live.size:
                 break
@@ -217,33 +290,24 @@ def _search(utterance: Utterance, model: HatModel, elm, lam: float, gam: float,
             top = _top(-comb.ravel(), k, lambda c: tokens[par[c // vocab_size]] + (c % vocab_size,),
                        (utterance.uid, t))
             rows, labels = np.divmod(top, vocab_size)
-            par, ids, made = par[rows], [], []
+            par, ids, at, made, n = par[rows], [], [], [], table.n
             for i, key in enumerate((par * vocab_size + labels).tolist()):
                 j = child.get(key)
                 if j is None:
                     j = child[key] = n + len(made)
                     made.append(i)
                 ids.append(j)
+                at.append(slot.setdefault(j, len(slot)))
             ids, e2e = np.array(ids), e2e_new[rows, labels]
             if made:
-                n = _extend(tb, model, elm, tokens, states, n, par[made], labels[made], with_lm)
+                table.n = _extend(tb, model, elm, tokens, states, n, par[made], labels[made],
+                                  with_lm)
 
-        merged = seen.nonzero()[0]
-        key = -((pool[merged] - lam * tb.lm_sum[merged, 0]) + gam * tb.lm_sum[merged, 1])
-        beam = merged[_top(key, k, lambda c: tokens[merged[c]], (utterance.uid, t))]
-        beam_e2e = pool[beam]
-
-    out = []
-    for i, s in zip(beam.tolist(), beam_e2e):
-        # per-token arrays for the final beam only; a plain hypothesis has none
-        ilm, elm_arr = _chain(tb.lm_last, tb.parent, [i], tb.length[i])[0] if with_lm else (
-            np.zeros(0), np.zeros(0))
-        out.append(Hypothesis(tokens=tokens[i], e2e_search=float(s), ilm_scores=ilm,
-                              elm_scores=elm_arr, combined=_combine(s, lam, ilm, gam, elm_arr),
-                              truncated=len(tokens[i]) >= cfg.max_tokens))
-    out.sort(key=lambda h: (-h.combined, h.tokens))
-    return NBestList(uid=utterance.uid, reference=list(utterance.reference), hyps=out,
-                     ilm_weight=lam, elm_weight=gam)
+        merged, pool = np.array(list(slot)), pool[:len(slot)]
+        key = -((pool - lam * tb.lm_sum[merged, 0]) + gam * tb.lm_sum[merged, 1])
+        top = _top(key, k, lambda c: tokens[merged[c]], (utterance.uid, t))
+        beam, beam_e2e = merged[top], pool[top]
+    return beam, beam_e2e
 
 
 def _extend(tb, model: HatModel, elm, tokens, states, n: int, par, labels, with_lm) -> int:
@@ -273,7 +337,11 @@ def _extend(tb, model: HatModel, elm, tokens, states, n: int, par, labels, with_
 
 
 def beam_search(utterance: Utterance, model: HatModel, elm, config: BeamConfig) -> NBestList:
-    """Fusion beam search; ``elm`` may be None only when the ELM weight is 0."""
+    """Fusion beam search; ``elm`` may be None only when the ELM weight is 0.
+
+    Reads and grows the prefix table of (``model``, ``elm``) that earlier
+    fused searches left at the model's current parameter values, at any
+    weights and utterance."""
     if config.elm_weight > 0 and elm is None:
         raise ValueError("an external LM is required when its fusion weight is positive")
     if elm is not None:
@@ -282,7 +350,8 @@ def beam_search(utterance: Utterance, model: HatModel, elm, config: BeamConfig) 
 
 
 def beam_search_plain(utterance: Utterance, model: HatModel, config: BeamConfig) -> NBestList:
-    """LM-free twin of beam_search; never computes ILM or ELM scores."""
+    """LM-free twin of beam_search; never computes ILM or ELM scores. Its
+    prefix table is the model's plain one, apart from any fused search's."""
     return _search(utterance, model, None, 0.0, 0.0, config, with_lm=False)
 
 

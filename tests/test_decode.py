@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -34,6 +36,25 @@ def bench_scale_model(seed, v=12):
 
 def log_sigmoid(x):
     return -np.logaddexp(0.0, -np.asarray(x, dtype=float))
+
+
+def fresh_copy(model):
+    """A new model object holding ``model``'s current parameter values."""
+    copy = H.HatModel(model.config, seed=0)
+    copy.params.set_values(model.params.copy_values())
+    return copy
+
+
+def assert_same_list(got, want):
+    """Two N-best lists equal bit for bit, LM arrays and their shapes included."""
+    assert (got.uid, got.ilm_weight, got.elm_weight) == (want.uid, want.ilm_weight, want.elm_weight)
+    assert len(got.hyps) == len(want.hyps)
+    for g, w in zip(got.hyps, want.hyps):
+        assert (g.tokens, g.e2e_search, g.combined, g.truncated) == (
+            w.tokens, w.e2e_search, w.combined, w.truncated)
+        for x, y in ((g.ilm_scores, w.ilm_scores), (g.elm_scores, w.elm_scores)):
+            assert x.shape == y.shape
+            np.testing.assert_array_equal(x, y)
 
 
 class TestBeamBasics:
@@ -121,6 +142,22 @@ class TestBeamBasics:
             model.params[name].data[...] = np.nan
         utt = random_utt(rng, uid="nan-7")
         cfg = D.BeamConfig(beam_size=2, ilm_weight=0.2, elm_weight=0.3)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match="'nan-7', frame 0: NaN"):
+                D.beam_search_plain(utt, model, cfg)
+            with pytest.raises(ValueError, match="'nan-7', frame 0: NaN"):
+                D.beam_search(utt, model, tiny_elm(rng), cfg)
+
+    @pytest.mark.parametrize("beam", [1, 2, 3, 8, 64])
+    def test_nan_model_fails_at_every_beam_width(self, beam):
+        # a beam at least as wide as the candidates cuts nothing, so a check
+        # at the k-th score alone let every NaN hypothesis through
+        rng = np.random.default_rng(8)
+        model = tiny_model(8)
+        for name in ("label_w", "blank_w", "joint_wd"):
+            model.params[name].data[...] = np.nan
+        utt = random_utt(rng, uid="nan-7")
+        cfg = D.BeamConfig(beam_size=beam, frame_cap=1, ilm_weight=0.2, elm_weight=0.3)
         with np.errstate(invalid="ignore"):
             with pytest.raises(ValueError, match="'nan-7', frame 0: NaN"):
                 D.beam_search_plain(utt, model, cfg)
@@ -263,6 +300,181 @@ class TestStackedSearch:
         D.beam_search(random_utt(rng, t=5), model, elm, cfg)
         assert steps
         assert len(queries) == len(steps) + 1
+
+
+    def test_no_prefix_state_is_stepped_twice_across_searches(self, monkeypatch):
+        # two utterances on one model share its prefix table
+        rng = np.random.default_rng(52)
+        model = tiny_model(53, v=4)
+        elm = tiny_elm(rng, v=4)
+        steps = []
+        step = H.HatModel.pred_steps_np
+
+        def counting_step(self, h, toks):
+            steps.extend((row.tobytes(), int(tok)) for row, tok in zip(h, toks))
+            return step(self, h, toks)
+
+        monkeypatch.setattr(H.HatModel, "pred_steps_np", counting_step)
+        cfg = D.BeamConfig(beam_size=4, ilm_weight=0.2, elm_weight=0.3, max_tokens=4, frame_cap=2)
+        D.beam_search(random_utt(rng, t=5, uid="a"), model, elm, cfg)
+        first = len(steps)
+        utt = random_utt(rng, t=5, uid="b")
+        D.beam_search(utt, model, elm, cfg)
+        second = len(steps) - first
+        assert len(steps) == len(set(steps))
+        D.beam_search(utt, tiny_model(53, v=4), elm, cfg)
+        assert 0 < second < len(steps) - first - second  # the first search's rows served
+
+    def test_elm_is_queried_once_per_prefix_across_searches(self, monkeypatch):
+        rng = np.random.default_rng(54)
+        model = tiny_model(55)
+        elm = tiny_elm(rng)
+        steps, queries = [], []
+        step, dist = H.HatModel.pred_steps_np, L.NGramLm.context_dist
+
+        def counting_step(self, h, toks):
+            steps.extend(int(tok) for tok in toks)
+            return step(self, h, toks)
+
+        def counting_dist(self, ctx):
+            queries.append(ctx)
+            return dist(self, ctx)
+
+        monkeypatch.setattr(H.HatModel, "pred_steps_np", counting_step)
+        monkeypatch.setattr(L.NGramLm, "context_dist", counting_dist)
+        cfg = D.BeamConfig(beam_size=4, ilm_weight=0.2, elm_weight=0.3, max_tokens=4, frame_cap=2)
+        seen: set = set()
+        for uid in ("a", "b"):
+            nb = D.beam_search(random_utt(rng, t=5, uid=uid), model, elm, cfg)
+            seen.update(h.tokens[:n] for h in nb.hyps for n in range(1, len(h.tokens) + 1))
+        prefixes = len(set(D._TABLES[model].tables[True, id(elm)].tokens)) - 1
+        assert prefixes >= len(seen) > 0
+        assert len(steps) == prefixes
+        assert len(queries) == prefixes + 1
+
+
+class TestSharedPrefixTable:
+    """Searches of one model share prefix rows while its parameters hold."""
+
+    CFG = D.BeamConfig(beam_size=4, ilm_weight=0.2, elm_weight=0.3, max_tokens=5, frame_cap=2)
+
+    def test_repeated_search_makes_no_rows_and_asks_no_elm(self, monkeypatch):
+        rng = np.random.default_rng(70)
+        model, elm = tiny_model(71), tiny_elm(rng)
+        utt = random_utt(rng, t=5)
+        first = D.beam_search(utt, model, elm, self.CFG)
+        calls = []
+        monkeypatch.setattr(H.HatModel, "pred_steps_np", lambda *a: calls.append("step"))
+        monkeypatch.setattr(H.HatModel, "ilm_logprobs_np", lambda *a: calls.append("ilm"))
+        monkeypatch.setattr(L.NGramLm, "context_dist", lambda *a: calls.append("elm"))
+        assert_same_list(D.beam_search(utt, model, elm, self.CFG), first)
+        assert calls == []
+
+    @pytest.mark.parametrize("name", tiny_model(0).params.names())
+    def test_in_place_edit_of_any_parameter_starts_afresh(self, name):
+        rng = np.random.default_rng(72)
+        model, elm = tiny_model(73), tiny_elm(rng)
+        utts = [random_utt(rng, t=4, uid=f"e{i}") for i in range(2)]
+        plain = D.BeamConfig(beam_size=4, max_tokens=5, frame_cap=2)
+        for utt in utts:
+            D.beam_search(utt, model, elm, self.CFG)
+            D.beam_search_plain(utt, model, plain)
+        model.params[name].data += 0.25
+        fresh = fresh_copy(model)
+        for utt in utts:
+            assert_same_list(D.beam_search(utt, model, elm, self.CFG),
+                             D.beam_search(utt, fresh, elm, self.CFG))
+            assert_same_list(D.beam_search_plain(utt, model, plain),
+                             D.beam_search_plain(utt, fresh, plain))
+
+    def test_set_values_and_adam_step_start_afresh(self):
+        rng = np.random.default_rng(74)
+        model, elm = tiny_model(75), tiny_elm(rng)
+        utt = random_utt(rng, t=5)
+        D.beam_search(utt, model, elm, self.CFG)
+        model.params.set_values(tiny_model(76).params.copy_values())
+        assert_same_list(D.beam_search(utt, model, elm, self.CFG),
+                         D.beam_search(utt, tiny_model(76), elm, self.CFG))
+        for t in model.params.tensors():
+            t.grad = rng.standard_normal(t.shape)
+        T.Adam(0.05).step(model.params)
+        assert_same_list(D.beam_search(utt, model, elm, self.CFG),
+                         D.beam_search(utt, fresh_copy(model), elm, self.CFG))
+
+    def test_second_elm_gets_its_own_rows(self, monkeypatch):
+        rng = np.random.default_rng(77)
+        model, elm, other = tiny_model(78), tiny_elm(rng), tiny_elm(rng, order=3)
+        utt = random_utt(rng, t=5)
+        D.beam_search(utt, model, elm, self.CFG)
+        queries = []
+        dist = L.NGramLm.context_dist
+        monkeypatch.setattr(L.NGramLm, "context_dist",
+                            lambda lm, ctx: queries.append(lm) or dist(lm, ctx))
+        got = D.beam_search(utt, model, other, self.CFG)
+        assert queries and all(lm is other for lm in queries)
+        assert_same_list(got, D.beam_search(utt, tiny_model(78), other, self.CFG))
+        queries.clear()
+        D.beam_search(utt, model, elm, self.CFG)
+        assert queries == []
+
+    def test_search_that_raises_leaves_later_searches_exact(self, monkeypatch):
+        # the failing search has named the root's children before their rows
+        # exist; a later search must not read those rows
+        rng = np.random.default_rng(79)
+        model, elm = tiny_model(80), tiny_elm(rng)
+        utts = [random_utt(rng, t=5, uid=f"x{i}") for i in range(3)]
+        step, raised = H.HatModel.pred_steps_np, []
+
+        def failing_step(self, h, toks):
+            if not raised:
+                raised.append(True)
+                raise RuntimeError("injected")
+            return step(self, h, toks)
+
+        monkeypatch.setattr(H.HatModel, "pred_steps_np", failing_step)
+        with pytest.raises(RuntimeError, match="injected"):
+            D.beam_search(utts[0], model, elm, self.CFG)
+        fresh = tiny_model(80)
+        for utt in utts:
+            assert_same_list(D.beam_search(utt, model, elm, self.CFG),
+                             D.beam_search(utt, fresh, elm, self.CFG))
+
+    def test_plain_after_fused_makes_no_ilm_call(self, monkeypatch):
+        rng = np.random.default_rng(81)
+        model, elm = tiny_model(82), tiny_elm(rng)
+        utt = random_utt(rng, t=5)
+        D.beam_search(utt, model, elm, self.CFG)
+        calls = []
+        ilm = H.HatModel.ilm_logprobs_np
+        monkeypatch.setattr(H.HatModel, "ilm_logprobs_np",
+                            lambda self, d: calls.append(len(d)) or ilm(self, d))
+        nb = D.beam_search_plain(utt, model, self.CFG)
+        assert calls == []
+        assert all(h.ilm_scores.shape == h.elm_scores.shape == (0,) for h in nb.hyps)
+
+    def test_full_table_starts_afresh(self, monkeypatch):
+        rng = np.random.default_rng(85)
+        model, elm = tiny_model(86), tiny_elm(rng)
+        utts = [random_utt(rng, t=5, uid=f"f{i}") for i in range(3)]
+        monkeypatch.setattr(D, "_MAX_ROWS", 12)
+        tables = {}  # holding each table keeps its id its own
+        for utt in utts + utts:
+            assert_same_list(D.beam_search(utt, model, elm, self.CFG),
+                             D.beam_search(utt, tiny_model(86), elm, self.CFG))
+            table = tables.setdefault(id(D._TABLES[model].tables[True, id(elm)]),
+                                      D._TABLES[model].tables[True, id(elm)])
+            assert table.n <= 12 + self.CFG.beam_size * self.CFG.frame_cap * 5
+        assert len(tables) > 1
+
+    def test_table_goes_with_the_model(self):
+        rng = np.random.default_rng(83)
+        model, elm = tiny_model(84), tiny_elm(rng)
+        D.beam_search(random_utt(rng, t=5), model, elm, self.CFG)
+        rows = weakref.ref(D._TABLES[model].tables[True, id(elm)].rows.parent)
+        assert rows() is not None
+        del model
+        gc.collect()
+        assert rows() is None
 
 
 class TestIlmReplay:

@@ -1,6 +1,7 @@
 """Property tests: an unpruned beam is the exhaustive search, its ILM scores
 are ``internal_lm_log_prob``'s, no search returns an empty list, and every
-list equals the prefix-object reference search's bit for bit."""
+list equals the prefix-object reference search's bit for bit, also when
+searches share one model's prefix table between parameter edits."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ import pytest
 from hatfusion import decode as D
 
 from conftest import reference_search
-from test_decode import bench_scale_model, random_utt, tiny_elm, tiny_model
+from test_decode import (assert_same_list, bench_scale_model, fresh_copy, random_utt,
+                         tiny_elm, tiny_model)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -104,3 +106,49 @@ def test_search_equals_the_reference_bit_for_bit(seed, bench, beam, max_tokens, 
         for x, y in ((g.ilm_scores, w.ilm_scores), (g.elm_scores, w.elm_scores)):
             assert x.shape == y.shape
             np.testing.assert_array_equal(x, y)
+
+
+OPS = st.one_of(
+    st.tuples(st.just("fused"), st.sampled_from([(0.0, 0.0), (0.2, 0.3), (0.8, 0.8), (0.5, None)]),
+              st.integers(0, 2)),
+    st.tuples(st.just("plain"), st.just(None), st.integers(0, 2)),
+    st.tuples(st.just("edit"), st.sampled_from(["lemb", "pred_wh", "joint_wd", "label_b", "aemb",
+                                                "same"]), st.integers(0, 2**16)))
+
+
+@hypothesis.settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@hypothesis.given(seed=st.integers(0, 2**16), bench=st.booleans(), beam=st.integers(1, 8),
+                  max_tokens=st.integers(1, 9), frame_cap=st.integers(1, 3),
+                  ops=st.lists(OPS, min_size=2, max_size=8))
+def test_searches_sharing_one_model_equal_the_reference(seed, bench, beam, max_tokens,
+                                                         frame_cap, ops):
+    # one model serves every search of the sequence, so later searches read
+    # rows earlier ones made, until an edit changes a parameter ("same"
+    # rewrites every value unchanged); each list must equal the reference
+    # search on a fresh copy of the model as it is at that moment. A
+    # (lam, None) search fuses the ILM with no external LM
+    rng = np.random.default_rng(seed)
+    model = bench_scale_model(seed) if bench else tiny_model(seed, v=4)
+    v, a = model.config.vocab_size, model.config.acoustic_size
+    elm = tiny_elm(rng, v=v, smoothing=0.3)
+    utts = [random_utt(rng, a=a, t=int(rng.integers(1, 6)), uid=f"s{i}") for i in range(3)]
+    for kind, arg, i in ops:
+        if kind == "edit":
+            if arg == "same":
+                model.params.set_values(model.params.copy_values())
+            else:
+                p = model.params[arg].data
+                p += 0.1 * np.random.default_rng(i).standard_normal(p.shape)
+            continue
+        fresh = fresh_copy(model)
+        lam, gam = arg or (0.0, 0.0)
+        cfg = D.BeamConfig(beam_size=beam, ilm_weight=lam, elm_weight=gam or 0.0,
+                           max_tokens=max_tokens, frame_cap=frame_cap)
+        if kind == "plain":
+            got = D.beam_search_plain(utts[i], model, cfg)
+            want = reference_search(utts[i], fresh, None, 0.0, 0.0, cfg, with_lm=False)
+        else:
+            lm = elm if gam is not None else None
+            got = D.beam_search(utts[i], model, lm, cfg)
+            want = reference_search(utts[i], fresh, lm, lam, gam or 0.0, cfg, with_lm=True)
+        assert_same_list(got, want)
