@@ -25,14 +25,14 @@ projection, ILM and ELM rows over the next label, the last token's ILM and
 ELM scores and their sums, a parent id, a length, its tokens, its ELM state
 and a child map). No row depends on the utterance or the fusion weights, so
 every search of one model shares a table: one per ELM object for the fused
-search, and one for the plain search. The tables live as long as the model
-(a weak reference keys them) and start afresh once any parameter differs
-in any bit from when they were made: an in-place edit, ``set_values`` or an
-optimizer step. A NaN parameter never matches, and a search that raises
-drops its model's tables, so no id names a row left unfilled. Only a
-prefix no earlier search of that parameter state made costs a prediction
-step, projection, ILM head and ELM query. The frame pool, the beam and the
-joint rows belong to the search.
+search, and one without LM rows for the plain search. The tables live as
+long as the model (a weak reference keys them) and start afresh once any
+parameter differs in any bit from when they were made: an in-place edit,
+``set_values`` or an optimizer step. A NaN parameter never matches, and a
+search that raises drops its model's tables, so no id names a row left
+unfilled. Only a prefix no earlier search of that parameter state made
+costs a prediction step, projection, ILM head and ELM query. The frame
+pool, the beam and the joint rows belong to the search.
 
 Each expansion stage is scored as one stack: one ``joint_np`` call on the
 frontier's (F, J) decoder projections, then a partition of the (F, V) score
@@ -213,17 +213,17 @@ def _prefix_table(model: HatModel, elm, with_lm: bool) -> SimpleNamespace:
 
 def _root_table(model: HatModel, elm, with_lm: bool) -> SimpleNamespace:
     """A table holding the empty prefix alone. A prefix id indexes each array
-    of ``rows``, ``tokens`` and ``states`` (ELM states); lm_* hold (ILM, ELM)
-    pairs, and ``child`` maps id * V + label to the child's id."""
-    vocab_size = model.config.vocab_size
+    of ``rows``, ``tokens`` and ``states`` (ELM states); fused lm_* rows hold
+    (ILM, ELM) pairs, ``child`` maps id * V + label to the child's id."""
     tb = SimpleNamespace(dstate=np.zeros((1, model.config.hidden_dim)),
                          dproj=np.zeros((1, model.config.joint_dim)),
-                         lm_rows=np.zeros((1, 2, vocab_size)), lm_last=np.zeros((1, 2)),
-                         lm_sum=np.zeros((1, 2)), parent=np.zeros(1, int), length=np.zeros(1, int))
+                         parent=np.zeros(1, int), length=np.zeros(1, int))
     tb.dstate[0] = model.pred_start_np()
     tb.dproj[0] = model.dproj_np(tb.dstate[:1])[0]
     table = SimpleNamespace(rows=tb, tokens=[()], states=[None], child={}, n=1, elm=elm)
     if with_lm:
+        tb.lm_rows = np.zeros((1, 2, model.config.vocab_size))
+        tb.lm_last, tb.lm_sum = np.zeros((1, 2)), np.zeros((1, 2))
         tb.lm_rows[0, 0] = model.ilm_logprobs_np(tb.dproj[:1])[0]
         if elm is not None:
             table.states[0] = initial_state(elm)
@@ -243,11 +243,14 @@ def _search(utterance: Utterance, model: HatModel, elm, lam: float, gam: float,
     tb, tokens = table.rows, table.tokens
     out = []
     for i, s in zip(beam.tolist(), beam_e2e):
-        # per-token arrays for the final beam only; a plain hypothesis has none
-        ilm, elm_arr = _chain(tb.lm_last, tb.parent, [i], tb.length[i])[0] if with_lm else (
-            np.zeros(0), np.zeros(0))
+        # per-token arrays for the final beam only; a plain hypothesis has
+        # none. ``lm_sum`` holds the sums ``_combine`` would take.
+        ilm, elm_arr, combined = np.zeros(0), np.zeros(0), s
+        if with_lm:
+            ilm, elm_arr = _chain(tb.lm_last, tb.parent, [i], tb.length[i])[0]
+            combined = (s - lam * tb.lm_sum[i, 0]) + gam * tb.lm_sum[i, 1]
         out.append(Hypothesis(tokens=tokens[i], e2e_search=float(s), ilm_scores=ilm,
-                              elm_scores=elm_arr, combined=_combine(s, lam, ilm, gam, elm_arr),
+                              elm_scores=elm_arr, combined=combined,
                               truncated=len(tokens[i]) >= cfg.max_tokens))
     out.sort(key=lambda h: (-h.combined, h.tokens))
     return NBestList(uid=utterance.uid, reference=list(utterance.reference), hyps=out,
@@ -304,7 +307,8 @@ def _frames(utterance, model, elm, lam, gam, cfg, with_lm, table):
                                   with_lm)
 
         merged, pool = np.array(list(slot)), pool[:len(slot)]
-        key = -((pool - lam * tb.lm_sum[merged, 0]) + gam * tb.lm_sum[merged, 1])
+        key = (-((pool - lam * tb.lm_sum[merged, 0]) + gam * tb.lm_sum[merged, 1]) if with_lm
+               else -pool)
         top = _top(key, k, lambda c: tokens[merged[c]], (utterance.uid, t))
         beam, beam_e2e = merged[top], pool[top]
     return beam, beam_e2e

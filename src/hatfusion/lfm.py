@@ -47,7 +47,7 @@ from . import tensor as T
 from .decode import NBestList, require_fusion_weights, rescore_components
 from .hat import HatModel, Utterance, check_field_types, pad_ids
 from .lm import require_smoothing, score_tokens
-from .mwer import nwe
+from .mwer import batch_expected_errors
 
 # softplus(x) underflows to exactly 0.0 near -7e2; this preimage makes a
 # "zero output" head genuinely zero rather than merely small
@@ -300,17 +300,23 @@ def _stack_lists(pairs: list, hat: HatModel) -> tuple:
     return states[rows], np.array([len(enc) for enc in encs], dtype=np.int64)[rows], ids
 
 
-def _freeze_batch(batch: list, hat: HatModel) -> tuple:
-    """Frozen-model scores are plain numbers; gather them before taping.
+def lfm_loss(batch: list, hat: HatModel, lfm: LfmModel) -> T.Tensor:
+    """Mean expected word errors over the batch, with per-token weights.
 
-    Besides ``_stack_lists``'s block, returns the (N, L_max, 2) block of
-    per-token score pairs [-s_l, r_l], zero at padded positions, and three
-    (B, K_max) arrays, one row per list, right-padded to the longest list:
-    ``index``, each cell's row in the block (a padded cell repeats its
-    list's first row), ``e2e``, the full sums with -inf at padding, and
-    ``errors``, the word errors with 0 at padding. An empty list is
-    refused: its expected error is undefined.
+    Raw score per hypothesis: e2e_fullsum - Σ mu_l s_l + Σ nu_l r_l. Only
+    the weights are tensor-valued; the scores are read off the prepared
+    lists as constants. ``hat`` only encodes the utterances. The whole
+    batch takes one fusion-module pass over its stacked block, and its
+    weighted sums are three tape entries whatever its size: multiply by the
+    score pairs [-s_l, r_l], contract the pair axis, contract the token axis
+    (padding adds zeros). Those sums, with the full sums as constants, go
+    through ``mwer.batch_expected_errors``, the MWER loss's expectation
+    tail, so a padded hypothesis gets exactly zero gradient. An empty
+    batch, or a batch holding an empty list, is refused: its expected error
+    is undefined.
     """
+    if not batch:
+        raise ValueError("lfm loss: empty batch")
     for _, nbest in batch:
         _require_lm_free(nbest)
         if not nbest.hyps:
@@ -321,47 +327,13 @@ def _freeze_batch(batch: list, hat: HatModel) -> tuple:
     for row, h in zip(pairs, hyps):
         row[:len(h.tokens), 0] = np.negative(h.ilm_scores)
         row[:len(h.tokens), 1] = h.elm_scores
-    counts = np.array([len(nbest.hyps) for _, nbest in batch])
-    starts = (np.cumsum(counts) - counts)[:, None]
-    cols = np.arange(counts.max())
-    real = cols < counts[:, None]  # row-major order is the block's row order
-    index = np.where(real, starts + cols, starts)
-    e2e = np.full(real.shape, -np.inf)
-    e2e[real] = [h.e2e_fullsum for h in hyps]
-    errors = np.zeros(real.shape)
-    errors[real] = [nwe(h.tokens, list(utterance.reference))
-                    for utterance, nbest in batch for h in nbest.hyps]
-    return states, frames, ids, pairs, index, e2e, errors
-
-
-def lfm_loss(batch: list, hat: HatModel, lfm: LfmModel) -> T.Tensor:
-    """Mean expected word errors over the batch, with per-token weights.
-
-    Raw score per hypothesis: e2e_fullsum - Σ mu_l s_l + Σ nu_l r_l. Only
-    the weights are tensor-valued; the scores are read off the prepared
-    lists as constants. ``hat`` only encodes the utterances. The whole
-    batch takes one fusion-module pass over its stacked block, and its
-    weighted sums are three tape entries whatever its size: multiply by the
-    score pairs, contract the pair axis, contract the token axis (padding
-    adds zeros). The raw scores are then laid out one list per row of a
-    (B, K_max) block, padded hypotheses at -inf, and each row's expectation
-    Σ softmax(raw)_k · errors_k is taken as ``mwer.renormalized_expectation``
-    takes it, over the row's log-sum-exp. A padded hypothesis has
-    probability exactly zero, so its cell adds nothing and gets exactly
-    zero gradient. An empty batch, or a batch holding an empty list, is
-    refused.
-    """
-    if not batch:
-        raise ValueError("lfm loss: empty batch")
-    states, frames, ids, pairs, index, e2e, errors = _freeze_batch(batch, hat)
     w = lfm.forward(states, ids, frames)
     per_token = T.matmul(T.multiply(w, T.constant(pairs)), T.constant(np.ones(2)))
     contrib = T.matmul(per_token, T.constant(np.ones(ids.shape[1])))
-    raw = T.add(T.constant(e2e), contrib[(index,)])
-    log_phat = T.add(raw, T.scale(T.logsumexp(raw, axis=1)[:, None], -1.0))
-    expected = T.matmul(T.multiply(T.exp(log_phat), T.constant(errors)),
-                        T.constant(np.ones(index.shape[1])))
-    return T.mean_vec(expected)
+    counts = np.array([len(nbest.hyps) for _, nbest in batch])
+    expected = batch_expected_errors(batch, contrib, np.cumsum(counts) - counts,
+                                     [h.e2e_fullsum for h in hyps])
+    return T.scale(expected, 1.0 / len(batch))
 
 
 def train_lfm_step(batch: list, hat: HatModel, lfm: LfmModel, optimizer) -> float:

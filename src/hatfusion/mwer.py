@@ -14,6 +14,11 @@ encoder recurrence over the batch's utterances and one lattice sweep over
 every list's hypotheses and reference, whose shared prefixes are built once
 per utterance; ``composite_loss`` is its batch of one.
 
+The expectation itself, Σ_k p_k · NWE_k per list, has one batched form,
+``batch_expected_errors``: a batch's lists as one (B, K_max) block, padded
+cells at -inf, each row renormalized on its own. The MWER loss and the
+fusion-module loss (``lfm.lfm_loss``) both end in it.
+
 There is one objective. Regular MWER (Prabhavalkar et al., 2018) is its
 mu = nu = 0 case: both LM terms are then exact zeros, so loss and gradients
 equal those built from the e2e scores alone, bit for bit.
@@ -125,6 +130,32 @@ def mwer_loss_scores(e2e: T.Tensor, errors, ilm: T.Tensor | None = None,
     return renormalized_expectation(raw, errors)
 
 
+def batch_expected_errors(pairs: list, scores: T.Tensor, starts, constants) -> T.Tensor:
+    """Σ_b Σ_k p_bk · NWE_bk over a batch of (utterance, N-best) pairs.
+
+    ``scores`` is a flat tensor in which list b's hypotheses sit at
+    ``starts[b]``, ``starts[b] + 1``, ...; ``constants`` adds one number
+    per hypothesis, in list order, off tape. The raw scores are laid out one
+    list per row of a (B, K_max) block; a padded cell gathers its list's
+    first score and is set to -inf. Each row is renormalized over its own
+    log-sum-exp: a padded hypothesis has probability exactly zero, so it
+    adds nothing and gets exactly zero gradient. The real cells are
+    contracted with their word errors in one ``dot``, so for one list this
+    is ``mwer_loss_scores``' arithmetic bit for bit.
+    """
+    counts = np.array([len(nbest.hyps) for _, nbest in pairs])
+    cols = np.arange(counts.max())
+    real = cols < counts[:, None]  # row-major order is the lists' order
+    index = np.asarray(starts)[:, None] + cols * real
+    shift = np.full(real.shape, -np.inf)
+    shift[real] = constants
+    raw = T.add(scores[(index,)], T.constant(shift))
+    log_phat = T.add(raw, T.scale(T.logsumexp(raw, axis=1), -1.0)[:, None])
+    errors = [nwe(h.tokens, utterance.reference) for utterance, nbest in pairs
+              for h in nbest.hyps]
+    return T.dot(T.exp(log_phat)[np.nonzero(real)], T.constant(np.array(errors, dtype=float)))
+
+
 def composite_batch_loss(pairs: list, model: HatModel, config: MwerConfig) -> T.Tensor:
     """Mean over (utterance, N-best) pairs of the MWER term plus
     -theta * log P(Y*|X), as one graph whatever the batch size.
@@ -132,18 +163,15 @@ def composite_batch_loss(pairs: list, model: HatModel, config: MwerConfig) -> T.
     The utterances take one padded ``encode_batch``. Every list's
     hypotheses and its reference take one ``score_sequences`` sweep, each
     sequence against its own utterance's row and frame count, which yields
-    the e2e and ILM totals together. The ELM totals are read off the
-    hypotheses (empty arrays, as a plain search leaves them, sum to zero).
-    The raw scores are laid out one list per row of a (B, K_max) block,
-    padded hypotheses at -inf, and each row is renormalized over its own
-    log-sum-exp: a padded hypothesis has probability exactly zero, so it
-    adds nothing and gets exactly zero gradient. A term weighted by zero is
-    left out: at mu = 0 the sweep skips the ILM head, at nu = 0 the ELM
-    totals are not read. Adding a zero changes no bit of the loss, and the
+    the e2e and ILM totals together; e2e - mu * ILM is taken on that flat
+    vector. The ELM totals are read off the hypotheses (empty arrays, as a
+    plain search leaves them, sum to zero) and enter times nu as
+    ``batch_expected_errors``' constants. A term weighted by zero is left
+    out: at mu = 0 the sweep skips the ILM head, at nu = 0 the ELM totals
+    are not read. Adding a zero changes no bit of the loss, and the
     gradients lose only exact-zero addends, so regular MWER records the
-    tape of the e2e scores alone. For one list the tail's arithmetic is
-    ``mwer_loss_scores``' bit for bit. An empty batch, or one holding an
-    empty list, is refused.
+    tape of the e2e scores alone. An empty batch, or one holding an empty
+    list, is refused.
     """
     if not pairs:
         raise ValueError("mwer loss: empty batch")
@@ -156,25 +184,11 @@ def composite_batch_loss(pairs: list, model: HatModel, config: MwerConfig) -> T.
     enc, frames = model.encode_batch([utterance.acoustics for utterance, _ in pairs])
     full, ilm = model.score_sequences(enc, seqs, with_ilm=config.mu != 0, frames=frames,
                                       rows=np.repeat(np.arange(len(pairs)), counts + 1))
-    # row b of the (B, K_max) block holds list b's hypotheses; its padded
-    # cells repeat list b's reference, and their raw scores become -inf
     refs = np.cumsum(counts + 1) - 1
-    cols = np.arange(counts.max())
-    real = cols < counts[:, None]
-    index = np.where(real, (refs - counts)[:, None] + cols, refs[:, None])
-    raw = full[(index,)]
-    if ilm is not None:
-        raw = T.add(raw, T.scale(ilm[(index,)], -float(config.mu)))
-    shift = np.full(real.shape, -np.inf)
-    shift[real] = 0.0
-    if config.nu != 0:
-        shift[real] = float(config.nu) * np.array(
-            [float(np.sum(h.elm_scores)) for _, nbest in pairs for h in nbest.hyps])
-    raw = T.add(raw, T.constant(shift))
-    log_phat = T.add(raw, T.scale(T.logsumexp(raw, axis=1), -1.0)[:, None])
-    errors = [nwe(h.tokens, utterance.reference) for utterance, nbest in pairs
-              for h in nbest.hyps]
-    term = T.dot(T.exp(log_phat)[np.nonzero(real)], T.constant(np.array(errors, dtype=float)))
+    scores = full if ilm is None else T.add(full, T.scale(ilm, -float(config.mu)))
+    elm_totals = [float(config.nu) * float(np.sum(h.elm_scores)) if config.nu else 0.0
+                  for _, nbest in pairs for h in nbest.hyps]
+    term = batch_expected_errors(pairs, scores, refs - counts, elm_totals)
     anchor = T.dot(full[(refs,)], T.constant(np.full(len(pairs), -float(config.theta))))
     return T.scale(T.add(term, anchor), 1.0 / len(pairs))
 

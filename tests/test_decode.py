@@ -530,6 +530,23 @@ class TestCombinedScore:
                 assert len(h.ilm_scores) == len(h.tokens)
                 assert len(h.elm_scores) == len(h.tokens)
 
+    def test_stored_combined_is_recomputable_from_pairwise_sums(self):
+        # the search reads its LM sums off the prefix table; ``recombined``
+        # takes np.sum, which adds pairwise from ``_PAIRWISE_FROM`` tokens on
+        rng = np.random.default_rng(8)
+        model, elm = bench_scale_model(58), tiny_elm(rng, v=12, n=80)
+        # a low blank bias and peaked label rows make prefixes grow long
+        model.params["blank_b"].data[...] = -3.0
+        model.params["label_w"].data[...] *= 8.0
+        long = 0
+        for lam, gam in [(0.2, 0.3), (0.5, 0.0), (0.0, 0.7), (0.9, 0.1)]:
+            cfg = D.BeamConfig(beam_size=8, ilm_weight=lam, elm_weight=gam, max_tokens=16)
+            nb = D.beam_search(random_utt(rng, a=8, t=6), model, elm, cfg)
+            for h in nb.hyps:
+                assert h.combined == h.recombined(lam, gam)
+                long += len(h.tokens) >= D._PAIRWISE_FROM
+        assert long >= 8
+
 
 class TestFusionFreeEquivalence:
     def test_zero_weights_bit_identical_to_plain(self):

@@ -219,12 +219,11 @@ class TestBatchBlock:
             loss = F.lfm_loss(batch, hat, lfm)
         tape.backward(loss)
         # the (B, K_max) nodes of the expectation tail, from the gathered
-        # contributions to the probabilities (the last node, the product
-        # with the errors, is zero at padding and takes the mean's weight)
+        # contributions to the probabilities, the last of them
         blocks = [out for out, _, _ in tape._entries if out.shape == padded.shape]
-        assert len(blocks) == 5
+        np.testing.assert_allclose(blocks[-1].data.sum(axis=1), 1.0, rtol=1e-12)
         assert np.all(blocks[-1].data[padded] == 0)
-        for out in blocks[:-1]:
+        for out in blocks:
             assert np.all(out.grad[padded] == 0)
 
     def test_one_graph_whatever_the_batch_size(self):

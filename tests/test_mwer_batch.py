@@ -84,6 +84,26 @@ def test_batch_equals_mean_of_one_list_losses(seed, config):
             np.testing.assert_allclose(g, want[1][name], rtol=1e-12, atol=1e-15, err_msg=name)
 
 
+@pytest.mark.parametrize("config", CONFIGS)
+def test_padded_hypotheses_get_exactly_zero_probability_and_gradient(config):
+    rng = np.random.default_rng(950)
+    model = tiny_model(54)
+    pairs = mixed_batch(rng, model, tiny_elm(rng))
+    counts = np.array([len(nb.hyps) for _, nb in pairs])
+    padded = np.arange(counts.max())[None, :] >= counts[:, None]
+    assert padded.any()
+    with T.Tape() as tape:
+        loss = M.composite_batch_loss(pairs, model, config)
+    tape.backward(loss)
+    # the (B, K_max) nodes of the expectation tail, from the gathered raw
+    # scores to the probabilities, the last of them
+    blocks = [out for out, _, _ in tape._entries if out.shape == padded.shape]
+    np.testing.assert_allclose(blocks[-1].data.sum(axis=1), 1.0, rtol=1e-12)
+    assert np.all(blocks[-1].data[padded] == 0)
+    for out in blocks:
+        assert np.all(out.grad[padded] == 0)
+
+
 def test_batch_gradients_match_finite_differences():
     rng = np.random.default_rng(910)
     model = tiny_model(50)
