@@ -22,25 +22,28 @@ different number of labels than the model's.
 
 A prefix is an integer id into a prefix table (prediction state, decoder
 projection, ILM and ELM rows over the next label, the last token's ILM and
-ELM scores and their sums, a parent id, a length, its tokens, its ELM state
-and a child map). No row depends on the utterance or the fusion weights, so
-every search of one model shares a table: one per ELM object for the fused
-search, and one without LM rows for the plain search. The tables live as
-long as the model (a weak reference keys them) and start afresh once any
-parameter differs in any bit from when they were made: an in-place edit,
-``set_values`` or an optimizer step. A NaN parameter never matches, and a
-search that raises drops its model's tables, so no id names a row left
-unfilled. Only a prefix no earlier search of that parameter state made
-costs a prediction step, projection, ILM head and ELM query. The frame
+ELM scores, their sums and ``lm_next``, a parent id, a length, its tokens,
+its ELM state and a child map). No row depends on the utterance or the
+fusion weights, so every search of one model shares a table: one per ELM
+object for the fused search, and one without LM rows for the plain search.
+The tables live as long as the model (a weak reference keys them) and start
+afresh once any parameter differs in any bit from when they were made: an
+in-place edit, ``set_values`` or an optimizer step. A NaN parameter never
+matches, and a search that raises drops its model's tables, so no id names a
+row left unfilled. Only a prefix no earlier search of that parameter state
+made costs a prediction step, projection, ILM head and ELM query. The frame
 pool, the beam and the joint rows belong to the search.
 
 Each expansion stage is scored as one stack: one ``joint_np`` call on the
-frontier's (F, J) decoder projections, then a partition of the (F, V) score
-matrix that keeps every candidate tying the k-th score, sorted by score;
-tokens are built only where scores tie, which the (-score, tokens) key of a
-full sort breaks. A stage's new prefixes take one stacked prediction step,
-projection and ILM head; the ELM answers one query per new prefix. Score
-sums are taken as ``np.sum`` takes them, and the per-token ILM and ELM
+frontier's (F, J) decoder projections, then a sort of the (F, V) scores
+that builds tokens only where the k-th score ties, for the (-score, tokens)
+key of a full sort. A frame's last stage (stage ``frame_cap``, or no prefix
+under ``max_tokens`` tokens) extends nothing and runs the blank head alone.
+A stage's new prefixes take one stacked prediction step, projection and
+ILM head, and one ELM query each. A fused row's ``lm_next``, its sums as
+``np.sum`` takes them plus its rows, gives a stage its candidates' sums in
+one gather and a child its sums. Gathers go through ``ndarray.take``, which
+costs a third of fancy indexing on a few rows. The per-token ILM and ELM
 arrays are read off the parent links for the final beam alone. Stacked
 products go row by row (``hat._row_products``), so a row is the same bits
 whichever search made it, and the lists equal those of a
@@ -155,11 +158,11 @@ def _top(neg: np.ndarray, k: int, tokens_of, where: tuple) -> np.ndarray:
     up to the k-th score; NaNs sort last, so a NaN among those kept is the
     last kept score, and it raises."""
     order = neg.argsort(kind="stable")
-    s = neg[order[:k + 1]]
+    s = neg.take(order[:k + 1]).tolist()
     last = s[min(k, neg.size) - 1]
     if last != last:  # only a NaN differs from itself
         raise ValueError(f"utterance {where[0]!r}, frame {where[1]}: NaN scores rank nothing")
-    if (s[1:] == s[:-1]).any():
+    if len(set(s)) < len(s):  # sorted, so a tie is a repeat; NaNs repeat nothing
         short = (neg <= s[k - 1]).nonzero()[0] if neg.size > k else order
         order = np.array(sorted(short.tolist(), key=lambda c: (neg[c], tokens_of(c))), dtype=int)
     return order[:k]
@@ -228,6 +231,7 @@ def _root_table(model: HatModel, elm, with_lm: bool) -> SimpleNamespace:
         if elm is not None:
             table.states[0] = initial_state(elm)
             tb.lm_rows[0, 1] = next_token_logprobs(elm, table.states[0])
+        tb.lm_next = tb.lm_sum[:, :, None] + tb.lm_rows
     return table
 
 
@@ -241,17 +245,19 @@ def _search(utterance: Utterance, model: HatModel, elm, lam: float, gam: float,
         _TABLES.pop(model, None)  # ``child`` may name rows never filled
         raise
     tb, tokens = table.rows, table.tokens
-    out = []
-    for i, s in zip(beam.tolist(), beam_e2e):
-        # per-token arrays for the final beam only; a plain hypothesis has
-        # none. ``lm_sum`` holds the sums ``_combine`` would take.
-        ilm, elm_arr, combined = np.zeros(0), np.zeros(0), s
+    lengths, out = tb.length.take(beam), []
+    # the final beam's per-token arrays, one ``_chain`` per length; a plain
+    # hypothesis has none. ``lm_sum`` holds the sums ``_combine`` would take.
+    for m in set(lengths.tolist()):
+        at = (lengths == m).nonzero()[0]
+        ids, e2e = beam.take(at), beam_e2e.take(at).tolist()
+        per_token, combined = np.zeros((at.size, 2, 0)), e2e
         if with_lm:
-            ilm, elm_arr = _chain(tb.lm_last, tb.parent, [i], tb.length[i])[0]
-            combined = (s - lam * tb.lm_sum[i, 0]) + gam * tb.lm_sum[i, 1]
-        out.append(Hypothesis(tokens=tokens[i], e2e_search=float(s), ilm_scores=ilm,
-                              elm_scores=elm_arr, combined=combined,
-                              truncated=len(tokens[i]) >= cfg.max_tokens))
+            per_token = _chain(tb.lm_last, tb.parent, ids, m)
+            combined = [(s - lam * si) + gam * sr
+                        for s, (si, sr) in zip(e2e, tb.lm_sum.take(ids, axis=0).tolist())]
+        out += [Hypothesis(tokens[i], s, ilm, elm_arr, c, truncated=m >= cfg.max_tokens)
+                for i, s, (ilm, elm_arr), c in zip(ids.tolist(), e2e, per_token, combined)]
     out.sort(key=lambda h: (-h.combined, h.tokens))
     return NBestList(uid=utterance.uid, reference=list(utterance.reference), hyps=out,
                      ilm_weight=lam, elm_weight=gam)
@@ -273,44 +279,54 @@ def _frames(utterance, model, elm, lam, gam, cfg, with_lm, table):
         slot = dict(zip(beam.tolist(), range(beam.size)))
         pool, at = np.full((cfg.frame_cap + 1) * k, -np.inf), np.arange(beam.size)
         ids, e2e = beam, beam_e2e
+        # a stage adds at most one token, so stages before ``reach`` hold
+        # no prefix of ``max_tokens`` tokens
+        reach = cfg.max_tokens - max(tb.length.take(beam).tolist())
         for stage in range(cfg.frame_cap + 1):
-            blank_logit, label_lp = model.joint_np(eproj[t], tb.dproj[ids])
-            moved = e2e - np.logaddexp(0.0, -blank_logit)
+            n_live = ids.size
+            if reach <= stage < cfg.frame_cap:
+                live = (tb.length.take(ids) < cfg.max_tokens).nonzero()[0]
+                n_live = live.size
+            last = stage == cfg.frame_cap or not n_live
+            dproj = tb.dproj.take(ids, axis=0)
+            if last:  # no prefix extends: the blank head alone
+                blank_logit = model.joint_blank_np(eproj[t], dproj)[0]
+            else:
+                blank_logit, label_lp = model.joint_np(eproj[t], dproj)
             # a stage holds a prefix once, so the merge is elementwise; an
             # empty slot holds -inf, and logaddexp(-inf, s) is s
-            pool[at] = np.logaddexp(pool[at], moved)
-            live = (tb.length[ids] < cfg.max_tokens).nonzero()[0]
-            if stage == cfg.frame_cap or not live.size:
+            pool[at] = np.logaddexp(pool[at], e2e - np.logaddexp(0.0, -blank_logit))
+            if last:
                 break
-            if live.size == ids.size:  # a view, not a gather
-                live = slice(None)
-            e2e_new = (e2e - np.logaddexp(0.0, blank_logit))[live, None] + label_lp[live]
-            par = ids[live]
+            stay, par = e2e - np.logaddexp(0.0, blank_logit), ids
+            if n_live < ids.size:
+                stay, label_lp, par = stay.take(live), label_lp.take(live, axis=0), ids.take(live)
+            e2e_new = stay[:, None] + label_lp
             comb = e2e_new
             if with_lm:
-                lm = tb.lm_sum[par][:, :, None] + tb.lm_rows[par]
+                lm = tb.lm_next.take(par, axis=0)
                 comb = (e2e_new - lam * lm[:, 0]) + gam * lm[:, 1]
             top = _top(-comb.ravel(), k, lambda c: tokens[par[c // vocab_size]] + (c % vocab_size,),
                        (utterance.uid, t))
-            rows, labels = np.divmod(top, vocab_size)
-            par, ids, at, made, n = par[rows], [], [], [], table.n
-            for i, key in enumerate((par * vocab_size + labels).tolist()):
+            parents, ids, at, made, n = par.tolist(), [], [], [], table.n
+            for c in top.tolist():
+                p, v = parents[c // vocab_size], c % vocab_size
+                key = p * vocab_size + v
                 j = child.get(key)
                 if j is None:
                     j = child[key] = n + len(made)
-                    made.append(i)
+                    made.append((p, v))
                 ids.append(j)
                 at.append(slot.setdefault(j, len(slot)))
-            ids, e2e = np.array(ids), e2e_new[rows, labels]
+            ids, at, e2e = np.array(ids), np.array(at), e2e_new.take(top)
             if made:
-                table.n = _extend(tb, model, elm, tokens, states, n, par[made], labels[made],
-                                  with_lm)
+                table.n = _extend(tb, model, elm, tokens, states, n, *np.array(made).T, with_lm)
 
         merged, pool = np.array(list(slot)), pool[:len(slot)]
         key = (-((pool - lam * tb.lm_sum[merged, 0]) + gam * tb.lm_sum[merged, 1]) if with_lm
                else -pool)
         top = _top(key, k, lambda c: tokens[merged[c]], (utterance.uid, t))
-        beam, beam_e2e = merged[top], pool[top]
+        beam, beam_e2e = merged.take(top), pool.take(top)
     return beam, beam_e2e
 
 
@@ -318,25 +334,27 @@ def _extend(tb, model: HatModel, elm, tokens, states, n: int, par, labels, with_
     """Fill table rows n.. for the children ``par[i]`` + ``labels[i]``, whose
     prediction step runs as one stack; returns the new prefix count."""
     new = slice(n, n + par.size)
-    tb.parent[new], tb.length[new] = par, tb.length[par] + 1
+    lens = tb.length.take(par) + 1
+    tb.parent[new], tb.length[new] = par, lens
     tokens.extend(tokens[p] + (v,) for p, v in zip(par.tolist(), labels.tolist()))
-    tb.dstate[new] = model.pred_steps_np(tb.dstate[par], labels)
+    tb.dstate[new] = model.pred_steps_np(tb.dstate.take(par, axis=0), labels)
     tb.dproj[new] = model.dproj_np(tb.dstate[new])
     if not with_lm:
         return new.stop
-    tb.lm_last[new, 0] = tb.lm_rows[par, 0, labels]
+    # the parent's rows already score the label (its ELM row too), and its
+    # ``lm_next`` holds the child's sums
+    tb.lm_last[new] = tb.lm_rows[par, :, labels]
+    tb.lm_sum[new] = tb.lm_next[par, :, labels]
     tb.lm_rows[new, 0] = model.ilm_logprobs_np(tb.dproj[new])
-    if elm is not None:  # the parent's ELM row already scores the label
-        for i, p, v in zip(range(n, new.stop), par.tolist(), labels.tolist()):
-            state, tb.lm_last[i, 1] = advance_state(elm, states[p], v, tb.lm_rows[p, 1])
-            states.append(state)
-            tb.lm_rows[i, 1] = next_token_logprobs(elm, state)
+    if elm is not None:  # ``states[n:]`` are the new prefixes': one query each
+        states.extend(advance_state(elm, states[p], v, tb.lm_rows[p, 1])[0]
+                      for p, v in zip(par.tolist(), labels.tolist()))
+        tb.lm_rows[new, 1] = [next_token_logprobs(elm, state) for state in states[n:]]
     # the sums np.sum would take: one by one below _PAIRWISE_FROM tokens
-    tb.lm_sum[new] = tb.lm_sum[par] + tb.lm_last[new]
-    lens = tb.length[new]
-    for m in set(lens[lens >= _PAIRWISE_FROM].tolist()):
+    for m in {m for m in lens.tolist() if m >= _PAIRWISE_FROM}:
         grp = (lens == m).nonzero()[0] + n
         tb.lm_sum[grp] = np.sum(_chain(tb.lm_last, tb.parent, grp, m), axis=2)
+    tb.lm_next[new] = tb.lm_sum[new][:, :, None] + tb.lm_rows[new]
     return new.stop
 
 

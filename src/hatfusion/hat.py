@@ -243,12 +243,18 @@ class HatModel:
 
     def joint_np(self, eproj_t: np.ndarray, dproj: np.ndarray):
         """Blank logits (F,) and label log-probs (F, V) at frame projection
-        ``eproj_t`` (J,) for F stacked decoder projections ``dproj`` (F, J)."""
-        z = np.tanh(eproj_t + dproj + self._p("joint_b").data)
-        blank_logit = _row_products(z, self._p("blank_w").data) + self._p("blank_b").data
+        ``eproj_t`` (J,) for F stacked decoder projections ``dproj`` (F, J);
+        the blank logits are ``joint_blank_np``'s, bit for bit."""
+        blank_logit, z = self.joint_blank_np(eproj_t, dproj)
         label_lp = T.log_softmax_np(_row_products(z, self._p("label_w").data)
                                     + self._p("label_b").data)
         return blank_logit, label_lp
+
+    def joint_blank_np(self, eproj_t: np.ndarray, dproj: np.ndarray):
+        """The blank head alone: blank logits (F,) and the joint's hidden
+        rows (F, J). A search stage that extends no prefix reads only these."""
+        z = np.tanh(eproj_t + dproj + self._p("joint_b").data)
+        return _row_products(z, self._p("blank_w").data) + self._p("blank_b").data, z
 
     def ilm_logprobs_np(self, dproj: np.ndarray) -> np.ndarray:
         """Internal-LM label log-probs (F, V) for stacked decoder projections (F, J)."""

@@ -1,7 +1,9 @@
 import gc
 import json
 import math
+import re
 import weakref
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -225,24 +227,80 @@ class TestStackedSearch:
         model = tiny_model(53)
         elm = tiny_elm(rng)
         steps, dproj_rows = [], set()
-        step, joint = H.HatModel.pred_steps_np, H.HatModel.joint_np
+        step, blank_head = H.HatModel.pred_steps_np, H.HatModel.joint_blank_np
 
         def counting_step(self, h, toks):
             steps.extend((row.tobytes(), int(tok)) for row, tok in zip(h, toks))
             return step(self, h, toks)
 
-        def recording_joint(self, eproj_t, dproj):
+        def recording_blank_head(self, eproj_t, dproj):
+            # every stage runs the blank head, alone or inside ``joint_np``
             dproj_rows.update(row.tobytes() for row in dproj)
-            return joint(self, eproj_t, dproj)
+            return blank_head(self, eproj_t, dproj)
 
         monkeypatch.setattr(H.HatModel, "pred_steps_np", counting_step)
-        monkeypatch.setattr(H.HatModel, "joint_np", recording_joint)
+        monkeypatch.setattr(H.HatModel, "joint_blank_np", recording_blank_head)
         cfg = D.BeamConfig(beam_size=4, ilm_weight=0.2, elm_weight=0.3, max_tokens=4, frame_cap=2)
         D.beam_search(random_utt(rng, t=5), model, elm, cfg)
         assert len(steps) == len(set(steps))
         # every expanded prefix reaches the joint at the next stage; the
         # root is the one prefix no step made
         assert len(steps) == len(dproj_rows) - 1
+
+    @pytest.mark.parametrize("max_tokens", [2, 24])
+    def test_no_frame_ends_on_the_label_head(self, monkeypatch, max_tokens):
+        # a frame's last stage extends no prefix (it is stage ``frame_cap``,
+        # or no row is under ``max_tokens``) and runs the blank head alone:
+        # each frame is label-head stages, then one blank-only stage
+        rng = np.random.default_rng(59)
+        model, elm = tiny_model(60), tiny_elm(rng)
+        heads = []
+        joint, blank_head = H.HatModel.joint_np, H.HatModel.joint_blank_np
+
+        def counting_joint(self, eproj_t, dproj):
+            heads.append("L")
+            return joint(self, eproj_t, dproj)  # runs the blank head inside
+
+        def counting_blank_head(self, eproj_t, dproj):
+            heads.append("B")
+            return blank_head(self, eproj_t, dproj)
+
+        monkeypatch.setattr(H.HatModel, "joint_np", counting_joint)
+        monkeypatch.setattr(H.HatModel, "joint_blank_np", counting_blank_head)
+        frames, cap = 5, 3
+        utt = random_utt(rng, t=frames)
+        cfg = D.BeamConfig(beam_size=4, ilm_weight=0.2, elm_weight=0.3, max_tokens=max_tokens,
+                           frame_cap=cap)
+        for search in (lambda: D.beam_search(utt, model, elm, cfg),
+                       lambda: D.beam_search_plain(utt, model, cfg)):
+            heads.clear()
+            search()
+            stages = "".join(heads).replace("LB", "L")  # one letter per stage
+            assert stages.count("B") == frames
+            assert re.fullmatch(f"(L{{0,{cap}}}B){{{frames}}}", stages)
+            if max_tokens > frames * cap:  # every frame reaches frame_cap
+                assert stages == ("L" * cap + "B") * frames
+            else:  # the first frame ends once its rows hold max_tokens tokens
+                assert stages.startswith("L" * max_tokens + "B")
+
+    def test_lm_next_is_each_rows_sums_plus_its_lm_rows(self):
+        # white box: a stage reads its candidates' (ILM, ELM) sums off their
+        # parents' ``lm_next``, so it must hold the sums the pairwise fix left
+        rng = np.random.default_rng(8)
+        model, elm = bench_scale_model(58), tiny_elm(rng, v=12, n=80)
+        # a low blank bias and peaked label rows make prefixes grow long
+        model.params["blank_b"].data[...] = -3.0
+        model.params["label_w"].data[...] *= 8.0
+        for lam, gam in [(0.2, 0.3), (0.9, 0.1)]:
+            cfg = D.BeamConfig(beam_size=8, ilm_weight=lam, elm_weight=gam, max_tokens=16)
+            D.beam_search(random_utt(rng, a=8, t=6), model, elm, cfg)
+        table = D._TABLES[model].tables[True, id(elm)]
+        tb, n = table.rows, table.n
+        np.testing.assert_array_equal(tb.lm_next[:n], tb.lm_sum[:n, :, None] + tb.lm_rows[:n])
+        # pairwise sums that one-by-one sums would miss
+        long = (tb.length[:n] >= D._PAIRWISE_FROM).nonzero()[0]
+        one_by_one = tb.lm_sum[tb.parent[long]] + tb.lm_last[long]
+        assert long.size >= 8 and (one_by_one != tb.lm_sum[long]).any()
 
     def test_extend_sums_lm_scores_as_np_sum_does(self):
         # white box: ``_extend`` keeps each prefix's (ILM, ELM) score sums as
@@ -253,12 +311,13 @@ class TestStackedSearch:
         v = model.config.vocab_size
         tb = SimpleNamespace(dstate=model.pred_start_np()[None], dproj=None,
                              lm_rows=np.zeros((1, 2, v)), lm_last=np.zeros((1, 2)),
-                             lm_sum=np.zeros((1, 2)), parent=np.zeros(1, int),
-                             length=np.zeros(1, int))
+                             lm_sum=np.zeros((1, 2)), lm_next=np.zeros((1, 2, v)),
+                             parent=np.zeros(1, int), length=np.zeros(1, int))
         tb.dproj = model.dproj_np(tb.dstate)
         tb.lm_rows[0, 0] = model.ilm_logprobs_np(tb.dproj)[0]
         states = [L.initial_state(elm)]
         tb.lm_rows[0, 1] = L.next_token_logprobs(elm, states[0])
+        tb.lm_next[0] = tb.lm_sum[0][:, None] + tb.lm_rows[0]
         tokens, n, frontier = [()], 1, np.zeros(1, int)
         for _ in range(11):  # three children of each of up to four prefixes
             par = np.repeat(frontier, 3)
@@ -692,6 +751,23 @@ class TestNBestIO:
                 np.testing.assert_array_equal(ha.ilm_scores, hb.ilm_scores)
                 np.testing.assert_array_equal(ha.elm_scores, hb.elm_scores)
                 assert ha.truncated == hb.truncated
+
+    def test_decoded_lists_reload_with_the_same_field_reprs(self, tmp_path):
+        # a decoded hypothesis holds its scores as Python floats, as a loaded
+        # one does, so a list repr()s the same before and after a round trip
+        rng = np.random.default_rng(20)
+        model, elm = tiny_model(78), tiny_elm(rng)
+        utt = random_utt(rng, t=4, uid="r0")
+        cfg = D.BeamConfig(beam_size=4, ilm_weight=0.2, elm_weight=0.3, max_tokens=4, frame_cap=2)
+        lists = [D.beam_search(utt, model, elm, cfg), D.beam_search_plain(utt, model, cfg)]
+        D.save_nbest(lists, tmp_path / "nbest.jsonl")
+        back = D.load_nbest(tmp_path / "nbest.jsonl")
+        for got, want in zip(back, lists):
+            assert len(got.hyps) == len(want.hyps) > 1
+            for g, w in zip(got.hyps, want.hyps):
+                for f in fields(w):
+                    assert repr(getattr(g, f.name)) == repr(getattr(w, f.name)), f.name
+                assert type(w.combined) is float and type(w.e2e_search) is float
 
     def test_record_with_sentence_end_score_loads(self, tmp_path):
         # lists written before the sentence-end term was removed carry an
