@@ -58,7 +58,7 @@ print("path enumeration:        ", total)
 print("difference:", abs(full - total))
 
 # the internal LM is the label softmax evaluated with no acoustic projection
-ilm = model.internal_lm_log_prob(utt.reference)
+ilm = model.internal_lm_log_prob([utt.reference])[0]
 print("internal LM per-token scores:", ilm, "total", np.sum(ilm))
 
 # Sequence probabilities sum to one.  The joint activation is a tanh, so the

@@ -10,8 +10,9 @@ actually visited. Fusion follows
 
 with the internal-LM (ILM) view read straight off the model's own decoder
 (zeroed encoder contribution) by its numpy head, ``HatModel.ilm_logprobs_np``.
-Rescoring's ``HatModel.internal_lm_log_prob`` replays these steps, so the
-search and rescoring rank by one ILM; the tape head of
+Rescoring's ``HatModel.internal_lm_log_prob`` replays each distinct prefix
+of a list once, with the search's own steps, so the search and rescoring
+rank by one ILM; the tape head of
 ``HatModel.score_sequences`` serves the MWER loss and its gradients, and
 ``exhaustive_search``. Fusion weights must be finite and nonnegative
 (``require_fusion_weights``). LM scores must be finite too, so

@@ -18,7 +18,8 @@ whatever its size. The joint is built once per distinct (utterance, prefix)
 and each sequence's lattice gathers its cells from that block.
 The internal LM (ILM) zeroes the encoder term: ranking reads the numpy head
 ``_ilm_rows``, which the search and rescoring share, and gradients read the
-tape head of ``score_sequences``.
+tape head of ``score_sequences``. Rescoring's ``internal_lm_log_prob``
+steps each distinct prefix of an N-best list once, with the search's steps.
 """
 
 from __future__ import annotations
@@ -342,15 +343,25 @@ class HatModel:
         enc = self.encode(utterance.acoustics)
         return T.slice_(self.full_sum_log_probs(enc, [list(labels)]), 0)
 
-    def internal_lm_log_prob(self, labels) -> np.ndarray:
-        """Per-token internal-LM log-probs s_l of ``labels``: (U,). A numpy
-        replay of the fused search's steps, so it gives a fused hypothesis's
-        ``ilm_scores`` bit for bit, and it records nothing under a tape."""
-        tokens = _check_ids(labels, self.config.vocab_size, "label")
-        x = self._p("lemb").data[np.concatenate(([self.config.vocab_size], tokens[:-1]))[:, None]]
-        states = np.concatenate(T.tanh_states_np(x, *(self._p(n).data for n in _PRED)))
-        lp = _ilm_rows(self.params, _row_products(states, self._p("joint_wd").data))
-        return lp[np.arange(tokens.size), tokens]
+    def internal_lm_log_prob(self, seqs) -> list:
+        """Per-token internal-LM log-probs s_l of K label sequences: K arrays
+        (U_k,). The fused search's own numpy steps over the distinct prefixes
+        of all K, each once: ``pred_start_np`` for the root, one
+        ``pred_steps_np`` per depth, then one ``dproj_np`` and one ILM head for
+        all. So a fused hypothesis's ``ilm_scores`` come back bit for bit."""
+        seqs = [tuple(_check_ids(s, self.config.vocab_size, "label").tolist()) for s in seqs]
+        row, layers = {(): 0}, []  # each prefix that precedes a token -> its row, by depth
+        for u in range(1, max(map(len, seqs), default=0)):
+            layers.append(list(dict.fromkeys(s[:u] for s in seqs if len(s) > u)))
+            row.update(zip(layers[-1], range(len(row), len(row) + len(layers[-1]))))
+        states = np.empty((len(row), self.config.hidden_dim))
+        states[0] = self.pred_start_np()
+        for layer in layers:  # a depth's rows are consecutive
+            at = row[layer[0]]
+            states[at:at + len(layer)] = self.pred_steps_np(
+                states.take([row[p[:-1]] for p in layer], axis=0), np.array([p[-1] for p in layer]))
+        lp = _ilm_rows(self.params, self.dproj_np(states))
+        return [lp[[row[s[:u]] for u in range(len(s))], s] for s in seqs]
 
     def mle_loss(self, batch: list[Utterance]) -> T.Tensor:
         """Mean negative full-sum log-likelihood of the references, as one

@@ -11,8 +11,9 @@ rescoring share one weighted-score path, so a constant-head module
 reproduces scalar rescoring exactly, not just up to rounding.
 
 The transformer is pre-norm: each sublayer adds its output to the residual
-stream after layer normalization. Encoder states enter as constants; only
-LFM parameters ever receive gradients here.
+stream after layer normalization; an attention sublayer's heads are one
+``tensor.scaled_dot_attention`` entry. Encoder states enter as constants;
+only LFM parameters ever receive gradients here.
 
 The module never runs once per hypothesis. Rescoring runs it once per
 N-best list, on the list's right-padded id block against the utterance's
@@ -27,8 +28,8 @@ exactly its bias at every position.
 ``prepare_rescoring`` is the one place that attaches the exact full sum and
 the per-token ILM and ELM scores to a list; it leaves the search scores
 alone, so a fused list still recombines to its stored ``combined``. Its ILM
-is ``HatModel.internal_lm_log_prob``, the numpy replay of the search's own
-steps, so a fused list's ILM scores come back bit for bit.
+is one ``HatModel.internal_lm_log_prob`` per list, the search's own steps
+over its distinct prefixes, so a fused list's ILM scores come back bit for bit.
 Rescoring and fusion-module training read those scores off the hypotheses
 and never recompute them, so their lists must come from
 ``prepare_rescoring`` or ``hatfusion decode``; a list without one ILM and
@@ -38,7 +39,7 @@ one ELM score per token is refused.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -65,12 +66,13 @@ class LfmConfig:
 
     def __post_init__(self):
         check_field_types(self)
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise ValueError(f"lfm {f.name} must be >= 1, got {getattr(self, f.name)!r}")
         if self.model_dim % self.num_heads != 0:
             raise ValueError(
                 f"model_dim {self.model_dim} not divisible by {self.num_heads} heads"
             )
-        if min(self.vocab_size, self.enc_dim, self.model_dim, self.num_layers) < 1:
-            raise ValueError("all size fields must be positive")
 
 
 @dataclass
@@ -111,13 +113,9 @@ class LfmModel:
         q = T.matmul(x, self._p(prefix + "q"))
         k = T.matmul(kv, self._p(prefix + "k"))
         v = T.matmul(kv, self._p(prefix + "v"))
-        dh = self.config.model_dim // self.config.num_heads
-        heads = []
-        for h in range(self.config.num_heads):
-            s = slice(h * dh, (h + 1) * dh)
-            heads.append(T.scaled_dot_attention(q[..., s], k[..., s], v[..., s], causal=causal,
-                                                frames=frames))
-        return T.matmul(T.concat(heads, axis=-1), self._p(prefix + "o"))
+        heads = T.scaled_dot_attention(q, k, v, causal=causal, frames=frames,
+                                       heads=self.config.num_heads)
+        return T.matmul(heads, self._p(prefix + "o"))
 
     def _ln(self, x: T.Tensor, name: str) -> T.Tensor:
         return T.layer_normalize(x, self._p(name + "_g"), self._p(name + "_b"))
@@ -246,12 +244,9 @@ def prepare_rescoring(utterance: Utterance, nbest: NBestList, hat: HatModel, elm
     """Attach full-sum, ILM, and ELM scores once; sweeps then only re-rank."""
     require_smoothing(elm.smoothing)
     out = rescore_components(nbest, hat, utterance)
-    hyps = []
-    for h in out.hyps:
-        toks = list(h.tokens)
-        hyps.append(replace(h, ilm_scores=hat.internal_lm_log_prob(toks),
-                            elm_scores=score_tokens(elm, toks)))
-    return replace(out, hyps=hyps)
+    ilm = hat.internal_lm_log_prob([h.tokens for h in out.hyps])
+    return replace(out, hyps=[replace(h, ilm_scores=s, elm_scores=score_tokens(elm, list(h.tokens)))
+                              for h, s in zip(out.hyps, ilm)])
 
 
 def rescore_scalar(nbest: NBestList, mu: float, nu: float) -> NBestList:

@@ -427,7 +427,7 @@ def layer_normalize(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False,
-                         frames=None) -> Tensor:
+                         frames=None, heads: int = 1) -> Tensor:
     """softmax(q kᵀ / sqrt(d)) v with optional causal and key-padding masks.
 
     q: (..., Lq, d), k: (..., Lk, d), v: (..., Lk, dv) -> (..., Lq, dv).
@@ -442,6 +442,10 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False,
     block equals the attention over its first ``frames`` keys alone; the
     backward then gives masked key and value rows exactly zero gradient.
     Key 0 is never masked, so every softmax row keeps a finite score.
+
+    ``heads`` > 1 splits the last axes of q, k and v into that many equal
+    heads, attends each at its own scale and joins their outputs, bit for bit
+    as slicing each head out and concatenating would; it must divide d and dv.
     """
     qd, kd, vd = q.data, k.data, v.data
     if (qd.ndim < 2 or kd.ndim not in (2, qd.ndim) or kd.shape[:-2] not in ((), qd.shape[:-2])
@@ -449,6 +453,17 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False,
         raise ValueError(
             f"scaled_dot_attention: shapes {q.shape}, {k.shape}, {v.shape} do not conform"
         )
+    if type(heads) is not int or heads < 1 or qd.shape[-1] % heads or vd.shape[-1] % heads:
+        raise ValueError(f"scaled_dot_attention: {heads!r} heads do not divide the last axes "
+                         f"of {q.shape} and {v.shape}")
+
+    def split(a):  # (..., L, d) -> (..., heads, L, d / heads), a view
+        return a if heads == 1 else np.swapaxes(a.reshape(a.shape[:-1] + (heads, -1)), -2, -3)
+
+    def merge(a):  # its inverse, a copy
+        return a if heads == 1 else np.swapaxes(a, -2, -3).reshape(a.shape[:-3] + (a.shape[-2], -1))
+
+    lead, (qd, kd, vd) = qd.shape[:-2], map(split, (qd, kd, vd))
     inv_sqrt_d = 1.0 / np.sqrt(qd.shape[-1])
     scores = (qd @ np.swapaxes(kd, -1, -2)) * inv_sqrt_d
     lq, lk = scores.shape[-2:]
@@ -457,26 +472,27 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False,
         scores = np.where(mask, -np.inf, scores)
     if frames is not None:
         frames = np.asarray(frames)
-        if frames.dtype.kind not in "iu" or frames.shape != qd.shape[:-2]:
+        if frames.dtype.kind not in "iu" or frames.shape != lead:
             raise ValueError(f"scaled_dot_attention: frames must be integers of shape "
-                             f"{qd.shape[:-2]}, got {frames.dtype} {frames.shape}")
+                             f"{lead}, got {frames.dtype} {frames.shape}")
         if frames.size and (frames.min() < 1 or frames.max() > lk):
             raise ValueError(f"scaled_dot_attention: frame counts must lie in [1, {lk}]")
-        scores = np.where(np.arange(lk) >= frames[..., None, None], -np.inf, scores)
+        cut = frames.reshape(lead + (1,) * (scores.ndim - len(lead)))
+        scores = np.where(np.arange(lk) >= cut, -np.inf, scores)
     m = np.max(scores, axis=-1, keepdims=True)
     e = np.exp(scores - m)
     attn = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(attn @ vd)
 
     def bw(g):
+        g = np.ascontiguousarray(split(g))  # each head's own array, as a sliced head's grad
         gv = np.swapaxes(attn, -1, -2) @ g
         ga = g @ np.swapaxes(vd, -1, -2)
         gs = attn * (ga - np.sum(ga * attn, axis=-1, keepdims=True))
         gq = (gs @ kd) * inv_sqrt_d
         gk = (np.swapaxes(gs, -1, -2) @ qd) * inv_sqrt_d
-        return gq, _unbroadcast(gk, kd.shape), _unbroadcast(gv, vd.shape)
+        return tuple(map(merge, (gq, _unbroadcast(gk, kd.shape), _unbroadcast(gv, vd.shape))))
 
-    return _record(out, (q, k, v), bw)
+    return _record(Tensor(merge(attn @ vd)), (q, k, v), bw)
 
 
 def tanh_step_np(x: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray,

@@ -1,15 +1,17 @@
 """Shared test utilities: finite-difference gradient oracles, the op-by-op
 recordings that ``tensor.transducer_full_sum`` and ``tensor.tanh_recurrence``
 must equal bit for bit, the padded-grid scorer that
-``HatModel.score_sequences`` must equal, and the prefix-object beam search
-that ``decode._search`` must equal list for list."""
+``HatModel.score_sequences`` must equal, the one-sequence ILM replay that
+``HatModel.internal_lm_log_prob`` must equal, and the prefix-object beam
+search that ``decode._search`` must equal list for list."""
 
 import numpy as np
 
 from hatfusion import tensor as T
 from hatfusion.decode import _COUNTERS, BeamConfig, Hypothesis, NBestList, _combine
 from hatfusion.hat import _COUNTERS as _HAT_COUNTERS
-from hatfusion.hat import HatModel, Utterance, _check_ids, pad_ids
+from hatfusion.hat import (_PRED, HatModel, Utterance, _check_ids, _ilm_rows, _row_products,
+                           pad_ids)
 from hatfusion.lm import advance_state, initial_state, next_token_logprobs
 
 
@@ -231,6 +233,23 @@ def padded_score_sequences(self, enc: T.Tensor, seqs, with_ilm: bool = True, fra
     keep = (uu < lens[:, None]).astype(float)
     ilm_totals = T.matmul(T.multiply(per_tok, T.constant(keep)), T.constant(np.ones(u_max)))
     return full_sums, ilm_totals
+
+
+# -- the one-sequence ILM replay -----------------------------------------------
+# ``HatModel.internal_lm_log_prob`` as it was before it took a list: one
+# sequence's prediction states by one recurrence over its own tokens. Kept
+# verbatim as the oracle the list replay must equal bit for bit.
+
+
+def reference_ilm(self, labels) -> np.ndarray:
+    """Per-token internal-LM log-probs s_l of ``labels``: (U,). A numpy
+    replay of the fused search's steps, so it gives a fused hypothesis's
+    ``ilm_scores`` bit for bit, and it records nothing under a tape."""
+    tokens = _check_ids(labels, self.config.vocab_size, "label")
+    x = self._p("lemb").data[np.concatenate(([self.config.vocab_size], tokens[:-1]))[:, None]]
+    states = np.concatenate(T.tanh_states_np(x, *(self._p(n).data for n in _PRED)))
+    lp = _ilm_rows(self.params, _row_products(states, self._p("joint_wd").data))
+    return lp[np.arange(tokens.size), tokens]
 
 
 # -- the reference search ----------------------------------------------------

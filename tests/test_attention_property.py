@@ -98,3 +98,62 @@ def test_bad_frame_counts_are_refused(frames):
     k = T.constant(np.ones((2, 3, 2)))
     with pytest.raises(ValueError, match="frame"):
         T.scaled_dot_attention(q, k, k, frames=frames)
+
+
+def _sliced_heads(q, k, v, heads, **kw):
+    """Multi-head attention as it ran before ``heads``: each head's slice of
+    q, k and v attends alone, and the heads' outputs are concatenated."""
+    dq, dv = q.shape[-1] // heads, v.shape[-1] // heads
+    return T.concat([T.scaled_dot_attention(q[..., h * dq:(h + 1) * dq],
+                                            k[..., h * dq:(h + 1) * dq],
+                                            v[..., h * dv:(h + 1) * dv], **kw)
+                     for h in range(heads)], axis=-1)
+
+
+# the three forms the fusion module runs: causal self-attention, per-row
+# cross-attention under frame counts, and cross-attention to shared keys
+_FORMS = {"self": dict(causal=True), "per_row": dict(frames=True), "shared": dict()}
+
+
+@hypothesis.settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@hypothesis.given(seed=st.integers(0, 2**16), lead=st.lists(st.integers(1, 3), min_size=1,
+                                                            max_size=2),
+                  lq=st.integers(1, 4), lk=st.integers(1, 4), heads=st.integers(1, 3),
+                  dh=st.integers(1, 3), dvh=st.integers(1, 3), form=st.sampled_from(sorted(_FORMS)))
+def test_heads_equal_sliced_heads_bit_for_bit(seed, lead, lq, lk, heads, dh, dvh, form):
+    rng = np.random.default_rng(seed)
+    lead = tuple(lead)
+    lk = lq if form == "self" else lk
+    kv_lead = () if form == "shared" else lead
+    q = T.Tensor(rng.normal(size=(*lead, lq, heads * dh)), trainable=True)
+    k = T.Tensor(rng.normal(size=(*kv_lead, lk, heads * dh)), trainable=True)
+    v = T.Tensor(rng.normal(size=(*kv_lead, lk, heads * dvh)), trainable=True)
+    kw = dict(_FORMS[form])
+    if kw.pop("frames", False):
+        kw["frames"] = rng.integers(1, lk + 1, size=lead)
+    w = rng.normal(size=(*lead, lq, heads * dvh))
+    runs = []
+    for attend in (lambda: T.scaled_dot_attention(q, k, v, heads=heads, **kw),
+                   lambda: _sliced_heads(q, k, v, heads, **kw)):
+        for t in (q, k, v):
+            t.grad = None
+        with T.Tape() as tape:
+            out = attend()
+            total = weighted_scalar(out, w)
+        tape.backward(total)
+        runs.append([out.data] + [t.grad.copy() for t in (q, k, v)])
+    for a, b in zip(*runs):
+        np.testing.assert_array_equal(a, b)
+    for t in (q, k, v):
+        t.grad = None
+    check_gradients(lambda: weighted_scalar(T.scaled_dot_attention(q, k, v, heads=heads, **kw),
+                                            w), [q, k, v])
+
+
+@pytest.mark.parametrize("heads,d,dv", [(2, 3, 4), (2, 4, 3), (3, 4, 6), (0, 4, 4), (-1, 4, 4),
+                                        (2.0, 4, 4), (True, 4, 4)])
+def test_heads_that_do_not_divide_are_refused(heads, d, dv):
+    q = T.constant(np.ones((2, 3, d)))
+    k = T.constant(np.ones((2, 3, d)))
+    with pytest.raises(ValueError, match="heads"):
+        T.scaled_dot_attention(q, k, T.constant(np.ones((2, 3, dv))), heads=heads)

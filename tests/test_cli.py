@@ -405,15 +405,27 @@ BAD_SECTIONS = [
     ("train_mwer", {"tie_weights": 1}, ["train-mwer"]),
     ("train_lfm", {"steps": 2.0}, ["train-lfm"]),
     ("lfm", {"num_heads": True}, ["train-lfm"]),
+    # sizes that divided by zero
+    ("lfm", {"num_heads": 0}, ["train-lfm"]),
+    ("lfm", {"ffn_dim": 0}, ["train-lfm"]),
     ("decode", {"beam_size": 2.5}, ["decode", "--split", "dev-common"]),
     ("sweep", {"ilm_grid": [True]}, ["sweep", "--mode", "rescoring"]),
     ("sweep", {"elm_grid": 0.2}, ["sweep", "--mode", "shallow-fusion"]),
 ]
 
 
+def _section_ids(rows):
+    """``section-key`` for each row; a repeated one also names its value."""
+    ids = []
+    for section, bad, _ in rows:
+        key, value = next(iter(bad.items()))
+        name = f"{section}-{key}"
+        ids.append(f"{name}={value!r}" if name in ids else name)
+    return ids
+
+
 class TestConfigSections:
-    @pytest.mark.parametrize("section,bad,command", BAD_SECTIONS,
-                             ids=[f"{s}-{next(iter(b))}" for s, b, _ in BAD_SECTIONS])
+    @pytest.mark.parametrize("section,bad,command", BAD_SECTIONS, ids=_section_ids(BAD_SECTIONS))
     def test_bad_key_exits_2_before_writing(self, pipeline, tmp_path, capsys,
                                             section, bad, command):
         cfg = write_config(tmp_path / "cfg.json", **{section: bad})

@@ -548,7 +548,8 @@ class TestIlmReplay:
         for i in range(6):
             nb = D.beam_search(random_utt(rng, a=8, t=6, uid=f"r{i}"), model, elm, cfg)
             for h in nb.hyps:
-                np.testing.assert_array_equal(model.internal_lm_log_prob(h.tokens), h.ilm_scores)
+                np.testing.assert_array_equal(model.internal_lm_log_prob([h.tokens])[0],
+                                              h.ilm_scores)
 
 
 class TestUnsmoothedElm:

@@ -265,36 +265,36 @@ class TestFullSum:
 
 class TestInternalLm:
     def test_empty_sequence(self):
-        s = tiny_model().internal_lm_log_prob([])
+        s = tiny_model().internal_lm_log_prob([[]])[0]
         assert s.size == 0 and float(np.sum(s)) == 0.0
 
     def test_zeroed_label_head_uniform(self):
         m = tiny_model(v=3)
         m.params["label_w"].data[...] = 0.0
         m.params["label_b"].data[...] = 0.0
-        s = m.internal_lm_log_prob([0, 2, 1])
+        s = m.internal_lm_log_prob([[0, 2, 1]])[0]
         np.testing.assert_allclose(s, -math.log(3), atol=1e-15)
 
     def test_incremental_prefix_oracle(self):
         m = tiny_model(seed=8)
         y = [2, 0, 1, 1]
-        s = m.internal_lm_log_prob(y)
+        s = m.internal_lm_log_prob([y])[0]
         for l in range(1, len(y) + 1):
-            prefix_total = float(np.sum(m.internal_lm_log_prob(y[:l])))
+            prefix_total = float(np.sum(m.internal_lm_log_prob([y[:l]])[0]))
             assert prefix_total == pytest.approx(float(np.sum(s[:l])), abs=1e-12)
 
     def test_ignores_acoustics_by_construction(self):
         m = tiny_model(seed=9)
-        before = m.internal_lm_log_prob([1, 0, 2])
+        before = m.internal_lm_log_prob([[1, 0, 2]])[0]
         m.params["aemb"].data[...] = 0.12345
         m.params["enc_wx"].data[...] *= -3.0
-        after = m.internal_lm_log_prob([1, 0, 2])
+        after = m.internal_lm_log_prob([[1, 0, 2]])[0]
         np.testing.assert_array_equal(before, after)
 
     def test_records_nothing_under_a_tape(self):
         m = tiny_model(seed=13)
         with T.Tape() as tape:
-            s = m.internal_lm_log_prob([2, 0, 1])
+            s = m.internal_lm_log_prob([[2, 0, 1]])[0]
         assert len(tape) == 0 and s.shape == (3,)
 
     def test_batched_ilm_matches_single(self):
@@ -303,7 +303,7 @@ class TestInternalLm:
         seqs = [[1, 2], [0], [2, 2, 1]]
         _, totals = m.score_sequences(enc, seqs)
         for s, tot in zip(seqs, totals.data):
-            assert tot == pytest.approx(float(np.sum(m.internal_lm_log_prob(s))), abs=1e-12)
+            assert tot == pytest.approx(float(np.sum(m.internal_lm_log_prob([s])[0])), abs=1e-12)
 
 
 class TestMleLoss:

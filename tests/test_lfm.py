@@ -100,6 +100,10 @@ class TestForward:
         for field, value in (("num_heads", True), ("ffn_dim", 32.0)):
             with pytest.raises(ValueError, match=field):  # both used to pass
                 F.LfmConfig(vocab_size=V, enc_dim=HID, **{field: value})
+        # these divided by zero, or passed and failed later
+        for field, value in (("num_heads", 0), ("num_heads", -2), ("ffn_dim", 0)):
+            with pytest.raises(ValueError, match=field):
+                F.LfmConfig(vocab_size=V, enc_dim=HID, **{field: value})
 
 
 class TestWeightedContribution:
@@ -129,7 +133,7 @@ class TestRescoring:
         for h in nb.hyps:
             assert h.e2e_fullsum is not None
             np.testing.assert_array_equal(
-                h.ilm_scores, hat.internal_lm_log_prob(list(h.tokens))
+                h.ilm_scores, hat.internal_lm_log_prob([list(h.tokens)])[0]
             )
             np.testing.assert_array_equal(
                 h.elm_scores, L.score_tokens(elm, list(h.tokens))
@@ -281,7 +285,7 @@ class TestTraining:
             for h in nb.hyps:
                 toks = list(h.tokens)
                 w = lfm.forward(enc, toks).data
-                s = hat.internal_lm_log_prob(toks)
+                s = hat.internal_lm_log_prob([toks])[0]
                 r = L.score_tokens(elm, toks)
                 raw.append((h.e2e_fullsum - np.dot(w[:, 0], s)) + np.dot(w[:, 1], r))
                 errors.append(M.nwe(h.tokens, utt.reference))

@@ -226,7 +226,7 @@ class TestCompositeLoss:
         raw = np.array(
             [
                 (h.e2e_fullsum
-                 - mu * float(np.sum(self.model.internal_lm_log_prob(list(h.tokens)))))
+                 - mu * float(np.sum(self.model.internal_lm_log_prob([list(h.tokens)])[0])))
                 + nu * float(np.sum(h.elm_scores))
                 for h in self.nbest.hyps
             ]

@@ -178,7 +178,7 @@ def test_shared_prefixes_match_path_enumeration(seed, b, k, u_max):
                          + locs.label_logprob.data[:, np.arange(n), s])
     want = enumerated_full_sums(lb, le, lens, frames[rows])
     np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-10)
-    want_ilm = [float(np.sum(model.internal_lm_log_prob(s))) if s else 0.0 for s in seqs]
+    want_ilm = [float(np.sum(model.internal_lm_log_prob([s])[0])) if s else 0.0 for s in seqs]
     np.testing.assert_allclose(ilm.data, want_ilm, rtol=1e-12, atol=1e-14)
 
 

@@ -52,7 +52,7 @@ def test_unpruned_beam_ilm_scores_are_the_replay(seed, v, max_tokens, frames, we
     nb = D.beam_search(random_utt(rng, a=8, t=frames), model, tiny_elm(rng, v=v), cfg)
     assert len(nb.hyps) == cfg.beam_size
     for h in nb.hyps:
-        np.testing.assert_array_equal(model.internal_lm_log_prob(h.tokens), h.ilm_scores)
+        np.testing.assert_array_equal(model.internal_lm_log_prob([h.tokens])[0], h.ilm_scores)
 
 
 @hypothesis.settings(max_examples=25, derandomize=True, database=None, deadline=None)
