@@ -235,11 +235,18 @@ def _beam_config(cfg: dict, lam: float, gam: float) -> BeamConfig:
     return _build("decode", BeamConfig, cfg["decode"], ilm_weight=lam, elm_weight=gam)
 
 
-def _train_config(cfg: dict, regime: str) -> TrainConfig:
+def _train_config(args, regime: str, **flags) -> tuple[dict, TrainConfig]:
+    """The config of a train-<regime> command and its ``TrainConfig``. --seed,
+    --steps and the command's own ``flags`` go into the training section,
+    whose beam keys outrank "decode"'s."""
+    cfg = _load_config(args.config)
+    _override(cfg, "", "seed", args.seed)
+    for key, value in {"steps": args.steps, **flags}.items():
+        _override(cfg, f"train_{regime}", key, value)
     # mle runs no search, so it takes no beam field
     beam = cfg["decode"] if regime != "mle" else {}
-    return _build(f"train_{regime}", TrainConfig, {**beam, **cfg[f"train_{regime}"]},
-                  regime=regime, seed=cfg["seed"])
+    return cfg, _build(f"train_{regime}", TrainConfig, {**beam, **cfg[f"train_{regime}"]},
+                       regime=regime, seed=cfg["seed"])
 
 
 def _nbest_wer(lists: list, src: Path) -> float:
@@ -282,10 +289,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train_mle(args) -> int:
-    cfg = _load_config(args.config)
-    _override(cfg, "", "seed", args.seed)
-    _override(cfg, "train_mle", "steps", args.steps)
-    train_cfg = _train_config(cfg, "mle")
+    cfg, train_cfg = _train_config(args, "mle")
     exp = ExpDir(args.exp_dir)
     with _Lock(exp, "train-mle"):
         task = _load_task(exp)
@@ -305,15 +309,9 @@ def cmd_train_mle(args) -> int:
 
 
 def cmd_train_mwer(args) -> int:
-    cfg = _load_config(args.config)
-    _override(cfg, "", "seed", args.seed)
-    for key in ("lam", "gam", "mu", "nu", "theta"):
-        _override(cfg, "train_mwer", key, getattr(args, key))
-    _override(cfg, "train_mwer", "tie_weights", True if args.tie else None)
-    _override(cfg, "train_mwer", "steps", args.steps)
-    # the training section's beam keys outrank "decode", so the flag goes there
-    _override(cfg, "train_mwer", "beam_size", args.beam)
-    train_cfg = _train_config(cfg, "mwer")
+    cfg, train_cfg = _train_config(args, "mwer", lam=args.lam, gam=args.gam, mu=args.mu,
+                                   nu=args.nu, theta=args.theta,
+                                   tie_weights=True if args.tie else None, beam_size=args.beam)
     exp = ExpDir(args.exp_dir)
     with _Lock(exp, "train-mwer"):
         task = _load_task(exp)
@@ -334,11 +332,7 @@ def cmd_train_mwer(args) -> int:
 
 
 def cmd_train_lfm(args) -> int:
-    cfg = _load_config(args.config)
-    _override(cfg, "", "seed", args.seed)
-    _override(cfg, "train_lfm", "steps", args.steps)
-    _override(cfg, "train_lfm", "beam_size", args.beam)
-    train_cfg = _train_config(cfg, "lfm")
+    cfg, train_cfg = _train_config(args, "lfm", beam_size=args.beam)
     exp = ExpDir(args.exp_dir)
     with _Lock(exp, "train-lfm"):
         task = _load_task(exp)

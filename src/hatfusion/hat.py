@@ -464,30 +464,53 @@ def _check_ids(ids, bound: int, what: str) -> np.ndarray:
     return arr
 
 
-def save_checkpoint(model: HatModel, base) -> None:
+def save_model(model, base, kind: str) -> None:
+    """Write a model as the checkpoint pair ``<base>.json`` + ``<base>.params``.
+
+    The header is a JSON object ``{"kind": kind, "config": <the model's
+    config fields>}``; the parameter file is ``ParamSet.save``'s. Both
+    models use this one format: the transducer as kind ``hat`` and the
+    fusion module as kind ``lfm``. Older headers held one config key that
+    is now retired, since only one of its choices exists: ``recurrent_encoder``
+    (transducer) and ``nonnegative`` (fusion module). ``load_model`` drops
+    the key when true and refuses the header when false.
+    """
     base = Path(base)
     model.params.save(base.parent / (base.name + ".params"))
-    header = {"kind": "hat", "config": asdict(model.config)}
+    header = {"kind": kind, "config": asdict(model.config)}
     (base.parent / (base.name + ".json")).write_text(json.dumps(header, indent=2) + "\n")
 
 
-def load_checkpoint(base) -> HatModel:
+def load_model(base, kind: str, build, retired: str):
+    """The model of a ``save_model`` pair whose header has kind ``kind``;
+    ``build`` makes it from the header's config dict, without the
+    ``retired`` key. A header that is no such object, or whose config builds
+    nothing, is a ``ValueError`` naming the header; a parameter file unlike
+    the built model is one naming both files."""
     base = Path(base)
-    path = base.parent / (base.name + ".json")
-    header = json.loads(path.read_text())
-    if header.get("kind") != "hat":
-        raise ValueError(f"not a transducer checkpoint: {base}")
-    if not isinstance(header.get("config"), dict):
-        raise ValueError(f"{path}: header has no config")
-    config = dict(header["config"])
-    # older headers record the encoder kind; only the recurrent one exists now
-    if not config.pop("recurrent_encoder", True):
-        raise ValueError(f"{path}: feed-forward encoder checkpoints are no longer supported")
-    model = HatModel(HatConfig(**config))
-    params_path = base.parent / (base.name + ".params")
+    path, params_path = (base.parent / (base.name + ext) for ext in (".json", ".params"))
+    try:
+        header = json.loads(path.read_text())
+        check_keys(header, {"kind": (str,), "config": (dict,)})
+        if header["kind"] != kind:
+            raise ValueError(f"not a {kind!r} checkpoint: kind {header['kind']!r}")
+        config = dict(header["config"])
+        if not config.pop(retired, True):
+            raise ValueError(f"{retired} = false is no longer supported")
+        model = build(config)
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{path}: {e}") from None
     values = T.ParamSet.load(params_path).copy_values()
     try:
         model.params.set_values(values)
     except ValueError as e:
         raise ValueError(f"{params_path} does not match {path.name}: {e}") from None
     return model
+
+
+def save_checkpoint(model: HatModel, base) -> None:
+    save_model(model, base, "hat")
+
+
+def load_checkpoint(base) -> HatModel:
+    return load_model(base, "hat", lambda c: HatModel(HatConfig(**c)), "recurrent_encoder")

@@ -38,15 +38,13 @@ one ELM score per token is refused.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, fields, replace
-from pathlib import Path
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import tensor as T
 from .decode import NBestList, require_fusion_weights, rescore_components
-from .hat import HatModel, Utterance, check_field_types, pad_ids
+from .hat import HatModel, Utterance, check_field_types, load_model, pad_ids, save_model
 from .lm import require_smoothing, score_tokens
 from .mwer import batch_expected_errors
 
@@ -219,12 +217,12 @@ def weighted_contribution(weights, scores) -> float:
     return float(np.dot(w, s))
 
 
-def _weighted_score(e2e: float, mu_vec, s, nu_vec, r) -> float:
-    return (e2e - weighted_contribution(mu_vec, s)) + weighted_contribution(nu_vec, r)
-
-
-def _reranked(nbest: NBestList, scores: list) -> NBestList:
-    hyps = [replace(h, combined=score) for h, score in zip(nbest.hyps, scores)]
+def _reranked(nbest: NBestList, mus, nus) -> NBestList:
+    """The list re-ranked by e2e_fullsum - mu . s + nu . r, with each
+    hypothesis's weight rows ``mus`` and ``nus`` over its ILM and ELM scores."""
+    hyps = [replace(h, combined=(h.e2e_fullsum - weighted_contribution(mu, h.ilm_scores))
+                    + weighted_contribution(nu, h.elm_scores))
+            for h, mu, nu in zip(nbest.hyps, mus, nus)]
     hyps.sort(key=lambda h: (-h.combined, h.tokens))
     return NBestList(nbest.uid, list(nbest.reference), hyps, nbest.ilm_weight, nbest.elm_weight)
 
@@ -253,12 +251,9 @@ def rescore_scalar(nbest: NBestList, mu: float, nu: float) -> NBestList:
     """Re-rank by constant fusion weights using the attached per-token scores."""
     require_fusion_weights(mu, nu)
     _require_lm_free(nbest)
-    scores = []
-    for h in nbest.hyps:
-        n = len(h.tokens)
-        scores.append(_weighted_score(h.e2e_fullsum, np.full(n, float(mu)), h.ilm_scores,
-                                      np.full(n, float(nu)), h.elm_scores))
-    return _reranked(nbest, scores)
+    lengths = [len(h.tokens) for h in nbest.hyps]
+    return _reranked(nbest, [np.full(n, float(mu)) for n in lengths],
+                     [np.full(n, float(nu)) for n in lengths])
 
 
 def rescore_with_lfm(utterance: Utterance, nbest: NBestList, hat: HatModel, elm,
@@ -270,12 +265,9 @@ def rescore_with_lfm(utterance: Utterance, nbest: NBestList, hat: HatModel, elm,
     """
     _require_lm_free(nbest)
     w = lfm.forward(hat.encode_np(utterance.acoustics), pad_ids(nbest.token_lists())).data
-    scores = []
-    for h, wh in zip(nbest.hyps, w):
-        n = len(h.tokens)
-        scores.append(_weighted_score(h.e2e_fullsum, wh[:n, 0], h.ilm_scores,
-                                      wh[:n, 1], h.elm_scores))
-    return _reranked(nbest, scores)
+    lengths = [len(h.tokens) for h in nbest.hyps]
+    return _reranked(nbest, [wh[:n, 0] for wh, n in zip(w, lengths)],
+                     [wh[:n, 1] for wh, n in zip(w, lengths)])
 
 
 def _stack_lists(pairs: list, hat: HatModel) -> tuple:
@@ -377,29 +369,8 @@ def weight_stats(dataset: list, lfm: LfmModel, hat: HatModel) -> WeightStats:
 
 
 def save_lfm(lfm: LfmModel, base) -> None:
-    base = Path(base)
-    lfm.params.save(base.parent / (base.name + ".params"))
-    meta = {"kind": "lfm", "config": asdict(lfm.config)}
-    (base.parent / (base.name + ".json")).write_text(json.dumps(meta, indent=2))
+    save_model(lfm, base, "lfm")
 
 
 def load_lfm(base) -> LfmModel:
-    base = Path(base)
-    path = base.parent / (base.name + ".json")
-    meta = json.loads(path.read_text())
-    if meta.get("kind") != "lfm":
-        raise ValueError(f"not a fusion-module checkpoint: {meta.get('kind')!r}")
-    if not isinstance(meta.get("config"), dict):
-        raise ValueError(f"{path}: header has no config")
-    config = dict(meta["config"])
-    # older headers record the head kind; only the softplus head exists now
-    if not config.pop("nonnegative", True):
-        raise ValueError(f"{path}: signed-head fusion checkpoints are no longer supported")
-    lfm = LfmModel(LfmConfig(**config))
-    params_path = base.parent / (base.name + ".params")
-    values = T.ParamSet.load(params_path).copy_values()
-    try:
-        lfm.params.set_values(values)
-    except ValueError as e:
-        raise ValueError(f"{params_path} does not match {path.name}: {e}") from None
-    return lfm
+    return load_model(base, "lfm", lambda c: LfmModel(LfmConfig(**c)), "nonnegative")

@@ -79,8 +79,8 @@ def _check_label(token, v: int) -> None:
 
 
 def train_ngram(corpus, order: int, smoothing: float = 0.1, *, vocab) -> NGramLm:
-    if order < 1:
-        raise ValueError(f"n-gram order must be >= 1, got {order}")
+    if type(order) is not int or order < 1:  # a bool is no order
+        raise ValueError(f"n-gram order must be an integer >= 1, got {order!r}")
     if smoothing < 0:
         raise ValueError(f"smoothing must be >= 0, got {smoothing}")
     corpus = list(corpus)

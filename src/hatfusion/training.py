@@ -13,7 +13,8 @@ restores the last snapshot, taken every ``_CHECKPOINT_EVERY`` steps.
 A config field that its regime does not read must keep its default:
 ``mle`` reads neither the fusion weights nor the beam fields, and ``lfm``
 decodes LM-free and takes its weights from the fusion module, so it reads
-no fusion weight. Setting such a field raises instead of being ignored.
+no fusion weight. Setting such a field raises instead of being ignored;
+so does a tied config's ``mu`` or ``nu`` that is neither 0.0 nor its tie.
 """
 
 from __future__ import annotations
@@ -73,6 +74,10 @@ class TrainConfig:
         if self.log_every < 1:
             raise ValueError("log_every must be >= 1")
         if self.tie_weights:
+            for name, tied in (("mu", "lam"), ("nu", "gam")):
+                if getattr(self, name) not in (0.0, getattr(self, tied)):
+                    raise ValueError(f"tie_weights sets {name} to {tied}; leave {name} at "
+                                     f"0.0 or {getattr(self, tied)!r}")
             self.mu, self.nu = self.lam, self.gam
         if self.lr == 0.0:
             self.lr = _DEFAULT_LR[self.regime]
@@ -124,24 +129,6 @@ def _sample(rng, data: list, size: int) -> list:
     return [data[i] for i in rng.integers(0, len(data), size=size)]
 
 
-class _Snapshot:
-    """Rolling restore point for divergence aborts."""
-
-    def __init__(self, params: T.ParamSet):
-        self.params = params
-        self.values = params.copy_values()
-        self.step = 0
-
-    def update(self, step: int) -> None:
-        if step % _CHECKPOINT_EVERY == 0:
-            self.values = self.params.copy_values()
-            self.step = step
-
-    def restore(self) -> int:
-        self.params.set_values(self.values)
-        return self.step
-
-
 def _run_steps(config: TrainConfig, params: T.ParamSet, step_fn, log: RunLog,
                extra_log=None) -> None:
     """Shared driver: step, divergence guard, snapshots, logging.
@@ -150,22 +137,21 @@ def _run_steps(config: TrainConfig, params: T.ParamSet, step_fn, log: RunLog,
     snapshot, logs a ``diverged`` event and ends the run.
     """
     optimizer = T.Adam(config.lr)
-    snap = _Snapshot(params)
+    saved, saved_step = params.copy_values(), 0
     for step in range(1, config.steps + 1):
         loss = step_fn(step, optimizer)
         if not np.isfinite(loss):
-            restored = snap.restore()
-            log.append(event="diverged", step=step, restored_step=restored)
-            warnings.warn(
-                f"non-finite loss at step {step}; restored step-{restored} snapshot"
-            )
+            params.set_values(saved)
+            log.append(event="diverged", step=step, restored_step=saved_step)
+            warnings.warn(f"non-finite loss at step {step}; restored step-{saved_step} snapshot")
             break
         if step % config.log_every == 0 or step == config.steps:
             record = {"step": step, "loss": float(loss)}
             if extra_log is not None:
                 record.update(extra_log(step))
             log.append(**record)
-        snap.update(step)
+        if step % _CHECKPOINT_EVERY == 0:
+            saved, saved_step = params.copy_values(), step
 
 
 def train_mle(config: TrainConfig, train_data: list, hat_config: HatConfig) -> tuple[HatModel, RunLog]:

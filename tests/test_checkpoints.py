@@ -48,6 +48,15 @@ def test_header_without_config_refused(kind, tmp_path):
         load(tmp_path / "ck")
 
 
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_header_not_an_object_refused(kind, tmp_path):
+    make, save, load = LOADERS[kind]
+    save(make(), tmp_path / "ck")
+    (tmp_path / "ck.json").write_text("[1]")
+    with pytest.raises(ValueError, match=r"ck\.json"):
+        load(tmp_path / "ck")
+
+
 def test_lfm_embedding_that_would_broadcast_refused(tmp_path):
     # one saved embedding row broadcasts into five rows unless shapes are checked
     F.save_lfm(tiny_lfm(vocab_size=1), tmp_path / "fusion")

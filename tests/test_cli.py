@@ -372,6 +372,14 @@ class TestMissingArtifacts:
                      "--split", "dev-common", "--init", pipeline["mle"]]) == 3
         assert header_path.name in capsys.readouterr().err
 
+    def test_non_object_checkpoint_header_exits_3(self, pipeline, tmp_path, capsys):
+        exp = copy_exp(pipeline, tmp_path)
+        header_path = exp / "models" / (pipeline["mle"] + ".json")
+        header_path.write_text("[1]")
+        assert main(["decode", "--config", str(pipeline["config"]), "--exp-dir", str(exp),
+                     "--split", "dev-common", "--init", pipeline["mle"]]) == 3
+        assert header_path.name in capsys.readouterr().err
+
     def test_mu_alone_needs_no_elm(self, pipeline, tmp_path):
         # only the gamma and nu terms read the external LM
         exp = copy_exp(pipeline, tmp_path)
@@ -388,6 +396,7 @@ BAD_SECTIONS = [
     ("task", {"vocab": 10}, ["gen-data"]),
     ("elm", {"ordr": 3}, ["gen-data"]),
     ("elm", {"order": 0}, ["gen-data"]),
+    ("elm", {"order": True}, ["gen-data"]),
     ("hat", {"embed": 4}, ["train-mle"]),
     ("hat", {"embed_dim": 0}, ["train-mle"]),
     ("train_mle", {"step": 3}, ["train-mle"]),

@@ -32,8 +32,9 @@ class TestNGramTraining:
             L.train_ngram([[0, 1]], order=2, smoothing=-0.1, vocab=[0, 1])
 
     def test_order_zero_rejected(self):
-        with pytest.raises(ValueError, match="order"):
-            L.train_ngram([[0]], order=0, vocab=[0])
+        for order in (0, True):  # a bool is no order, though True == 1
+            with pytest.raises(ValueError, match="order"):
+                L.train_ngram([[0]], order=order, vocab=[0])
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty corpus"):

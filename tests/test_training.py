@@ -77,6 +77,16 @@ class TestConfig:
         cfg = TrainConfig(regime="mwer", steps=1, lam=0.3, gam=0.5, tie_weights=True)
         assert (cfg.mu, cfg.nu) == (0.3, 0.5)
 
+    @pytest.mark.parametrize("field,value", [("mu", 0.5), ("nu", 0.7)])
+    def test_tied_loss_weight_unlike_its_tie_rejected(self, field, value):
+        # a tie would overwrite the weight without a word
+        with pytest.raises(ValueError, match=f"sets {field}"):
+            TrainConfig(regime="mwer", steps=1, lam=0.2, gam=0.3, tie_weights=True,
+                        **{field: value})
+        cfg = TrainConfig(regime="mwer", steps=1, lam=0.2, gam=0.3, mu=0.2, nu=0.3,
+                          tie_weights=True)
+        assert (cfg.mu, cfg.nu) == (0.2, 0.3)
+
     def test_regime_default_lr(self):
         assert TrainConfig(regime="mle", steps=1).lr == 1e-3
         assert TrainConfig(regime="mwer", steps=1).lr == 1e-4

@@ -16,8 +16,10 @@ LM, it hashes, in this order:
   and of its ILM and ELM arrays, with their shapes
 - a 40-step ``train_lfm`` over the whole dev set, as ``rescore-lfm`` runs
   it: the fusion module's parameter bytes and its run log's bytes
-- ``rescore_with_lfm`` of each prepared test list with that module: each
-  re-ranked hypothesis's tokens and the float64 bytes of its ``combined``
+- ``rescore_with_lfm`` of each prepared test list with that module, then
+  ``rescore_scalar`` of each prepared dev list at each (mu, nu) point of
+  ``SWEEP_GRID``'s grid: each re-ranked hypothesis's tokens and the
+  float64 bytes of its ``combined``
 
 Bytes, not ``repr``, so a score held as a Python float hashes as the same
 score held as ``np.float64``. Prints the list count and the hex digest.
@@ -33,6 +35,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import hashlib  # noqa: E402
+import itertools  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -96,14 +99,16 @@ def gate_parts():
         dev = [u for split in workloads._dev_pair(ctx, PER_SPLIT) for u in split]
         test = [u for split in workloads._test_pair(ctx, PER_SPLIT).values() for u in split]
         test_pairs = sweep.prepare_corpus(model, ctx.elm, test, beam)
-        prepared += [nb for _, nb in sweep.prepare_corpus(model, ctx.elm, dev, beam)]
-        prepared += [nb for _, nb in test_pairs]
+        dev_lists = [nb for _, nb in sweep.prepare_corpus(model, ctx.elm, dev, beam)]
+        prepared += dev_lists + [nb for _, nb in test_pairs]
         config = training.TrainConfig(regime="lfm", steps=LFM_STEPS, batch_size=4, seed=seed,
                                       beam_size=beam.beam_size, max_tokens=beam.max_tokens)
         fusion, log = training.train_lfm(config, ctx.task.dev_common + ctx.task.dev_rare,
                                          model, ctx.elm)
         runs.append((fusion.params.to_bytes(), log.to_bytes()))
         ranked += [lfm.rescore_with_lfm(utt, nb, model, ctx.elm, fusion) for utt, nb in test_pairs]
+        grid = itertools.product(workloads.SWEEP_GRID["ilm_grid"], workloads.SWEEP_GRID["elm_grid"])
+        ranked += [lfm.rescore_scalar(nb, mu, nu) for mu, nu in grid for nb in dev_lists]
     return prepared, runs, ranked
 
 
